@@ -54,7 +54,6 @@ from .asymptotics import (
     stieltjes_gamma_tables,
 )
 from .poincare import (
-    CubicRoot,
     CuspData,
     PoincareSolution,
     RadialLength,

@@ -33,61 +33,65 @@ from .quadrature import integrate_01
 
 SQRT2 = math.sqrt(2.0)
 
+_RHO_MAX_ITER = 100
+_RHO_STEP_TOL = 4.0 * math.ulp(1.0)  # 4 float64 machine epsilons
 
-def rho(a):
-    """Unique nonnegative root of x^3 + x^2/2 = a, for a >= 0.
 
-    Safeguarded Newton with bracket [0, max(sqrt(2a), a^(1/3)) + 1]; the
-    initial guess follows the small-a expansion sqrt(2a) for a <= 1 and
-    a^(1/3) beyond.  Residual |rho^3 + rho^2/2 - a| <= 1e-14 max(1, a).
-    """
-    scalar = np.isscalar(a)
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise DomainError("rho requires a >= 0")
-    x = np.where(a <= 1.0, np.sqrt(2.0 * a), np.cbrt(a))
-    hi = np.maximum(np.sqrt(2.0 * a), np.cbrt(a)) + 1.0
-    lo = np.zeros_like(a)
-    for _ in range(100):
+def _rho_scalar(a: float) -> float:
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"rho requires finite a >= 0, got {a!r}")
+    s = math.sqrt(2.0 * a)
+    r = a ** (1.0 / 3.0)
+    x = s if a <= 1.0 else r
+    lo, hi = 0.0, max(s, r) + 1.0
+    for _ in range(_RHO_MAX_ITER):
         fx = x * x * x + 0.5 * x * x - a
-        lo = np.where(fx <= 0, x, lo)
-        hi = np.where(fx > 0, x, hi)
+        if fx <= 0.0:
+            lo = x
+        else:
+            hi = x
         dfx = 3.0 * x * x + x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dfx > 0, fx / np.where(dfx > 0, dfx, 1.0), 0.0)
-        xn = x - step
-        bad = (xn < lo) | (xn > hi) | ~np.isfinite(xn)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        done = np.abs(xn - x) <= 1e-17 * np.maximum(1.0, np.abs(xn))
+        xn = x - fx / dfx if dfx > 0.0 else x
+        if not lo <= xn <= hi:  # also catches a NaN step
+            xn = 0.5 * (lo + hi)
+        done = abs(xn - x) <= _RHO_STEP_TOL * max(1.0, xn)
         x = xn
-        if np.all(done):
+        if done:
             break
     # one Newton polish for the residual bound
     fx = x * x * x + 0.5 * x * x - a
     dfx = 3.0 * x * x + x
-    x = np.where(dfx > 0, x - fx / np.where(dfx > 0, dfx, 1.0), x)
-    x = np.maximum(x, 0.0)
-    return float(x) if scalar else x
+    if dfx > 0.0:
+        x -= fx / dfx
+    return max(x, 0.0)
+
+
+def rho(a):
+    """Unique nonnegative root of x^3 + x^2/2 = a, for finite a >= 0.
+
+    Safeguarded Newton in float64 with bracket [0, max(sqrt(2a), a^(1/3)) + 1]:
+    the initial guess is sqrt(2a) for a <= 1 and a^(1/3) beyond, and a step
+    that leaves the bracket is replaced by bisection.  Iteration stops once a
+    step satisfies |x_new - x| <= 4 eps max(1, x_new) (eps the float64
+    machine epsilon), or after 100 steps; one final Newton step polishes the
+    root.  Residual |rho^3 + rho^2/2 - a| <= 1e-14 max(1, a).
+
+    Scalars give a float.  Arrays are solved element by element with the same
+    scalar routine, so ``rho(arr)[i] == rho(float(arr[i]))`` exactly and the
+    result keeps the input's shape.  Raises DomainError for a < 0, NaN and
+    +-inf, on scalars and on any array element.
+    """
+    if np.isscalar(a):
+        return _rho_scalar(float(a))
+    a = np.asarray(a, dtype=float)
+    out = [_rho_scalar(v) for v in a.ravel().tolist()]
+    return np.array(out, dtype=float).reshape(a.shape)
 
 
 def rho_residual(a):
     """|rho^3 + rho^2/2 - a| on the same shape as a."""
     r = rho(a)
     return np.abs(np.asarray(r) ** 3 + 0.5 * np.asarray(r) ** 2 - np.asarray(a))
-
-
-class CubicRoot(NamedTuple):
-    """A solved (a, rho) pair of the cubic x^3 + x^2/2 = a, a >= 0."""
-
-    a: float
-    rho: float
-
-    @classmethod
-    def solve(cls, a):
-        return cls(float(a), rho(float(a)))
-
-    def residual(self):
-        return abs(self.rho ** 3 + 0.5 * self.rho ** 2 - self.a)
 
 
 def psi(t, f, fp):

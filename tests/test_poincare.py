@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -35,9 +36,8 @@ def test_rho_values():
 
 
 def test_cubic_root_pair():
-    cr = P.CubicRoot.solve(1.5)
-    assert cr.rho == pytest.approx(1.0, rel=1e-15)
-    assert cr.residual() <= 1e-14 * max(1.0, cr.a)
+    assert P.rho(1.5) == pytest.approx(1.0, rel=1e-15)
+    assert P.rho_residual(1.5) <= 1e-14 * max(1.0, 1.5)
 
 
 def test_rho_residual_grid():
@@ -51,6 +51,54 @@ def test_rho_monotone():
     grid = np.logspace(-6, 3, 60)
     vals = P.rho(grid)
     assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rho_rejects_nonfinite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            P.rho(bad)
+        with pytest.raises(DomainError):
+            P.rho(np.float64(bad))
+        with pytest.raises(DomainError):
+            P.rho(np.array(bad))
+        with pytest.raises(DomainError):
+            P.rho(np.array([0.5, bad, 2.0]))
+
+
+def test_rho_independent_of_batch():
+    rng = np.random.default_rng(20)
+    grid = np.concatenate(
+        [[0.0], np.logspace(-12, 6, 200), rng.uniform(0.0, 3.0, 200)]
+    )
+    rng.shuffle(grid)
+    vals = P.rho(grid)
+    assert vals.shape == grid.shape
+    for a, r in zip(grid, vals):
+        assert r == P.rho(float(a))
+    # a 2-D batch gives the same bits as the flat one
+    assert np.array_equal(P.rho(grid[:400].reshape(20, 20)), vals[:400].reshape(20, 20))
+    zero_d = P.rho(np.array(0.7))
+    assert np.ndim(zero_d) == 0 and zero_d == P.rho(0.7)
+
+
+def test_rho_matches_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.concatenate([np.logspace(-12, 6, 181), np.linspace(0.01, 3.0, 100)])
+    with mpmath.workdps(40):
+        for a in grid:
+            a = float(a)
+            am = mpmath.mpf(a)
+            x0 = math.sqrt(2.0 * a) if a <= 1.0 else a ** (1.0 / 3.0)
+            ref = mpmath.findroot(
+                lambda x: (x ** 3 + x ** 2 / 2) / am - 1,
+                x0,
+                solver="newton",
+                df=lambda x: (3 * x ** 2 + x) / am,
+            )
+            r = P.rho(a)
+            assert abs(mpmath.mpf(r) - ref) <= math.ulp(float(ref)), a
 
 
 def test_psi_examples():
