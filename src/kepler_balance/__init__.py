@@ -10,6 +10,7 @@ acceptance   the named reproduction criteria (also behind ``verify`` in the CLI)
 """
 
 from .errors import (
+    AccuracyError,
     CapabilityError,
     ConvergenceBudgetError,
     DivergenceError,
@@ -24,7 +25,6 @@ from .series import InverseKSeries, LSeries, PowerLogSeries
 from .profiles import (
     RadialProfile,
     density_in_L,
-    eval_profile,
     germ_residual,
     monge_ampere_density,
     phi_v,
@@ -49,7 +49,6 @@ from .asymptotics import (
     lerch_boundary_expansion,
     lerch_phi,
     moment_expansion,
-    phi_v_L_coeffs,
     reciprocal_moments,
     stieltjes_gamma_tables,
 )

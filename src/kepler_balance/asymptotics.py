@@ -25,6 +25,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import (
+    AccuracyError,
     CapabilityError,
     DomainError,
     NormalizationError,
@@ -36,15 +37,12 @@ from .special import (
     STIELTJES,
     gamma_derivs,
     stieltjes_euler_maclaurin,
-    zeta_deriv,
     zeta_deriv_over_factorial,
 )
 
 TWO_PI = 2.0 * math.pi
 DIRECT_SUM_CAP = 10 ** 6
-
-# alias: Taylor coefficients of phi_v in the boundary variable L
-phi_v_L_coeffs = phi_v_l_coefficients
+BOUNDARY_SUM_CAP = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +70,6 @@ class LerchContext:
 
     def c(self, m: int, j: int) -> float:
         return self.c_table[(m, j)]
-
-    def zeta_deriv(self, s: float, n: int) -> float:
-        key = (float(s), n)
-        hit = self._zeta_cache.get(key)
-        if hit is None:
-            hit = zeta_deriv(s, n)
-            self._zeta_cache[key] = hit
-        return hit
 
     def zeta_term(self, s: float, k: int, n: int) -> float:
         """zeta^(n)(s - k) / k!, cached and overflow-safe."""
@@ -136,7 +126,7 @@ def stieltjes_gamma_tables(max_m: int = 10, max_j: int = 10, recompute: bool = F
         gammas = tuple(stieltjes_euler_maclaurin(max(max_j + 1, 12)))
         drift = max(abs(gammas[j] - STIELTJES[j]) for j in range(len(STIELTJES)))
         if drift > 1e-12:
-            raise AssertionError(f"recomputed Stieltjes constants drifted by {drift:g}")
+            raise AccuracyError(f"recomputed Stieltjes constants drifted by {drift:g}")
     else:
         gammas = STIELTJES
     jtop = max_j + 1
@@ -241,7 +231,7 @@ def reciprocal_moments(c_exp: InverseKSeries, order: int) -> InverseKSeries:
     prod = (c_exp * inv) - 1
     bad = [abs(float(c)) for c in prod.terms.values()]
     if bad and max(bad) > 1e-12:
-        raise AssertionError(f"reciprocal product check failed: residual {max(bad):g}")
+        raise AccuracyError(f"reciprocal product check failed: residual {max(bad):g}")
     return inv
 
 
@@ -254,8 +244,7 @@ def a_m_coefficients(inv: InverseKSeries, m_max: int):
 # Lerch transcendent
 # ---------------------------------------------------------------------------
 
-def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto",
-              context: LerchContext | None = None) -> float:
+def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> float:
     """(d/ds)^n Phi(t, s, 1) = sum_{k>=0} t^k (log 1/(k+1))^n / (k+1)^s.
 
     method: "direct" term-wise summation, "boundary" the |L| < 2 pi
@@ -277,7 +266,7 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto",
                 f"boundary expansion valid for L < 2*pi; got L={L:.3f} (use direct)"
             )
         # Phi normalization: e^L times the k >= 1 series value
-        return math.exp(L) * t_phi_boundary_value(s, n_deriv, L, context=context)
+        return math.exp(L) * t_phi_boundary_value(s, n_deriv, L)
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -302,9 +291,7 @@ def _lerch_direct(t: float, s: float, n: int) -> float:
     return total
 
 
-def t_phi_boundary_value(s: float, n: int, L: float,
-                         context: LerchContext | None = None,
-                         max_terms: int = 3000) -> float:
+def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     """Value of (d/ds)^n [t Phi(t, s, 1)] at L = log(1/t) via the boundary
     formula, |L| < 2 pi.
 
@@ -312,7 +299,7 @@ def t_phi_boundary_value(s: float, n: int, L: float,
     L^k/k! folded in, so the sum stays accurate out to L near 2 pi where the
     bare coefficients underflow float64.
     """
-    ctx = context or default_context()
+    ctx = default_context()
     if not (0.0 < L < TWO_PI):
         raise CapabilityError("boundary formula needs 0 < L < 2*pi")
     logL = math.log(L)
@@ -339,7 +326,7 @@ def t_phi_boundary_value(s: float, n: int, L: float,
         total += sing * L ** (s - 1.0)
         skip = None
     small_run = 0
-    for k in range(max_terms + 1):
+    for k in range(BOUNDARY_SUM_CAP + 1):
         if k == skip:
             continue
         # zeta^(n)(s-k) L^k / k!, assembled in log space
@@ -354,15 +341,14 @@ def t_phi_boundary_value(s: float, n: int, L: float,
     return total
 
 
-def _t_phi_boundary_series(s: float, n: int, order: int,
-                           context: LerchContext | None = None) -> LSeries:
+def _t_phi_boundary_series(s: float, n: int, order: int) -> LSeries:
     """Series in L of (d/ds)^n [t Phi(t, s, 1)] (the k >= 1 sum), |L| < 2 pi.
 
     Positive integer s uses the Gamma-Laurent/Stieltjes replacement of the
     otherwise singular terms (with the primed-sum convention at n = 0); the
     k = s-1 zeta term is omitted there.
     """
-    ctx = context or default_context()
+    ctx = default_context()
     s_int = int(round(s))
     is_pos_int = abs(s - s_int) < 1e-12 and s_int >= 1
     terms = {}
@@ -405,15 +391,14 @@ def _t_phi_boundary_series(s: float, n: int, order: int,
     return PowerLogSeries(terms, order)
 
 
-def lerch_boundary_expansion(s: float, n_deriv: int, order: int,
-                             context: LerchContext | None = None) -> LSeries:
+def lerch_boundary_expansion(s: float, n_deriv: int, order: int) -> LSeries:
     """L-series of (d/ds)^n Phi(t, s, 1) near t = 1, valid for |L| < 2 pi.
 
     Built from the k >= 1 series by the exact re-indexing factor e^L.
     At positive integer s the coefficients carry (log L)^j terms up to
     j = n_deriv + 1; elsewhere the singular part is L^(s-1) (log L)^j.
     """
-    base = _t_phi_boundary_series(s, n_deriv, order, context=context)
+    base = _t_phi_boundary_series(s, n_deriv, order)
     eL = PowerLogSeries.variable(order).exp()
     return (eL * base).truncate(order)
 
@@ -445,8 +430,7 @@ def _dimension_poly_in_kp1(n: int):
     return total
 
 
-def boundary_expansion_F(inv: InverseKSeries, n: int = 2, order: int = 8,
-                         context: LerchContext | None = None) -> LSeries:
+def boundary_expansion_F(inv: InverseKSeries, n: int = 2, order: int = 8) -> LSeries:
     """L-expansion of F(t) = sum_k N(k)/c_{k+n-2} t^k near t = 1 (n = 2).
 
     ``inv`` is the expansion of 1/c_k with leading term (k+1); for n = 2 the
@@ -472,7 +456,7 @@ def boundary_expansion_F(inv: InverseKSeries, n: int = 2, order: int = 8,
             s_val = int(mp)
         else:
             s_val = float(mp)
-        piece = lerch_boundary_expansion(float(s_val), jp, order, context=context)
+        piece = lerch_boundary_expansion(float(s_val), jp, order)
         result = result + piece * (coef * (-1) ** jp)
     return result.truncate(order)
 

@@ -1,11 +1,9 @@
 """Command-line front end.
 
-Subcommands: kernel, defect, poincare, asymptotics, lerch, profile-eval,
-verify.  Profiles are given either inline (``kind:key=value,...``) or as a
-JSON file/text ({"kind": ..., "params": {...}}).  All floating output uses
-17 significant digits so identical configurations produce byte-identical
-files.  KEPLER_BALANCE_THREADS caps grid parallelism (default 1); output
-ordering never depends on completion order.
+Subcommands: kernel, poincare, asymptotics, lerch, profile-eval, verify.
+Profiles are given either inline (``kind:key=value,...``) or as a JSON
+file/text ({"kind": ..., "params": {...}}).  All floating output uses 17
+significant digits so identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 bad configuration, 2 numerical failure,
 3 Poincare run terminated at an interior cusp (informational),
@@ -19,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +26,7 @@ from . import asymptotics as asym
 from . import kernel as kern
 from . import poincare as poin
 from .errors import (
+    AccuracyError,
     CapabilityError,
     ConvergenceBudgetError,
     DivergenceError,
@@ -40,6 +38,7 @@ from .errors import (
 from .profiles import RadialProfile, phi_v_l_series
 
 NUMERICAL_ERRORS = (
+    AccuracyError,
     ConvergenceBudgetError,
     DivergenceError,
     EstimationError,
@@ -50,25 +49,6 @@ CONFIG_ERRORS = (DomainError, CapabilityError, NormalizationError, ValueError, K
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("KEPLER_BALANCE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, values):
-    """Map fn over grid values; results ordered by index regardless of
-    scheduling."""
-    values = list(values)
-    workers = min(_thread_count(), max(1, len(values)))
-    if workers == 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
 
 
 def parse_profile(spec: str) -> RadialProfile:
@@ -134,10 +114,10 @@ def cmd_kernel(args) -> int:
 
     def one(t):
         F = kern.kernel_series(dens, args.n, float(t), tol=args.tol).value
-        f = prof.eval(float(t), order=0)[0] if t > 0 else kern._f_at_zero(prof)
+        f = prof.eval(float(t))[0] if t > 0 else kern._f_at_zero(prof)
         return F, F - c / f ** (args.n + 1)
 
-    rows = _grid_map(one, ts)
+    rows = [one(t) for t in ts]
     if args.format == "json":
         payload = {
             "c": c,
@@ -199,8 +179,6 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_lerch(args) -> int:
     t = args.t
-    if t is None:
-        raise DomainError("lerch requires --t")
     L = -math.log(t)
     direct = asym.lerch_phi(t, args.s, args.n_deriv, method="direct")
     boundary = None
@@ -248,26 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=False, grid=False):
-        if profile:
-            p.add_argument("--profile", required=True, help="kind:key=value,... or JSON")
+    def common(p):
+        p.add_argument("--profile", required=True, help="kind:key=value,... or JSON")
         p.add_argument("--n", type=int, default=2)
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if grid:
-            p.add_argument("--grid", default=None, help="start:stop:count")
-            p.add_argument("--t", type=float, default=None)
+        p.add_argument("--grid", default=None, help="start:stop:count")
+        p.add_argument("--t", type=float, default=None)
 
     pk = sub.add_parser("kernel", help="kernel diagonal F, balanced defect")
-    common(pk, profile=True, grid=True)
+    common(pk)
+    pk.add_argument("--tol", type=float, default=1e-10)
+    pk.add_argument("--format", choices=("csv", "json"), default="csv")
     pk.add_argument("--c", default="auto")
     pk.set_defaults(fn=cmd_kernel)
-
-    pd = sub.add_parser("defect", help="alias of kernel emphasizing the defect")
-    common(pd, profile=True, grid=True)
-    pd.add_argument("--c", default="auto")
-    pd.set_defaults(fn=cmd_kernel)
 
     pp = sub.add_parser("poincare", help="solve the radial Poincare flow")
     pp.add_argument("--c", type=float, required=True)
@@ -290,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(fn=cmd_lerch)
 
     pe = sub.add_parser("profile-eval", help="evaluate f, f', f'', W on a grid")
-    common(pe, profile=True, grid=True)
+    common(pe)
     pe.set_defaults(fn=cmd_profile_eval)
 
     pv = sub.add_parser("verify", help="run the acceptance criteria")

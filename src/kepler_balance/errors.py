@@ -36,6 +36,10 @@ class EstimationError(RuntimeError):
     """A numerical estimation (extrapolation, fit) failed to converge."""
 
 
+class AccuracyError(RuntimeError):
+    """A result failed its own accuracy self-check (residual above threshold)."""
+
+
 class IntegrationError(RuntimeError):
     """ODE integration failed (step underflow, conservation drift, ...)."""
 

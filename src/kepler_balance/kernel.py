@@ -7,8 +7,8 @@ which the series path is cross-checked against.
 
 Moments are computed by tanh-sinh quadrature over a fixed node set shared
 across k (calibrated against the next refinement level, so every entry
-carries an observed error bound); distinct k are independent and the totals
-never depend on evaluation order.
+carries an observed error bound).  Every cached c_k is filled by the same
+running-power pass, so its bits never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -89,18 +89,16 @@ class Density:
     Moment values are cached; the node level is calibrated once per density.
     """
 
-    def __init__(self, fn, origin_exponent, label="density", sign_changing=False,
-                 t_floor=None):
+    def __init__(self, fn, origin_exponent, label="density", sign_changing=False):
         self.fn = fn
         self.origin_exponent = origin_exponent
         self.label = label
         self.sign_changing = sign_changing
         self.k_min = _k_min_from_exponent(origin_exponent)
-        if t_floor is None:
-            # keep only nodes whose truncated mass ~ t_floor^(k_min+p0+1) is
-            # below roundoff; also keeps intermediate powers finite
-            margin = self.k_min + float(origin_exponent) + 1.0
-            t_floor = 10.0 ** (-16.0 / max(margin, 0.064))
+        # keep only nodes whose truncated mass ~ t_floor^(k_min+p0+1) is
+        # below roundoff; also keeps intermediate powers finite
+        margin = self.k_min + float(origin_exponent) + 1.0
+        t_floor = 10.0 ** (-16.0 / max(margin, 0.064))
         self.t_floor = float(min(max(t_floor, 1e-250), 1e-16))
         self._level = None
         self._values = None  # (w_level * phi, w_prev * phi, t)
@@ -143,19 +141,19 @@ class Density:
                 return
 
     def moment(self, k, tol=1e-13):
-        """c_k with an observed error bound; DivergenceError below k_min."""
+        """c_k with an observed error bound; DivergenceError below k_min.
+
+        A missing entry is filled through ``moments_block``, so the bits of
+        c_k never depend on which call computed it first.
+        """
         if k < self.k_min:
             raise DivergenceError(
                 f"moment c_{k} of {self.label} diverges (k_min={self.k_min})",
                 k_min=self.k_min,
             )
-        hit = self._cache.get(k)
-        if hit is not None:
-            return hit
-        self.calibrate(tol)
-        val = self._raw_moment(k)
-        self._cache[k] = val
-        return val
+        if k not in self._cache:
+            self.moments_block(k, tol)
+        return self._cache[k]
 
     def moments_block(self, k_max, tol=1e-13):
         """Fill the cache for all finite k <= k_max in one incremental pass."""
@@ -210,21 +208,20 @@ def _monge_ampere_exponent(p: RadialProfile):
     )
 
 
-def density_from_profile(p: RadialProfile, n: int = 2, check_sign=True) -> Density:
+def density_from_profile(p: RadialProfile, n: int = 2) -> Density:
     """The Monge-Ampere density W[f] of a profile, as an integrable Density."""
     p0 = _monge_ampere_exponent(p)
     dens = Density(
         lambda t: monge_ampere_density(p, n, t), p0, label=f"W[{p.kind}]"
     )
-    if check_sign:
-        probe = np.linspace(0.01, 0.99, 64)
-        if np.any(np.asarray(monge_ampere_density(p, n, probe)) < -1e-12):
-            dens.sign_changing = True
-            warnings.warn(
-                f"W[f] of {p.kind} takes negative values: volume form not nonnegative",
-                SignedDensityWarning,
-                stacklevel=2,
-            )
+    probe = np.linspace(0.01, 0.99, 64)
+    if np.any(np.asarray(monge_ampere_density(p, n, probe)) < -1e-12):
+        dens.sign_changing = True
+        warnings.warn(
+            f"W[f] of {p.kind} takes negative values: volume form not nonnegative",
+            SignedDensityWarning,
+            stacklevel=2,
+        )
     return dens
 
 
@@ -241,10 +238,10 @@ def profile_as_density(p: RadialProfile) -> Density:
         p0 = -rho(max(p.params["solution"].c, 0.0))
     else:
         p0 = 0.0
-    return Density(lambda t: p.eval(t, order=0)[0], p0, label=f"f[{p.kind}]")
+    return Density(lambda t: p.eval(t)[0], p0, label=f"f[{p.kind}]")
 
 
-def as_density(obj, n: int = 2) -> Density:
+def as_density(obj) -> Density:
     if isinstance(obj, Density):
         return obj
     if isinstance(obj, RadialProfile):
@@ -353,12 +350,13 @@ def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
     tk = t ** k_start
     binom_next = math.comb(k_start + 1 + n, n)
     k = k_start
+    # term k reads c_{k+n-2}: each fill covers the moments of terms <= block
     block = max(64, k_start + 64)
-    dens.moments_block(block, min(1e-13, tol))
+    dens.moments_block(block + n - 2, min(1e-13, tol))
     while True:
         if k > block:
             block = min(2 * block, HARD_TERM_CAP)
-            dens.moments_block(block, min(1e-13, tol))
+            dens.moments_block(block + n - 2, min(1e-13, tol))
         ck, _err = dens.moment(k + n - 2)
         ratio = dimension_count(k, n) / ck
         term = ratio * tk
@@ -409,7 +407,7 @@ def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = No
             F = kernel_series(dens, n, 0.0).value
             out[i] = F - c / f0 ** (n + 1)
             continue
-        f, _fp, _fpp = p.eval(ti, order=0)
+        f, _fp, _fpp = p.eval(ti)
         F = kernel_series(dens, n, ti, tol=tol).value
         out[i] = F - c / f ** (n + 1)
     return float(out[0]) if scalar else out
@@ -433,18 +431,19 @@ def _f_at_zero(p: RadialProfile):
     raise CapabilityError(f"f(0) unavailable for kind {p.kind!r}")
 
 
-def estimate_c(p: RadialProfile, n: int, density: Density | None = None,
-               h0: float = 0.1, levels: int = 6) -> float:
-    """Boundary value of f^(n+1) F by Richardson extrapolation on t = 1 - h0 2^-i.
+def estimate_c(p: RadialProfile, n: int, density: Density | None = None) -> float:
+    """Boundary value of f^(n+1) F by Richardson extrapolation on t = 1 - 0.1 2^-i,
+    i = 0..5.
 
     Declared failed (EstimationError) if the last two extrapolants differ
     by more than 1e-3.
     """
     dens = density if density is not None else associated_density(p, n)
+    levels = 6
     g = []
     for i in range(levels):
-        ti = 1.0 - h0 * 2.0 ** (-i)
-        f, _fp, _fpp = p.eval(ti, order=0)
+        ti = 1.0 - 0.1 * 2.0 ** (-i)
+        f, _fp, _fpp = p.eval(ti)
         scale = abs(f) ** (n + 1)
         F = kernel_series(dens, n, ti, tol=max(1e-12, 1e-10 / scale)).value
         g.append(f ** (n + 1) * F)
@@ -455,8 +454,8 @@ def estimate_c(p: RadialProfile, n: int, density: Density | None = None,
             prev = R[j - 1]
             row.append(prev[i + 1] + (prev[i + 1] - prev[i]) / (2.0 ** j - 1.0))
         R.append(row)
-    best = R[levels - 1][0]
-    prev_best = R[levels - 2][0] if levels >= 2 else g[-1]
+    best = R[-1][0]
+    prev_best = R[-2][0]
     if not math.isfinite(best) or abs(best - prev_best) > 1e-3:
         raise EstimationError(
             f"Richardson extrapolation did not settle: {best} vs {prev_best}; "

@@ -239,14 +239,12 @@ class RadialProfile:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval(self, t, order=2):
-        """Return (f, f', f'') at t in (0,1); entries past ``order`` still filled.
+    def eval(self, t):
+        """Return (f, f', f'') at t in (0,1).
 
         Closed-form derivatives for the catalog kinds; poincare_numeric
         reconstructs f'' from the unit Monge-Ampere relation.
         """
-        if order not in (0, 1, 2):
-            raise CapabilityError("order must be 0, 1 or 2")
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0) or np.any(t >= 1.0 + 1e-15):
@@ -419,11 +417,6 @@ def _fract(x):
     return x
 
 
-def eval_profile(p: RadialProfile, t, order=2):
-    """Closed-form (f, f', f'') of the profile at t (no finite differences)."""
-    return p.eval(t, order=order)
-
-
 def monge_ampere_density(p: RadialProfile, n: int, t):
     """W[f](t) = (-1)^n t f'^(n-1) (f f' + t f f'' - t f'^2).
 
@@ -434,7 +427,7 @@ def monge_ampere_density(p: RadialProfile, n: int, t):
         raise DomainError("n must be an integer >= 2")
     n = int(n)
     scalar = np.isscalar(t)
-    f, fp, fpp = p.eval(np.asarray(t, dtype=float) if not scalar else t, order=2)
+    f, fp, fpp = p.eval(np.asarray(t, dtype=float) if not scalar else t)
     f = np.asarray(f, dtype=float)
     fp = np.asarray(fp, dtype=float)
     fpp = np.asarray(fpp, dtype=float)

@@ -69,7 +69,7 @@ def nodes_up_to(level: int, t_floor: float = 1e-250):
     return np.concatenate(ts), np.concatenate(omts), np.concatenate(ws)
 
 
-def integrate_01(f, tol=1e-12, max_level=MAX_LEVEL, t_floor=1e-250):
+def integrate_01(f, tol=1e-12):
     """Integral of ``f`` over (0, 1) to absolute tolerance ``tol``.
 
     ``f`` must accept a numpy array of t-values.  Returns (value, err) with
@@ -79,11 +79,10 @@ def integrate_01(f, tol=1e-12, max_level=MAX_LEVEL, t_floor=1e-250):
     total = 0.0
     prev = None
     err = math.inf
-    for lv in range(max_level + 1):
+    for lv in range(MAX_LEVEL + 1):
         t, _omt, w = _raw_nodes(lv)
-        if t_floor > 0.0:
-            keep = t >= t_floor
-            t, w = t[keep], w[keep]
+        keep = t >= 1e-250  # the default floor of nodes_up_to
+        t, w = t[keep], w[keep]
         vals = np.asarray(f(t), dtype=float)
         contrib = float(np.dot(w, vals))
         total = contrib if lv == 0 else 0.5 * total + contrib
@@ -93,5 +92,5 @@ def integrate_01(f, tol=1e-12, max_level=MAX_LEVEL, t_floor=1e-250):
                 return total, err
         prev = total
     raise ConvergenceBudgetError(
-        f"tanh-sinh did not reach tol={tol:g} by level {max_level} (err~{err:.3g})"
+        f"tanh-sinh did not reach tol={tol:g} by level {MAX_LEVEL} (err~{err:.3g})"
     )

@@ -320,9 +320,6 @@ class PowerLogSeries:
         new_a0 = a0 * alpha
         return (powered * c_pow)._shift(new_a0)
 
-    def cbrt(self):
-        return self.pow_fraction(Fraction(1, 3))
-
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, x, log_inv_x=None):
@@ -355,19 +352,6 @@ class PowerLogSeries:
             raise NormalizationError("exact evaluation needs a log-free rational series")
         x = Fraction(x)
         return sum(c * x ** a for (a, _j), c in self.terms.items())
-
-    def last_term_magnitude(self, x):
-        """Magnitude of the highest-order retained term at X = x (error proxy)."""
-        if not self.terms:
-            return 0.0
-        amax = max(a for (a, _j) in self.terms)
-        x = float(x)
-        lx = math.log(1.0 / x)
-        return sum(
-            abs(float(c)) * x ** float(a) * abs(lx) ** j
-            for (a, j), c in self.terms.items()
-            if a == amax
-        )
 
 
 # Aliases used by the domain modules: the L-variable boundary series and the

@@ -69,12 +69,6 @@ def bernoulli_even(i: int) -> Fraction:
 # jet arithmetic: a jet is a numpy array a[0..n] for sum_k a[k] eps^k
 # ---------------------------------------------------------------------------
 
-def jet_const(x, n):
-    a = np.zeros(n + 1)
-    a[0] = x
-    return a
-
-
 def jet_var(x, n):
     a = np.zeros(n + 1)
     a[0] = x
@@ -109,11 +103,6 @@ def jet_exp(a):
     for k in range(1, n + 1):
         out[k] = sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / k
     return out
-
-
-def jet_pow_base(base, expo_jet):
-    """base**jet for a positive constant base."""
-    return jet_exp(expo_jet * math.log(base))
 
 
 def jet_sin(a, s0=None, c0=None):
@@ -160,12 +149,6 @@ def gamma_derivs(x: float, jmax: int):
     for j in range(1, jmax + 1):
         h.append((up[j] - j * h[j - 1]) / x)
     return h
-
-
-def gamma_jet(x: float, n: int):
-    """Jet of Gamma(x + eps)."""
-    g = gamma_derivs(x, n)
-    return np.array([g[j] / math.factorial(j) for j in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------

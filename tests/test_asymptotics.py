@@ -7,7 +7,7 @@ import pytest
 from kepler_balance import asymptotics as A
 from kepler_balance import kernel as K
 from kepler_balance.errors import CapabilityError, NormalizationError
-from kepler_balance.profiles import phi_v_l_series
+from kepler_balance.profiles import phi_v_l_coefficients, phi_v_l_series
 from kepler_balance.series import PowerLogSeries as S
 from kepler_balance.special import STIELTJES, gamma_derivs, stieltjes_euler_maclaurin
 
@@ -15,10 +15,10 @@ from kepler_balance.special import STIELTJES, gamma_derivs, stieltjes_euler_macl
 # --- phi_v coefficients ----------------------------------------------------
 
 def test_phi_v_L_coeffs_examples():
-    assert A.phi_v_L_coeffs(1, 3) == [1, 0, 0, 0]
-    assert A.phi_v_L_coeffs(7, 1)[1] == 0
+    assert phi_v_l_coefficients(1, 3) == [1, 0, 0, 0]
+    assert phi_v_l_coefficients(7, 1)[1] == 0
     # brute-force Taylor oracle for v = 9: sample phi_9 and difference
-    coeffs = A.phi_v_L_coeffs(9, 2)
+    coeffs = phi_v_l_coefficients(9, 2)
     assert coeffs[2] == F(1, 4)
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from kepler_balance import kernel as kern
 from kepler_balance.cli import main, parse_grid, parse_profile
 from kepler_balance.errors import DomainError
 
@@ -151,16 +152,35 @@ def test_verify_only_filter(capsys):
     assert code == 1
 
 
-def test_determinism_across_threads(capsys, tmp_path, monkeypatch):
+def test_determinism_across_runs(capsys, tmp_path, monkeypatch):
+    # the first run fills a fresh density's moments, the second reads the cache
+    monkeypatch.setattr(kern, "_PHI_V_DENSITIES", {})
     args = ["kernel", "--profile", "phi_v_candidate:v=1", "--c", "4",
             "--grid", "0.1:0.5:5"]
-    monkeypatch.setenv("KEPLER_BALANCE_THREADS", "1")
     a = tmp_path / "a.csv"
     run_cli(args + ["--out", str(a)], capsys)
-    monkeypatch.setenv("KEPLER_BALANCE_THREADS", "4")
     b = tmp_path / "b.csv"
     run_cli(args + ["--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["defect", "--profile", "constant_one", "--t", "0.5", "--c", "4"],
+    ["profile-eval", "--profile", "sqrt_poincare", "--t", "0.25", "--format", "json"],
+    ["profile-eval", "--profile", "sqrt_poincare", "--t", "0.25", "--tol", "1e-9"],
+], ids=["defect", "profile-eval-format", "profile-eval-tol"])
+def test_removed_cli_surface_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("v", ["17.3", "20.5", "30.7"])
+def test_asymptotics_accuracy_failure_exit_code(v, capsys):
+    # the float reciprocal chain misses its 1e-12 self-check at order 20
+    code, _o, err = run_cli(["asymptotics", "--v", v, "--order", "20"], capsys)
+    assert code == 2
+    assert "numerical failure" in err
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -12,7 +12,7 @@ from kepler_balance.errors import (
     DomainError,
     SignedDensityWarning,
 )
-from kepler_balance.profiles import RadialProfile
+from kepler_balance.profiles import RadialProfile, phi_v
 
 
 def test_dimension_count():
@@ -150,8 +150,12 @@ def test_estimate_c_scaling_homogeneity():
 
 
 def test_moment_determinism():
-    dens = K.Density(lambda t: np.ones_like(t), 0.0, label="unit")
-    a = dens.moment(7)[0]
-    dens2 = K.Density(lambda t: np.ones_like(t), 0.0, label="unit2")
-    dens2.moments_block(12)
-    assert dens2._cache[7][0] == a  # identical bits regardless of fill order
+    # identical bits whether c_k is filled one k at a time or in one block
+    for v in (0, 1, 2.5, 4, 9):
+        p0 = (-1.0 - math.sqrt(v)) / 4.0
+        by_k = K.Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v} by k")
+        block = K.Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v} block")
+        ks = range(by_k.k_min, by_k.k_min + 200)
+        one_at_a_time = [by_k.moment(k) for k in ks]
+        block.moments_block(ks[-1])
+        assert one_at_a_time == [block.moment(k) for k in ks], v

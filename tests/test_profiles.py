@@ -8,7 +8,6 @@ from kepler_balance.errors import CapabilityError, DomainError, NormalizationErr
 from kepler_balance.profiles import (
     RadialProfile,
     density_in_L,
-    eval_profile,
     germ_residual,
     m_delta_from_v,
     monge_ampere_density,
@@ -28,11 +27,11 @@ ALL_CATALOG = [
 
 
 def test_eval_sqrt_poincare_spot():
-    assert eval_profile(RadialProfile.sqrt_poincare(), 0.25) == (1.0, -2.0, 4.0)
+    assert RadialProfile.sqrt_poincare().eval(0.25) == (1.0, -2.0, 4.0)
 
 
 def test_eval_constant_one():
-    assert eval_profile(RadialProfile.constant_one(), 0.5) == (1.0, 0.0, 0.0)
+    assert RadialProfile.constant_one().eval(0.5) == (1.0, 0.0, 0.0)
 
 
 def test_boundary_normalization():
@@ -56,14 +55,12 @@ def test_derivatives_match_finite_differences(p):
     assert np.max(np.abs(fpp - fd2) / scale2) < 1e-3  # fd2 itself is O(h^2 / h^2 eps)
 
 
-def test_eval_domain_and_order_errors():
+def test_eval_domain_errors():
     p = RadialProfile.sqrt_poincare()
     with pytest.raises(DomainError):
         p.eval(1.5)
     with pytest.raises(DomainError):
         p.eval(-0.1)
-    with pytest.raises(CapabilityError):
-        p.eval(0.5, order=3)
 
 
 def test_monge_ampere_identities_grid():
