@@ -8,7 +8,19 @@ which the series path is cross-checked against.
 Moments are computed by tanh-sinh quadrature over a fixed node set shared
 across k (calibrated against the next refinement level, so every entry
 carries an observed error bound).  Every cached c_k is filled by the same
-running-power pass, so its bits never depend on evaluation order.
+running-power pass, so its bits never depend on evaluation order.  The
+cache is one contiguous prefix k_min..k_min+len-1, held as two lists
+(values, error bounds).
+
+The running power t^k decays into the subnormal range for every node below
+~0.99 and, for t > 0.5, sticks at the smallest subnormal; arithmetic on
+subnormals is several times slower on common CPUs.  The pass therefore sets
+entries below the smallest normal float (~2.2e-308) to 0 every few steps.
+A flushed entry's term w phi t^k in the dot is then below ~1e-300 (|w phi|
+stays under ~1e4 on the node sets in use), far under half an ulp of any
+moment (c_k ~ 1/k), and normal entries are never touched (t < 1, so an
+entry that left the normal range never comes back), so every moment keeps
+the bits of the unflushed pass.
 """
 
 from __future__ import annotations
@@ -32,6 +44,10 @@ from .profiles import RadialProfile, m_delta_from_v, monge_ampere_density, phi_v
 from .quadrature import MAX_LEVEL, nodes_up_to
 
 HARD_TERM_CAP = 10 ** 6
+# moments_block sets running-power entries below _TINY to 0 every
+# _FLUSH_EVERY steps; flushing on every step measured slower
+_TINY = np.finfo(float).tiny
+_FLUSH_EVERY = 32
 
 
 def dimension_count(k: int, n: int) -> int:
@@ -86,7 +102,11 @@ class Density:
 
     ``fn`` is vectorized; ``origin_exponent`` p0 means phi(t) ~ C t^p0
     (possibly times logs) as t -> 0, which fixes which moments exist.
-    Moment values are cached; the node level is calibrated once per density.
+    Moment values are cached as a contiguous prefix from k_min, in two
+    lists indexed by k - k_min (values and observed error bounds); the node
+    level is calibrated once per density.  ``moments_block`` flushes
+    subnormal running-power entries to 0, which leaves every moment's bits
+    unchanged (see the module docstring).
     """
 
     def __init__(self, fn, origin_exponent, label="density", sign_changing=False):
@@ -102,7 +122,8 @@ class Density:
         self.t_floor = float(min(max(t_floor, 1e-250), 1e-16))
         self._level = None
         self._values = None  # (w_level * phi, w_prev * phi, t)
-        self._cache = {}
+        self._c = []  # c_k for k = k_min + i
+        self._err = []  # its observed error bound
 
     def __repr__(self):
         return f"Density({self.label}, p0={self.origin_exponent}, k_min={self.k_min})"
@@ -144,30 +165,40 @@ class Density:
         """c_k with an observed error bound; DivergenceError below k_min.
 
         A missing entry is filled through ``moments_block``, so the bits of
-        c_k never depend on which call computed it first.
+        c_k never depend on which call computed it first.  ``tol`` only sets
+        the node level, on the density's first use (``calibrate``).
         """
         if k < self.k_min:
             raise DivergenceError(
                 f"moment c_{k} of {self.label} diverges (k_min={self.k_min})",
                 k_min=self.k_min,
             )
-        if k not in self._cache:
+        i = k - self.k_min
+        if i >= len(self._c):
             self.moments_block(k, tol)
-        return self._cache[k]
+        return self._c[i], self._err[i]
 
     def moments_block(self, k_max, tol=1e-13):
-        """Fill the cache for all finite k <= k_max in one incremental pass."""
+        """Fill the cache for all finite k <= k_max in one incremental pass.
+
+        The running power restarts at t^k_min and walks over the cached
+        prefix with multiplies only; dots start at the first missing k.
+        """
         self.calibrate(tol)
-        wphi, wphi_prev, t = self._values
-        if all(k in self._cache for k in range(self.k_min, k_max + 1)):
+        filled = len(self._c)
+        if k_max - self.k_min < filled:
             return
+        wphi, wphi_prev, t = self._values
         pw = t ** float(self.k_min)
-        for k in range(self.k_min, k_max + 1):
-            if k not in self._cache:
+        for i in range(k_max - self.k_min + 1):
+            if i % _FLUSH_EVERY == 0:
+                pw[pw < _TINY] = 0.0
+            if i >= filled:
                 val = float(np.dot(wphi, pw))
                 prev = float(np.dot(wphi_prev, pw))
-                self._cache[k] = (val, abs(val - prev))
-            pw = pw * t
+                self._c.append(val)
+                self._err.append(abs(val - prev))
+            np.multiply(pw, t, out=pw)
 
 
 _PHI_V_DENSITIES = {}
@@ -278,7 +309,7 @@ def moments(phi, k_max: int, tol: float = 1e-12) -> MomentSequence:
             f"all requested moments diverge; k_min={dens.k_min}", k_min=dens.k_min
         )
     dens.moments_block(k_max, tol)
-    vals = {k: dens._cache[k] for k in range(dens.k_min, k_max + 1)}
+    vals = {k: dens.moment(k) for k in range(dens.k_min, k_max + 1)}
     return MomentSequence(vals, dens.k_min, dens.sign_changing)
 
 

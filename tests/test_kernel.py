@@ -159,3 +159,64 @@ def test_moment_determinism():
         one_at_a_time = [by_k.moment(k) for k in ks]
         block.moments_block(ks[-1])
         assert one_at_a_time == [block.moment(k) for k in ks], v
+
+
+def _unflushed_moments(dens, k_max):
+    """The running-power pass without the subnormal flush: a fresh t^k_min,
+    then pw = pw * t, every k recomputed from k_min.  Also returns the final
+    power so a test can check that subnormal entries occurred."""
+    wphi, wphi_prev, t = dens._values
+    pw = t ** float(dens.k_min)
+    out = []
+    for _ in range(dens.k_min, k_max + 1):
+        val = float(np.dot(wphi, pw))
+        prev = float(np.dot(wphi_prev, pw))
+        out.append((val, abs(val - prev)))
+        pw = pw * t
+    return out, pw
+
+
+def _fresh_phi_v(v):
+    p0 = (-1.0 - math.sqrt(v)) / 4.0 if v >= 0 else -0.25
+    return K.Density(lambda t: phi_v(v, t), p0, label=f"phi_{v}")
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda v=v: _fresh_phi_v(v), id=f"phi_{v}") for v in (0, 1, 4, 9, -0.5)),
+    pytest.param(lambda: K.density_from_profile(RadialProfile.sqrt_poincare(), 2),
+                 id="W[sqrt_poincare]"),
+    pytest.param(lambda: K.density_from_profile(RadialProfile.explicit_n(6), 6),
+                 id="W[explicit_n:n=6]"),
+])
+def test_moments_match_unflushed_reference(make):
+    # the flush and the prefix storage keep every (value, err) bit for bit,
+    # whatever the fill order: irregular blocks, or out-of-order moment(k)
+    chunked, by_k = make(), make()
+    k0 = chunked.k_min
+    for top in (k0 + 3, k0 + 100, k0 + 1000, k0 + 6000):
+        chunked.moments_block(top)
+    for k in (k0 + 700, k0 + 2, k0 + 6000, k0 + 3100):
+        by_k.moment(k)
+    ref, pw = _unflushed_moments(chunked, k0 + 6000)
+    tiny = np.finfo(float).tiny
+    assert np.count_nonzero((pw > 0) & (pw < tiny)) > 0  # the flush had work
+    ks = range(k0, k0 + 6001)
+    assert [chunked.moment(k) for k in ks] == ref
+    assert [by_k.moment(k) for k in ks] == ref
+
+
+@pytest.mark.parametrize("v", [1, 4, 2.5])
+def test_kernel_series_near_boundary(v):
+    dens = K.phi_v_density(v)
+    for t in (0.99, 0.999):
+        # the default absolute tol reads ~52k moments at t = 0.999
+        ke = K.kernel_series(dens, 2, t)
+        assert ke.value == pytest.approx(K.closed_form_F_phi_v(v, t), rel=1e-9)
+
+
+@pytest.mark.parametrize("v", [1, 4, 2.5])
+def test_moments_large_k_match_closed_form(v):
+    dens = K.phi_v_density(v)
+    for k in (10 ** 3, 10 ** 4, 5 * 10 ** 4):
+        cf = float(K.moment_phi_v_closed(v, k))
+        assert dens.moment(k)[0] == pytest.approx(cf, rel=1e-10)
