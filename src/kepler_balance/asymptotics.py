@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     AccuracyError,
     CapabilityError,
+    ConvergenceBudgetError,
     DomainError,
     NormalizationError,
     TruncationError,
@@ -42,7 +43,7 @@ from .special import (
 
 TWO_PI = 2.0 * math.pi
 DIRECT_SUM_CAP = 10 ** 6
-BOUNDARY_SUM_CAP = 3000
+BOUNDARY_SUM_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,9 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
 
     Unlike the series object, every zeta term is assembled in log space with
     L^k/k! folded in, so the sum stays accurate out to L near 2 pi where the
-    bare coefficients underflow float64.
+    bare coefficients underflow float64.  The terms decay like (L/2pi)^k;
+    raises ConvergenceBudgetError if they have not met the stopping rule by
+    k = BOUNDARY_SUM_CAP.
     """
     ctx = default_context()
     if not (0.0 < L < TWO_PI):
@@ -325,20 +328,30 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
         )
         total += sing * L ** (s - 1.0)
         skip = None
+    # terms zeta^(n)(s-k) (-L)^k / k! in blocks of k, added in order until
+    # five consecutive terms fall below 1e-18 of the running total
     small_run = 0
-    for k in range(BOUNDARY_SUM_CAP + 1):
-        if k == skip:
-            continue
-        # zeta^(n)(s-k) L^k / k!, assembled in log space
-        term = zeta_deriv_over_factorial(s, k, n, log_extra=k * logL) * (-1.0) ** k
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30):
-            small_run += 1
-            if small_run >= 5 and k > 8:
-                return total
-        else:
-            small_run = 0
-    return total
+    k0, block = 0, 64
+    while k0 <= BOUNDARY_SUM_CAP:
+        ks = np.arange(k0, min(k0 + block, BOUNDARY_SUM_CAP + 1))
+        if skip is not None:
+            ks = ks[ks != skip]
+        terms = zeta_deriv_over_factorial(s, ks, n, log_L=logL)
+        terms[ks % 2 == 1] *= -1.0
+        for k, term in zip(ks.tolist(), terms.tolist()):
+            total += term
+            if abs(term) < 1e-18 * max(abs(total), 1e-30):
+                small_run += 1
+                if small_run >= 5 and k > 8:
+                    return total
+            else:
+                small_run = 0
+        k0 += block
+        block *= 2
+    raise ConvergenceBudgetError(
+        f"boundary sum at s={s:g}, n_deriv={n}, L={L:.6g} still above its "
+        f"stopping rule after {BOUNDARY_SUM_CAP} terms (L too close to 2*pi)"
+    )
 
 
 def _t_phi_boundary_series(s: float, n: int, order: int) -> LSeries:

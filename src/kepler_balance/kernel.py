@@ -230,9 +230,6 @@ def _monge_ampere_exponent(p: RadialProfile):
     kind = p.kind
     if kind in ("sqrt_poincare", "explicit_n", "constant_one", "poincare_numeric"):
         return 0.0
-    if kind == "phi_v_candidate":
-        m, _delta = m_delta_from_v(p.params["v"])
-        return 1.0 if m == 0 else -float(m)
     raise CapabilityError(
         f"no known endpoint exponent for W[f] of kind {kind!r}; "
         "construct the Density explicitly"
@@ -241,6 +238,12 @@ def _monge_ampere_exponent(p: RadialProfile):
 
 def density_from_profile(p: RadialProfile, n: int = 2) -> Density:
     """The Monge-Ampere density W[f] of a profile, as an integrable Density."""
+    if p.kind == "phi_v_candidate":
+        # quadrature nodes next to t = 1 round to 1.0, where this W is not finite
+        raise CapabilityError(
+            "W[f] of phi_v_candidate cannot be integrated on the node set; "
+            "the candidate pairs with phi_v (use phi_v_density or associated_density)"
+        )
     p0 = _monge_ampere_exponent(p)
     dens = Density(
         lambda t: monge_ampere_density(p, n, t), p0, label=f"W[{p.kind}]"

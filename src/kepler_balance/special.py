@@ -1,10 +1,22 @@
 """Zeta/Gamma support: derivatives of zeta and Gamma, Stieltjes constants.
 
 Everything here is real-argument float64.  zeta and its s-derivatives are
-evaluated by Euler-Maclaurin summation carried out in truncated-Taylor
-("jet") arithmetic, so one pass yields zeta(s), zeta'(s), ..., zeta^(n)(s);
-for s < 1/2 the reflection formula (also in jets) maps to the convergent
-side.  Gamma derivatives come from the Leibniz/polygamma recursion on
+evaluated in truncated-Taylor ("jet") arithmetic, so one pass yields
+zeta(s), zeta'(s), ..., zeta^(n)(s).  A jet is one row of an array of shape
+(K, n+1), and ``zeta_deriv_over_factorial`` takes a whole array of shifts k
+at once, one row per k, with the same element-wise operations for a single
+k, so a value does not depend on the batch it came in.
+
+* s - k >= -1/2: Euler-Maclaurin with N = 8 (a short partial sum keeps the
+  cancellation against the N^(1-s)/(s-1) term small at s < 1/2).
+* s - k < -1/2: the reflection formula maps to 1 - s + k.  The log of
+  2^z pi^(z-1) Gamma(1-z) L^k / k! is split as
+  s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)],
+  with the bracket summed upward in log1p steps, so no two parts of size
+  ~k log k cancel.  sin(pi (s-k)/2) is sin or cos of pi s / 2 turned by
+  k quarter turns, exact zeros included.
+
+Gamma derivatives come from the Leibniz/polygamma recursion on
 Gamma' = Gamma psi_0.
 
 Stieltjes constants are embedded as a validated table;
@@ -18,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
+from scipy.special import gammaln as _gammaln
 from scipy.special import polygamma as _polygamma
 
 from .errors import DomainError
@@ -66,63 +79,34 @@ def bernoulli_even(i: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# jet arithmetic: a jet is a numpy array a[0..n] for sum_k a[k] eps^k
+# jet arithmetic over rows: a jet array a[r, 0..n] is sum_m a[r, m] eps^m
 # ---------------------------------------------------------------------------
 
-def jet_var(x, n):
-    a = np.zeros(n + 1)
-    a[0] = x
-    if n >= 1:
-        a[1] = 1.0
-    return a
-
-
-def jet_mul(a, b):
-    n = len(a) - 1
-    out = np.zeros(n + 1)
-    for k in range(n + 1):
-        out[k] = np.dot(a[: k + 1], b[k::-1])
+def _jet_mul(a, b):
+    n = a.shape[1] - 1
+    out = np.zeros(a.shape)
+    for m in range(n + 1):
+        for i in range(m + 1):
+            out[:, m] += a[:, i] * b[:, m - i]
     return out
 
 
-def jet_recip(a):
-    n = len(a) - 1
-    if a[0] == 0.0:
-        raise ZeroDivisionError("jet reciprocal at a pole")
-    out = np.zeros(n + 1)
-    out[0] = 1.0 / a[0]
-    for k in range(1, n + 1):
-        out[k] = -np.dot(a[1 : k + 1], out[k - 1 :: -1]) / a[0]
+def _jet_exp(a):
+    n = a.shape[1] - 1
+    out = np.zeros(a.shape)
+    out[:, 0] = np.exp(a[:, 0])
+    for m in range(1, n + 1):
+        for j in range(1, m + 1):
+            out[:, m] += j * a[:, j] * out[:, m - j]
+        out[:, m] /= m
     return out
 
 
-def jet_exp(a):
-    n = len(a) - 1
-    out = np.zeros(n + 1)
-    out[0] = math.exp(a[0])
-    for k in range(1, n + 1):
-        out[k] = sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / k
-    return out
-
-
-def jet_sin(a, s0=None, c0=None):
-    """Jet of sin(a); s0/c0 override the constant sin/cos (exact zeros at
-    multiples of pi/2 where float sin(m pi) leaves ~1e-16 residue)."""
-    n = len(a) - 1
-    s = np.zeros(n + 1)
-    c = np.zeros(n + 1)
-    s[0] = math.sin(a[0]) if s0 is None else s0
-    c[0] = math.cos(a[0]) if c0 is None else c0
-    for k in range(1, n + 1):
-        s[k] = sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k
-        c[k] = -sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k
-    return s
-
-
-def _exp_log_jet(x, n):
-    """Jet of exp(-eps log x): [(-log x)^k / k!]."""
-    lx = math.log(x)
-    return np.array([(-lx) ** k / math.factorial(k) for k in range(n + 1)])
+def _mul_linear(a, c):
+    """In place: a <- a * (c + eps), c one value per row."""
+    for m in range(a.shape[1] - 1, 0, -1):
+        a[:, m] = a[:, m] * c + a[:, m - 1]
+    a[:, 0] *= c
 
 
 # ---------------------------------------------------------------------------
@@ -155,80 +139,141 @@ def gamma_derivs(x: float, jmax: int):
 # zeta and its derivatives
 # ---------------------------------------------------------------------------
 
-_EM_N = 24
+_EM_N = 8
 _EM_M = 12
+# B_2i / (2i)! N^(1-2i), the Euler-Maclaurin correction weights
+_EM_WEIGHTS = tuple(
+    float(bernoulli_even(i)) / math.factorial(2 * i) * _EM_N ** (1 - 2 * i)
+    for i in range(1, _EM_M + 1)
+)
+_LOG_PI = math.log(math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
+# log(2 pi) - _LOG_2PI: without it, k (log L - log 2pi) is off by ~1.4e-16 k
+_LOG_2PI_LO = 1.4447872176368647e-16
 
 
-def _zeta_em_jet(s: float, n: int, N: int = _EM_N, M: int = _EM_M):
-    """Jet of zeta(s + eps) by Euler-Maclaurin; reliable for s >= 0.5, s != 1."""
-    total = np.zeros(n + 1)
-    for j in range(1, N):
-        total += j ** (-s) * _exp_log_jet(j, n)
-    decay = N ** (-s) * _exp_log_jet(N, n)  # jet of N^(-s-eps)
-    total += N * jet_mul(decay, jet_recip(jet_var(s - 1.0, n)))
+def _log_power_jets(n: int):
+    """Row j - 1 is the jet of j^(-eps), [(-log j)^m / m!], for j = 1..N."""
+    return np.array([
+        [(-math.log(j)) ** m / math.factorial(m) for m in range(n + 1)]
+        for j in range(1, _EM_N + 1)
+    ])
+
+
+def _zeta_em(x, n: int):
+    """Jets of zeta(x + eps) by Euler-Maclaurin, one row per x; reliable for
+    x >= -0.5, x != 1.
+
+    zeta(x) = sum_{j<N} j^-x + N^(1-x)/(x-1) + N^-x/2
+              + sum_i B_2i/(2i)! x(x+1)...(x+2i-2) N^(1-2i-x).
+    """
+    jets = _log_power_jets(n)
+    total = np.zeros((len(x), n + 1))
+    for j in range(1, _EM_N):
+        total += np.power(float(j), -x)[:, None] * jets[j - 1]
+    decay = np.power(float(_EM_N), -x)[:, None] * jets[_EM_N - 1]  # N^(-x-eps)
+    recip = np.empty((len(x), n + 1))
+    recip[:, 0] = 1.0 / (x - 1.0)
+    for m in range(1, n + 1):
+        recip[:, m] = -recip[:, m - 1] / (x - 1.0)  # jet of 1/(x - 1 + eps)
+    total += _EM_N * _jet_mul(decay, recip)
     total += 0.5 * decay
-    # sum_i B_2i/(2i)! (s+eps)(s+eps+1)...(s+eps+2i-2) N^(-s-2i+1-eps)
-    poch = jet_var(s, n)
-    for i in range(1, M + 1):
-        coef = float(bernoulli_even(i)) / math.factorial(2 * i)
-        total += coef * N ** (1 - 2 * i) * jet_mul(poch, decay)
-        if i < M:
-            poch = jet_mul(poch, jet_var(s + 2 * i - 1, n))
-            poch = jet_mul(poch, jet_var(s + 2 * i, n))
+    poch = np.zeros((len(x), n + 1))
+    poch[:, 0] = x
+    if n >= 1:
+        poch[:, 1] = 1.0
+    bern = np.zeros((len(x), n + 1))
+    for i, weight in enumerate(_EM_WEIGHTS, start=1):
+        bern += weight * poch
+        if i < _EM_M:
+            _mul_linear(poch, x + (2 * i - 1))
+            _mul_linear(poch, x + 2 * i)
+    total += _jet_mul(bern, decay)
     return total
 
 
-def zeta_jet_scaled(s: float, n: int, log_scale: float = 0.0):
-    """Jet of zeta(s + eps) * exp(log_scale) to order n at real s != 1.
+def _sin_cos_half_pi(s: float):
+    """sin and cos of pi s / 2, exactly 0 and +-1 at integer s."""
+    half = s / 2.0
+    if abs(half - round(half)) < 1e-12:
+        return 0.0, (-1.0) ** (round(half) % 2)
+    if abs(half - math.floor(half) - 0.5) < 1e-12:
+        return (-1.0) ** (round(half - 0.5) % 2), 0.0
+    return math.sin(0.5 * math.pi * s), math.cos(0.5 * math.pi * s)
 
-    s >= -0.5: Euler-Maclaurin directly (the sin factor of the reflection
-    vanishes at s = 0 against the zeta(1) pole, so reflection is used only
-    for s < -0.5 where 1 - s is safely away from the pole):
-    zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s).
 
-    The reflection folds 2^s pi^(s-1) Gamma(1-s) and the scale into a single
-    log-space exponential, so quantities like zeta(s-k)/k! stay finite in
-    float64 even when both factors overflow separately.
+def _reflected(s: float, k, n: int, log_L: float):
+    """Jets of zeta(s - k + eps) L^k / k! for s - k < -0.5 by
+    zeta(z) = 2^z pi^(z-1) sin(pi z / 2) Gamma(1-z) zeta(1-z).
+
+    The log of 2^z pi^(z-1) Gamma(1-z) L^k / k! at z = s - k is
+    s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)],
+    with the bracket summed upward from the first reflected k as
+    log1p(-s/j) steps; its parts never exceed O(|s| log k), where the
+    plain sum of logs cancels from ~k log k.  The prefix sum always starts
+    at the same k, so a term does not depend on which other k it came with.
     """
-    s = float(s)
-    if s == 1.0:
-        raise DomainError("zeta has a pole at s = 1")
-    if s >= -0.5:
-        return _zeta_em_jet(s, n) * math.exp(log_scale)
-    x = 1.0 - s
-    # exponent jet of (s+eps) log 2 + (s+eps-1) log pi + logGamma(x-eps) + scale
-    expo = jet_var(s, n) * (math.log(2.0) + math.log(math.pi))
-    expo[0] += -math.log(math.pi) + math.lgamma(x) + log_scale
+    x = 1.0 - s + k  # the argument of zeta(1 - z)
+    k_r = max(0, math.floor(s + 0.5) + 1)  # the first k with s - k < -0.5
+    steps = np.empty(int(k.max()) - k_r + 1)  # the bracket at k_r, then its increments
+    steps[0] = math.lgamma(k_r + 1.0 - s) - math.lgamma(k_r + 1.0)
+    steps[1:] = np.log1p(-s / np.arange(k_r + 1.0, k.max() + 1.0))
+    bracket = np.cumsum(steps)[k - k_r]
+
+    expo = np.empty((len(k), n + 1))
+    log_ratio = (log_L - _LOG_2PI) - _LOG_2PI_LO  # log(L / 2pi)
+    expo[:, 0] = (s * _LOG_2PI - _LOG_PI) + k * log_ratio + bracket
     for j in range(1, n + 1):
         # (d/deps)^j logGamma(x - eps) = (-1)^j psi_{j-1}(x)
-        expo[j] += (-1.0) ** j * float(_polygamma(j - 1, x)) / math.factorial(j)
-    pre = jet_exp(expo)
-    half = s / 2.0
-    s0 = c0 = None
-    if abs(half - round(half)) < 1e-12:
-        s0, c0 = 0.0, (-1.0) ** (round(half) % 2)  # sin(pi s/2) = 0 exactly
-    elif abs(half - math.floor(half) - 0.5) < 1e-12:
-        m_odd = round(half - 0.5)
-        s0, c0 = (-1.0) ** (m_odd % 2), 0.0
-    sin_jet = jet_sin(0.5 * math.pi * jet_var(s, n), s0=s0, c0=c0)
-    flip = np.array([(-1.0) ** k for k in range(n + 1)])
-    z = _zeta_em_jet(x, n) * flip  # zeta(1 - s - eps)
-    return jet_mul(pre, jet_mul(sin_jet, z))
+        expo[:, j] = (-1.0) ** j * _polygamma(j - 1, x) / math.factorial(j)
+    if n >= 1:
+        expo[:, 1] += _LOG_2PI
+
+    # sin(pi (s - k + eps) / 2): pi s / 2 turned back by k quarter turns,
+    # then the Taylor coefficients (pi/2)^m sin(theta + m pi/2) / m!
+    sin0, cos0 = _sin_cos_half_pi(s)
+    quarter = k % 4
+    sin_k = np.array([sin0, -cos0, -sin0, cos0])[quarter]
+    cos_k = np.array([cos0, sin0, -cos0, -sin0])[quarter]
+    cycle = (sin_k, cos_k, -sin_k, -cos_k)
+    sin_jet = np.empty((len(k), n + 1))
+    for m in range(n + 1):
+        sin_jet[:, m] = (0.5 * math.pi) ** m / math.factorial(m) * cycle[m % 4]
+
+    z = _zeta_em(x, n)
+    z[:, 1::2] *= -1.0  # zeta(x - eps)
+    return _jet_mul(_jet_exp(expo), _jet_mul(sin_jet, z))
 
 
-def zeta_jet(s: float, n: int):
-    """Jet of zeta(s + eps) to order n at real s != 1."""
-    return zeta_jet_scaled(s, n, 0.0)
+def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
+    """zeta^(n)(s - k) L^k / k! with L = exp(log_L), overflow-safe for large k.
+
+    ``k`` is an int (returns a float) or an int array (returns an array of
+    the same length); each entry does not depend on the others.
+    s - k >= -0.5 uses Euler-Maclaurin directly.  Below that the reflection
+    formula maps to 1 - s + k, away from the pole that the sin factor
+    cancels at s - k = 0.
+    """
+    s = float(s)
+    ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
+    z = s - ks
+    if np.any(z == 1.0):
+        raise DomainError("zeta has a pole at s = 1")
+    out = np.empty(len(ks))
+    direct = z >= -0.5
+    if direct.any():
+        kd = ks[direct]
+        scale = np.exp(kd * log_L - _gammaln(kd + 1.0))
+        out[direct] = _zeta_em(z[direct], n)[:, n] * scale
+    if not direct.all():
+        out[~direct] = _reflected(s, ks[~direct], n, log_L)[:, n]
+    out *= math.factorial(n)
+    return float(out[0]) if np.ndim(k) == 0 else out
 
 
 def zeta_deriv(s: float, n: int = 0) -> float:
     """zeta^(n)(s) at real s != 1."""
-    return zeta_jet(s, n)[n] * math.factorial(n)
-
-
-def zeta_deriv_over_factorial(s: float, k: int, n: int = 0, log_extra: float = 0.0) -> float:
-    """zeta^(n)(s - k) exp(log_extra) / k!, overflow-safe for large k."""
-    return zeta_jet_scaled(s - k, n, log_extra - math.lgamma(k + 1.0))[n] * math.factorial(n)
+    return zeta_deriv_over_factorial(s, 0, n)
 
 
 def stieltjes_euler_maclaurin(jmax: int, N: int = 400, M: int = 10, digits: int = 45):

@@ -6,7 +6,7 @@ import pytest
 
 from kepler_balance import asymptotics as A
 from kepler_balance import kernel as K
-from kepler_balance.errors import CapabilityError, NormalizationError
+from kepler_balance.errors import CapabilityError, ConvergenceBudgetError, NormalizationError
 from kepler_balance.profiles import phi_v_l_coefficients, phi_v_l_series
 from kepler_balance.series import PowerLogSeries as S
 from kepler_balance.special import STIELTJES, gamma_derivs, stieltjes_euler_maclaurin
@@ -181,6 +181,42 @@ def test_lerch_two_path_full_invariant_grid():
                 b = A.lerch_phi(t, s, n, method="boundary")
                 worst = max(worst, abs(d - b))
     assert worst <= 1e-8
+
+
+def _lerch_defining_sum(t, s, n):
+    """(d/ds)^n Phi(t, s, 1) = sum_k t^k (-log(k+1))^n / (k+1)^s at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        t, s = mpmath.mpf(t), mpmath.mpf(s)
+        k_rise = int(4 * (abs(float(s)) + n + 1) / -math.log(float(t))) + 10
+        total, tk, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            term = tk * (-mpmath.log(k + 1)) ** n / mpmath.power(k + 1, s)
+            total += term
+            if k > k_rise and abs(term) <= 1e-25 * abs(total):
+                return float(total)
+            tk *= t
+            k += 1
+
+
+@pytest.mark.parametrize("L", [6.1, 6.15, 6.2])
+def test_lerch_boundary_near_two_pi_vs_oracle(L):
+    # the boundary terms peak near k ~ |s| / log(2 pi / L) (~150 at L = 6.2)
+    # and reach ~1e2 while the value is O(1): each term must hold its
+    # relative accuracy
+    t = math.exp(-L)
+    for s in (1, 2, 0.5, -1.5, -2):
+        for n in (0, 1, 2):
+            ref = _lerch_defining_sum(t, s, n)
+            b = A.lerch_phi(t, s, n, method="boundary")
+            assert abs(b - ref) <= 1e-8 * max(1.0, abs(ref)), (s, n, L, b, ref)
+
+
+def test_lerch_boundary_budget():
+    # still above the stopping rule at the term cap: a typed failure, not a
+    # silently truncated sum
+    with pytest.raises(ConvergenceBudgetError):
+        A.lerch_phi(math.exp(-6.27), -1.5, 2, method="boundary")
 
 
 def test_lerch_domain_and_capability():

@@ -194,6 +194,14 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+def test_lerch_boundary_budget_exit_code(capsys):
+    # at L = 6.27 the boundary sum has not met its stopping rule by the term cap
+    t = repr(float(np.exp(-6.27)))
+    code, _o, err = run_cli(["lerch", "--t", t, "--s", "-1.5", "--n-deriv", "2"], capsys)
+    assert code == 2
+    assert "numerical failure" in err
+
+
 def test_kernel_json_format(capsys):
     code, out, _ = run_cli(
         ["kernel", "--profile", "constant_one", "--t", "0.25", "--c", "4",

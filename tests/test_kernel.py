@@ -133,6 +133,16 @@ def test_balanced_defect_candidate_grid():
     assert K.balanced_defect(cand, 2, 4, 0.0, density=dens) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_candidate_monge_ampere_density_refused():
+    # W of the candidate is not finite at the nodes that round to t = 1;
+    # the candidate's density is phi_v
+    for v in (1, 4, 2.5):
+        with pytest.raises(CapabilityError, match="phi_v_density"):
+            K.density_from_profile(RadialProfile.phi_v_candidate(v), 2)
+    dens = K.associated_density(RadialProfile.phi_v_candidate(4), 2)
+    assert dens is K.phi_v_density(4)
+
+
 def test_balanced_defect_sqrt_at_zero():
     assert K.balanced_defect(RadialProfile.sqrt_poincare(), 2, 4, 0.0) == pytest.approx(0.5, abs=1e-10)
 

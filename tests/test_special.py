@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
@@ -37,6 +38,47 @@ def test_scaled_zeta_terms_vs_mpmath():
         mine = zeta_deriv_over_factorial(s, k, n)
         ref = float(mpmath.zeta(s - k, derivative=n) / mpmath.factorial(k))
         assert mine == pytest.approx(ref, rel=2e-12)
+
+
+@pytest.mark.parametrize("s", [-2.0, -1.5, 0.0, 0.5, 2.0, 3.0, 7.3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_array_k_matches_scalar_bitwise(s, n):
+    log_L = math.log(6.2)
+    ks = np.array([k for k in range(0, 1200, 7) if s - k != 1.0])
+    batch = zeta_deriv_over_factorial(s, ks, n, log_L=log_L)
+    one_by_one = [zeta_deriv_over_factorial(s, int(k), n, log_L=log_L) for k in ks]
+    assert all(type(v) is float for v in one_by_one)
+    assert np.array_equal(batch, np.array(one_by_one))
+    # a later slice on its own gives the same bits as inside the long batch
+    assert np.array_equal(zeta_deriv_over_factorial(s, ks[100:], n, log_L=log_L), batch[100:])
+
+
+def _reflected_reference(s, k, n, log_L):
+    """zeta^(n)(s - k) L^k / k! at 50 digits through the reflection formula
+    (mpmath.zeta(s - k, derivative=n) gives up on cancellation at these k).
+    L is exp(log_L) exactly, so the check sees no rounding of log L."""
+    with mpmath.workdps(50):
+        def reflected(z):
+            return (2 ** z * mpmath.pi ** (z - 1) * mpmath.sin(mpmath.pi * z / 2)
+                    * mpmath.gamma(1 - z) * mpmath.zeta(1 - z))
+
+        L = mpmath.exp(mpmath.mpf(log_L))
+        return mpmath.diff(reflected, mpmath.mpf(s) - k, n) * L ** k / mpmath.factorial(k)
+
+
+@pytest.mark.parametrize("k", [1000, 2000])
+@pytest.mark.parametrize("s, n", [(0.5, 2), (-2.0, 1), (3.0, 2), (-1.5, 0), (1.0, 1)])
+def test_large_k_terms_vs_reflection_reference(s, n, k):
+    log_L = math.log(6.2)
+    ref = float(_reflected_reference(s, k, n, log_L))
+    assert zeta_deriv_over_factorial(s, k, n, log_L=log_L) == pytest.approx(ref, rel=1e-13)
+
+
+def test_trivial_zeros_exact():
+    # zeta(-2m) = 0 for m >= 1: the quarter-turn sine gives exact zeros at any k
+    ks = np.arange(4, 3000, 2)
+    assert not np.any(zeta_deriv_over_factorial(2.0, ks, 0, log_L=math.log(6.0)))
+    assert zeta_deriv_over_factorial(0.0, 2000) == 0.0
 
 
 def test_stieltjes_vs_mpmath():
