@@ -43,14 +43,13 @@ from .kernel import (
     phi_v_density,
 )
 from .asymptotics import (
-    LerchContext,
     boundary_expansion_F,
+    gamma_laurent_table,
     germ_family_f,
     lerch_boundary_expansion,
     lerch_phi,
     moment_expansion,
     reciprocal_moments,
-    stieltjes_gamma_tables,
 )
 from .poincare import (
     CuspData,

@@ -10,6 +10,16 @@ Conventions
   sum over k >= 1.
 * Boundary expansions are LSeries in L = log(1/t) with log(1/L) grading;
   they converge for |L| < 2 pi.
+* The boundary formula (Erdelyi's |L| < 2 pi expansion, Bateman Manuscript
+  Project I, 1.11) writes (d/ds)^n [t Phi(t, s, 1)] as a singular part
+  L^(s-1) sum_j b_j (log L)^j plus sum_k zeta^(n)(s-k) (-L)^k / k!.
+  ``_boundary_singular_part`` computes the singular part once; the value
+  (``t_phi_boundary_value``) and the series (``_t_phi_boundary_series``)
+  both use it, and both take their zeta terms as whole arrays of k from
+  ``special.zeta_deriv_over_factorial``.  At positive integer s the
+  singular k = s-1 term is replaced by its limit, built from the cached
+  read-only Gamma-Laurent table (``gamma_laurent_table``) and the
+  Stieltjes constants ``special.STIELTJES``.
 * Stieltjes constants follow the standard sign convention
   zeta(1+z) = 1/z + sum_j (-1)^j gamma_j z^j / j!; the gamma_n appearing in
   the integer-s Lerch formula is accordingly entered as (-1)^n gamma_n.
@@ -17,10 +27,12 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +46,7 @@ from .errors import (
 )
 from .profiles import phi_v_l_coefficients
 from .series import InverseKSeries, LSeries, PowerLogSeries
-from .special import (
-    STIELTJES,
-    gamma_derivs,
-    stieltjes_euler_maclaurin,
-    zeta_deriv_over_factorial,
-)
+from .special import STIELTJES, gamma_derivs, zeta_deriv_over_factorial
 
 TWO_PI = 2.0 * math.pi
 DIRECT_SUM_CAP = 10 ** 6
@@ -47,59 +54,31 @@ BOUNDARY_SUM_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
-# LerchContext: shared constant tables
+# Gamma-Laurent table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LerchContext:
-    """Immutable-by-convention tables shared by the boundary expansions.
+MAX_M = MAX_J = 10
 
-    c[m, j] are the Gamma-Laurent coefficients of
-    Gamma(1-m-z) = (-1)^m/((m-1)! z) + sum_j c[m,j] z^j / j!.
-    """
 
-    max_m: int
-    max_j: int
-    gammas: tuple
-    c_table: dict
-    gamma_at_1: tuple
+class GammaLaurentTable(NamedTuple):
+    """c[(m, j)] for m = 1..MAX_M, j = 0..MAX_J: the Gamma-Laurent coefficients
+    of Gamma(1-m-z) = (-1)^m/((m-1)! z) + sum_j c[m,j] z^j / j!, read-only,
+    and the largest relative residual against ``_c_table_by_division``."""
+
+    c: MappingProxyType
     validation_residual: float
-    _zeta_cache: dict = field(default_factory=dict, repr=False)
-
-    def gamma_stieltjes(self, j: int) -> float:
-        return self.gammas[j]
-
-    def c(self, m: int, j: int) -> float:
-        return self.c_table[(m, j)]
-
-    def zeta_term(self, s: float, k: int, n: int) -> float:
-        """zeta^(n)(s - k) / k!, cached and overflow-safe."""
-        key = (float(s), k, n)
-        hit = self._zeta_cache.get(key)
-        if hit is None:
-            hit = zeta_deriv_over_factorial(s, k, n)
-            self._zeta_cache[key] = hit
-        return hit
-
-    def gamma_deriv_list(self, x: float, jmax: int):
-        key = ("gamma", float(x), jmax)
-        hit = self._zeta_cache.get(key)
-        if hit is None:
-            hit = gamma_derivs(x, jmax)
-            self._zeta_cache[key] = hit
-        return hit
 
 
-def _c_table_by_division(gamma_at_1, max_m, max_j):
+def _c_table_by_division(gamma_at_1):
     """Independent route to c[m, j] via
     Gamma(1-m-z) = Gamma(1-z) / prod_{i=1}^m (1-i-z):
     divide the Taylor jet of Gamma(1-z) by the polynomial part (i >= 2) and
     peel the single -z factor off analytically.
     """
-    n = max_j + 1
+    n = MAX_J + 1
     num = [gamma_at_1[j] * (-1.0) ** j / math.factorial(j) for j in range(n + 1)]
     table = {}
-    for m in range(1, max_m + 1):
+    for m in range(1, MAX_M + 1):
         a = list(num)
         for i in range(2, m + 1):
             # divide by (1 - i - z): b[k] = (a[k] + b[k-1]) / (1 - i)
@@ -109,64 +88,34 @@ def _c_table_by_division(gamma_at_1, max_m, max_j):
                 b[k] = (a[k] + b[k - 1]) / (1.0 - i)
             a = b
         # Gamma(1-m-z) = -A(z)/z: Laurent tail -a[j+1] at z^j
-        for j in range(max_j + 1):
+        for j in range(MAX_J + 1):
             table[(m, j)] = -a[j + 1] * math.factorial(j)
     return table
 
 
-def stieltjes_gamma_tables(max_m: int = 10, max_j: int = 10, recompute: bool = False) -> LerchContext:
-    """Build the LerchContext: Stieltjes constants, Gamma-Laurent table,
-    Gamma derivatives at 1, with internal cross-validation.
-
-    ``recompute=True`` re-derives the Stieltjes constants by Euler-Maclaurin
-    instead of the embedded table (and checks them against it).
-    """
-    if max_m > 10 or max_j > 10:
-        raise CapabilityError("tables are specified for max_m, max_j <= 10")
-    if recompute:
-        gammas = tuple(stieltjes_euler_maclaurin(max(max_j + 1, 12)))
-        drift = max(abs(gammas[j] - STIELTJES[j]) for j in range(len(STIELTJES)))
-        if drift > 1e-12:
-            raise AccuracyError(f"recomputed Stieltjes constants drifted by {drift:g}")
-    else:
-        gammas = STIELTJES
-    jtop = max_j + 1
-    gamma_at_1 = tuple(gamma_derivs(1.0, jtop + 1))
+@functools.cache
+def gamma_laurent_table() -> GammaLaurentTable:
+    """The c[m, j] table by the functional-equation recurrences, cross-checked
+    against the division route; built once per process."""
+    jtop = MAX_J + 1
+    gamma_at_1 = gamma_derivs(1.0, jtop + 1)
     # c_{0,j} = (-1)^j Gamma^(j)(1); c_{1,j} = -c_{0,j+1}/(j+1); then the
     # functional-equation recurrences upward in m.
     c0 = [(-1.0) ** j * gamma_at_1[j] for j in range(jtop + 1)]
     table = {}
     for j in range(jtop):
         table[(1, j)] = -c0[j + 1] / (j + 1)
-    for m in range(1, max_m):
+    for m in range(1, MAX_M):
         table[(m + 1, 0)] = (-1.0) ** m / (math.factorial(m) * m) - table[(m, 0)] / m
         for j in range(1, jtop):
             table[(m + 1, j)] = -(table[(m, j)] + j * table[(m + 1, j - 1)]) / m
-    ref = _c_table_by_division(gamma_at_1, max_m, max_j)
+    ref = _c_table_by_division(gamma_at_1)
     resid = max(
         abs(table[(m, j)] - ref[(m, j)]) / max(1.0, abs(ref[(m, j)]))
-        for m in range(1, max_m + 1)
-        for j in range(max_j + 1)
+        for m in range(1, MAX_M + 1)
+        for j in range(MAX_J + 1)
     )
-    table = {k: v for k, v in table.items() if k[1] <= max_j}
-    return LerchContext(
-        max_m=max_m,
-        max_j=max_j,
-        gammas=tuple(gammas),
-        c_table=table,
-        gamma_at_1=gamma_at_1,
-        validation_residual=resid,
-    )
-
-
-_DEFAULT_CONTEXT = None
-
-
-def default_context() -> LerchContext:
-    global _DEFAULT_CONTEXT
-    if _DEFAULT_CONTEXT is None:
-        _DEFAULT_CONTEXT = stieltjes_gamma_tables()
-    return _DEFAULT_CONTEXT
+    return GammaLaurentTable(MappingProxyType(table), resid)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +241,49 @@ def _lerch_direct(t: float, s: float, n: int) -> float:
     return total
 
 
+def _boundary_singular_part(s: float, n: int):
+    """Singular part of (d/ds)^n [t Phi(t, s, 1)] in the |L| < 2 pi formula,
+    as (power, coeffs, skip): the part is L^power sum_j coeffs[j] (log L)^j,
+    and the regular part is sum_{k != skip} zeta^(n)(s-k) (-L)^k / k!.
+
+    At positive integer s = m the Gamma(1-s) term and the k = m-1 zeta term
+    are both singular; their sum is replaced by the Gamma-Laurent/Stieltjes
+    limit (the primed-sum convention at n = 0) and skip = m-1.  Elsewhere
+    coeffs[j] = C(n,j) (-1)^(n-j) Gamma^(n-j)(1-s) and skip is None.
+    Integer powers, and Gamma(1-s) at integer s <= 0 with n = 0, stay exact
+    Fractions.
+    """
+    s_int = int(round(s))
+    if abs(s - s_int) < 1e-12 and s_int >= 1:
+        m = s_int
+        if m > MAX_M or n > MAX_J:
+            raise CapabilityError("integer s or n_deriv exceeds the Gamma-Laurent table")
+        c = gamma_laurent_table().c
+        sigma = (-1.0) ** (m - 1) / math.factorial(m - 1)
+        coeffs = [math.comb(n, j) * c[(m, n - j)] for j in range(n + 1)]
+        coeffs[0] += sigma * (-1.0) ** n * STIELTJES[n]
+        coeffs.append(-sigma / (n + 1))
+        return Fraction(m - 1), coeffs, m - 1
+    one_minus_s = 1.0 - s
+    if n == 0 and abs(one_minus_s - round(one_minus_s)) < 1e-12 and round(one_minus_s) >= 1:
+        gd = [Fraction(math.factorial(int(round(one_minus_s)) - 1))]
+    else:
+        gd = gamma_derivs(one_minus_s, n)
+    power = Fraction(s - 1) if abs(s - round(s)) < 1e-12 else s - 1.0
+    coeffs = [math.comb(n, j) * (-1) ** (n - j) * gd[n - j] for j in range(n + 1)]
+    return power, coeffs, None
+
+
+def _zeta_terms(s: float, ks, n: int, skip, log_L: float = 0.0):
+    """The regular terms zeta^(n)(s-k) (-L)^k / k! for the int array ``ks``
+    without ``skip``, as lists (k, term)."""
+    if skip is not None:
+        ks = ks[ks != skip]
+    terms = zeta_deriv_over_factorial(s, ks, n, log_L=log_L)
+    terms[ks % 2 == 1] *= -1.0
+    return ks.tolist(), terms.tolist()
+
+
 def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     """Value of (d/ds)^n [t Phi(t, s, 1)] at L = log(1/t) via the boundary
     formula, |L| < 2 pi.
@@ -302,43 +294,18 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     raises ConvergenceBudgetError if they have not met the stopping rule by
     k = BOUNDARY_SUM_CAP.
     """
-    ctx = default_context()
     if not (0.0 < L < TWO_PI):
         raise CapabilityError("boundary formula needs 0 < L < 2*pi")
     logL = math.log(L)
-    s_int = int(round(s))
-    is_pos_int = abs(s - s_int) < 1e-12 and s_int >= 1
-    total = 0.0
-    if is_pos_int:
-        m = s_int
-        if m > ctx.max_m or n > ctx.max_j:
-            raise CapabilityError("integer s or n_deriv exceeds the Gamma-Laurent table")
-        sigma = (-1.0) ** (m - 1) / math.factorial(m - 1)
-        sing = sum(
-            math.comb(n, j) * ctx.c(m, n - j) * logL ** j for j in range(n + 1)
-        )
-        sing += sigma * ((-1.0) ** n * ctx.gamma_stieltjes(n) - logL ** (n + 1) / (n + 1))
-        total += sing * L ** (m - 1)
-        skip = m - 1
-    else:
-        gd = ctx.gamma_deriv_list(1.0 - s, n)
-        sing = sum(
-            math.comb(n, j) * (-1.0) ** (n - j) * gd[n - j] * logL ** j
-            for j in range(n + 1)
-        )
-        total += sing * L ** (s - 1.0)
-        skip = None
-    # terms zeta^(n)(s-k) (-L)^k / k! in blocks of k, added in order until
-    # five consecutive terms fall below 1e-18 of the running total
+    power, coeffs, skip = _boundary_singular_part(s, n)
+    total = sum(c * logL ** j for j, c in enumerate(coeffs)) * L ** float(power)
+    # regular terms in blocks of k, added in order until five consecutive
+    # terms fall below 1e-18 of the running total
     small_run = 0
     k0, block = 0, 64
     while k0 <= BOUNDARY_SUM_CAP:
         ks = np.arange(k0, min(k0 + block, BOUNDARY_SUM_CAP + 1))
-        if skip is not None:
-            ks = ks[ks != skip]
-        terms = zeta_deriv_over_factorial(s, ks, n, log_L=logL)
-        terms[ks % 2 == 1] *= -1.0
-        for k, term in zip(ks.tolist(), terms.tolist()):
+        for k, term in zip(*_zeta_terms(s, ks, n, skip, logL)):
             total += term
             if abs(term) < 1e-18 * max(abs(total), 1e-30):
                 small_run += 1
@@ -355,52 +322,14 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
 
 
 def _t_phi_boundary_series(s: float, n: int, order: int) -> LSeries:
-    """Series in L of (d/ds)^n [t Phi(t, s, 1)] (the k >= 1 sum), |L| < 2 pi.
-
-    Positive integer s uses the Gamma-Laurent/Stieltjes replacement of the
-    otherwise singular terms (with the primed-sum convention at n = 0); the
-    k = s-1 zeta term is omitted there.
-    """
-    ctx = default_context()
-    s_int = int(round(s))
-    is_pos_int = abs(s - s_int) < 1e-12 and s_int >= 1
-    terms = {}
-
-    def add(power, logpow_of_logL, value):
-        # convert beta * L^power (log L)^j into the log(1/L) grading
-        key = (power, logpow_of_logL)
-        terms[key] = terms.get(key, 0) + value * (-1) ** logpow_of_logL
-
-    if is_pos_int:
-        m = s_int
-        if m > ctx.max_m or n > ctx.max_j:
-            raise CapabilityError("integer s or n_deriv exceeds the Gamma-Laurent table")
-        sp = Fraction(m - 1)
-        sigma = Fraction((-1) ** (m - 1), math.factorial(m - 1))
-        for j in range(n + 1):
-            add(sp, j, math.comb(n, j) * ctx.c(m, n - j))
-        add(sp, 0, float(sigma) * (-1.0) ** n * ctx.gamma_stieltjes(n))
-        add(sp, n + 1, -float(sigma) / (n + 1))
-        for k in range(order + 1):
-            if k == m - 1:
-                continue
-            add(Fraction(k), 0, ctx.zeta_term(float(m), k, n) * (-1.0) ** k)
-    else:
-        one_minus_s = 1.0 - s
-        exact_gamma = (
-            n == 0
-            and abs(one_minus_s - round(one_minus_s)) < 1e-12
-            and round(one_minus_s) >= 1
-        )
-        if exact_gamma:
-            gd = [Fraction(math.factorial(int(round(one_minus_s)) - 1))]
-        else:
-            gd = ctx.gamma_deriv_list(one_minus_s, n)
-        sp = Fraction(s - 1) if abs(s - round(s)) < 1e-12 else s - 1.0
-        for j in range(n + 1):
-            add(sp, j, math.comb(n, j) * (-1) ** (n - j) * gd[n - j])
-        for k in range(order + 1):
-            add(Fraction(k), 0, ctx.zeta_term(s, k, n) * (-1.0) ** k)
+    """Series in L of (d/ds)^n [t Phi(t, s, 1)] (the k >= 1 sum), |L| < 2 pi:
+    the singular part of ``_boundary_singular_part`` plus the zeta terms
+    through L^order, in the log(1/L) grading."""
+    power, coeffs, skip = _boundary_singular_part(s, n)
+    # (log L)^j = (-1)^j (log 1/L)^j
+    terms = {(power, j): c * (-1) ** j for j, c in enumerate(coeffs)}
+    for k, term in zip(*_zeta_terms(s, np.arange(order + 1), n, skip)):
+        terms[(Fraction(k), 0)] = term
     return PowerLogSeries(terms, order)
 
 

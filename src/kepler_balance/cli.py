@@ -183,7 +183,11 @@ def cmd_lerch(args) -> int:
     direct = asym.lerch_phi(t, args.s, args.n_deriv, method="direct")
     boundary = None
     if L < 2 * math.pi:
-        boundary = asym.lerch_phi(t, args.s, args.n_deriv, method="boundary")
+        # near 2 pi the boundary sum can run out of terms; the direct value stands
+        try:
+            boundary = asym.lerch_phi(t, args.s, args.n_deriv, method="boundary")
+        except ConvergenceBudgetError as exc:
+            sys.stderr.write(f"boundary: {exc}\n")
     payload = {
         "t": t,
         "s": args.s,

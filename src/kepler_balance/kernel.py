@@ -41,7 +41,7 @@ from .errors import (
     SignedDensityWarning,
 )
 from .profiles import RadialProfile, m_delta_from_v, monge_ampere_density, phi_v
-from .quadrature import MAX_LEVEL, nodes_up_to
+from .quadrature import MAX_LEVEL, T_FLOOR, nodes_up_to
 
 HARD_TERM_CAP = 10 ** 6
 # moments_block sets running-power entries below _TINY to 0 every
@@ -119,7 +119,7 @@ class Density:
         # below roundoff; also keeps intermediate powers finite
         margin = self.k_min + float(origin_exponent) + 1.0
         t_floor = 10.0 ** (-16.0 / max(margin, 0.064))
-        self.t_floor = float(min(max(t_floor, 1e-250), 1e-16))
+        self.t_floor = float(min(max(t_floor, T_FLOOR), 1e-16))
         self._level = None
         self._values = None  # (w_level * phi, w_prev * phi, t)
         self._c = []  # c_k for k = k_min + i
@@ -131,8 +131,8 @@ class Density:
     # -- node machinery -------------------------------------------------
 
     def _setup(self, level):
-        t, _omt, w = nodes_up_to(level, t_floor=self.t_floor)
-        t_prev, _o, w_prev = nodes_up_to(level - 1, t_floor=self.t_floor)
+        t, w = nodes_up_to(level, t_floor=self.t_floor)
+        t_prev, w_prev = nodes_up_to(level - 1, t_floor=self.t_floor)
         phi = np.asarray(self.fn(t), dtype=float)
         if not np.all(np.isfinite(phi)):
             raise DomainError(f"{self.label}: non-finite density values on the node set")

@@ -1,9 +1,11 @@
 """Double-exponential (tanh-sinh) quadrature on (0, 1).
 
 Handles endpoint singularities t^p (p > -1), optionally with log factors,
-without any integrand-specific treatment.  Nodes near the endpoints are
-generated in complementary form so that t and 1 - t stay accurate down to
-the denormal range.  Levels double the node density; a level-L total is
+without any integrand-specific treatment.  Nodes near t = 0 are generated as
+e^(-2|y|) / (1 + e^(-2|y|)), so a small t keeps its full relative accuracy
+down to the denormal range; near t = 1 the nodes round to 1.0, and 1 - t
+is not kept.  ``nodes_up_to`` (by default) and ``integrate_01`` drop the
+nodes below T_FLOOR.  Levels double the node density; a level-L total is
 half the level-(L-1) total plus the new odd-multiple nodes, and the
 integral is accepted once two consecutive levels agree within tolerance.
 """
@@ -19,11 +21,12 @@ from .errors import ConvergenceBudgetError
 
 MAX_LEVEL = 12
 _CUTOFF = 6.2  # |u| cap: y = (pi/2) sinh(6.2) ~ 390 pushes t to ~1e-340
+T_FLOOR = 1e-250  # smallest node kept by default
 
 
 @lru_cache(maxsize=None)
 def _raw_nodes(level: int):
-    """Node block for refinement ``level``: (t, 1 - t, w).
+    """Node block for refinement ``level``: (t, w).
 
     Level 0 is the full trapezoid at h = 1; higher levels contain only the
     odd multiples of h = 2^-level (the nodes newly added by halving).
@@ -42,31 +45,29 @@ def _raw_nodes(level: int):
     small = ey / (1.0 + ey)  # min(t, 1 - t), exact near the endpoints
     big = 1.0 / (1.0 + ey)
     t = np.where(y >= 0, big, small)
-    omt = np.where(y >= 0, small, big)
     sech2 = 4.0 * ey / (1.0 + ey) ** 2
     w = h * 0.25 * math.pi * np.cosh(u) * sech2
-    keep = (w > 0) & (t > 0) & (omt > 0)
-    return t[keep], omt[keep], w[keep]
+    keep = (w > 0) & (t > 0)  # w > 0 also implies 1 - t > 0
+    return t[keep], w[keep]
 
 
-def nodes_up_to(level: int, t_floor: float = 1e-250):
-    """All nodes/weights of the compound level-``level`` rule, concatenated.
+def nodes_up_to(level: int, t_floor: float = T_FLOOR):
+    """(t, w) of the compound level-``level`` rule, concatenated.
 
     A node introduced at level lv carries stored weight with factor
     h_lv = 2^-lv; in the compound rule the step is 2^-level, so each block
     is rescaled by 2^(lv - level).
     """
-    ts, omts, ws = [], [], []
+    ts, ws = [], []
     for lv in range(level + 1):
-        t, omt, w = _raw_nodes(lv)
+        t, w = _raw_nodes(lv)
         scale = 2.0 ** (lv - level)
         if t_floor > 0.0:
             keep = t >= t_floor
-            t, omt, w = t[keep], omt[keep], w[keep]
+            t, w = t[keep], w[keep]
         ts.append(t)
-        omts.append(omt)
         ws.append(w * scale)
-    return np.concatenate(ts), np.concatenate(omts), np.concatenate(ws)
+    return np.concatenate(ts), np.concatenate(ws)
 
 
 def integrate_01(f, tol=1e-12):
@@ -80,8 +81,8 @@ def integrate_01(f, tol=1e-12):
     prev = None
     err = math.inf
     for lv in range(MAX_LEVEL + 1):
-        t, _omt, w = _raw_nodes(lv)
-        keep = t >= 1e-250  # the default floor of nodes_up_to
+        t, w = _raw_nodes(lv)
+        keep = t >= T_FLOOR
         t, w = t[keep], w[keep]
         vals = np.asarray(f(t), dtype=float)
         contrib = float(np.dot(w, vals))

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import NormalizationError, TruncationError
+from .errors import NormalizationError
 
 DEFAULT_ORDER = 12
 
@@ -115,14 +115,6 @@ class PowerLogSeries:
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
-    def power_coeffs(self, through, j=0):
-        """Coefficients of X^0..X^through at log power j (integer grading)."""
-        if through > self.order:
-            raise TruncationError(
-                f"series known through order {self.order}, requested {through}"
-            )
-        return [self.coeff(Fraction(i), j) for i in range(through + 1)]
 
     def __repr__(self):
         if not self.terms:
@@ -251,20 +243,28 @@ class PowerLogSeries:
             {(a + da, j): c for (a, j), c in self.terms.items()}, self.order + da
         )
 
+    def _power_sum(self, coeff):
+        """sum_{n>=1} coeff(n) A^n for A with positive minimal power, through
+        this order (the powers stop once A^n has no known term left)."""
+        acc = PowerLogSeries.zero(self.order)
+        if not self.terms:
+            return acc
+        nmax = int(math.floor(float(self.order) / float(self.min_power()))) + 1
+        term = PowerLogSeries.const(Fraction(1), self.order)
+        for n in range(1, nmax + 1):
+            term = (term * self).truncate(self.order)
+            if not term.terms:
+                break
+            acc = acc + term * coeff(n)
+        return acc
+
     def reciprocal(self):
         """1/A for a monomial-led series (geometric expansion)."""
         a0, c0, u = self._one_plus_u()
         inv_c0 = Fraction(1, 1) / c0 if isinstance(c0, Rational) else 1.0 / c0
-        acc = PowerLogSeries.const(Fraction(1), u.order)
-        if u.terms:
-            p0 = u.min_power()
-            nmax = int(math.floor(float(u.order) / float(p0))) + 1
-            term = PowerLogSeries.const(Fraction(1), u.order)
-            for n in range(1, nmax + 1):
-                term = (term * u).truncate(u.order)
-                if not term.terms:
-                    break
-                acc = acc + term * Fraction(-1) ** n
+        acc = PowerLogSeries.const(Fraction(1), u.order) + u._power_sum(
+            lambda n: Fraction(-1) ** n
+        )
         return (acc * inv_c0)._shift(-a0)
 
     def log(self):
@@ -272,36 +272,15 @@ class PowerLogSeries:
         a0, c0, u = self._one_plus_u()
         if a0 != 0 or c0 != 1:
             raise NormalizationError("log requires unit leading coefficient")
-        acc = PowerLogSeries.zero(u.order)
-        if u.terms:
-            p0 = u.min_power()
-            nmax = int(math.floor(float(u.order) / float(p0))) + 1
-            term = PowerLogSeries.const(Fraction(1), u.order)
-            for n in range(1, nmax + 1):
-                term = (term * u).truncate(u.order)
-                if not term.terms:
-                    break
-                acc = acc + term * (Fraction(-1) ** (n + 1) / Fraction(n))
-        return acc
+        return u._power_sum(lambda n: Fraction(-1) ** (n + 1) / Fraction(n))
 
     def exp(self):
         """exp(A) for A with strictly positive minimal power."""
         if self.terms and self.min_power() <= 0:
             raise NormalizationError("exp requires a series vanishing at X=0")
-        acc = PowerLogSeries.const(Fraction(1), self.order)
-        if not self.terms:
-            return acc
-        p0 = self.min_power()
-        nmax = int(math.floor(float(self.order) / float(p0))) + 1
-        term = PowerLogSeries.const(Fraction(1), self.order)
-        fact = Fraction(1)
-        for n in range(1, nmax + 1):
-            term = (term * self).truncate(self.order)
-            if not term.terms:
-                break
-            fact = fact / n
-            acc = acc + term * fact
-        return acc
+        return PowerLogSeries.const(Fraction(1), self.order) + self._power_sum(
+            lambda n: Fraction(1, math.factorial(n))
+        )
 
     def pow_fraction(self, alpha):
         """A**alpha via exp(alpha log) on the unit part; exact for rational data."""

@@ -249,10 +249,18 @@ def test_boundary_expansion_s2_n1_log_powers():
     # integer s with n_deriv = 1 carries (log L)^2 terms at L^(s-1)
     ser = A.lerch_boundary_expansion(2, 1, 30)
     assert any(k[1] == 2 for k in ser.terms)
-    # and the gamma_1 contribution enters the L^(s-1) log-free coefficient
-    val_d = A.lerch_phi(math.exp(-0.7), 2, 1, method="direct")
-    val_b = ser.evaluate(0.7, log_inv_x=-math.log(0.7))
-    assert val_d == pytest.approx(val_b, abs=1e-10)
+    # the value and the series share one singular part: check both against
+    # the direct sum on every branch of it (non-integer s, integer s <= 0
+    # with an exact Gamma(1-s), positive integer s with the Gamma-Laurent
+    # and gamma_n terms)
+    L = 0.7
+    for s in (-1.5, 0, 0.5, 1, 2, 3):
+        for n in (0, 1, 2):
+            val_d = A.lerch_phi(math.exp(-L), s, n, method="direct")
+            val_s = A.lerch_boundary_expansion(s, n, 30).evaluate(L, log_inv_x=-math.log(L))
+            val_b = A.lerch_phi(math.exp(-L), s, n, method="boundary")
+            assert val_d == pytest.approx(val_s, abs=1e-10), (s, n)
+            assert val_d == pytest.approx(val_b, abs=1e-10), (s, n)
 
 
 # --- boundary expansion of F -------------------------------------------------
@@ -329,22 +337,21 @@ def test_germ_matches_candidate_through_L3():
 # --- tables -----------------------------------------------------------------
 
 def test_stieltjes_tables():
-    ctx = A.stieltjes_gamma_tables()
-    assert ctx.c(1, 0) == pytest.approx(-STIELTJES[0], rel=1e-14)  # -gamma
-    assert ctx.validation_residual <= 1e-12
-    assert ctx.gamma_stieltjes(1) == pytest.approx(-0.0728158454836767, abs=1e-12)
+    table = A.gamma_laurent_table()
+    assert table.c[(1, 0)] == pytest.approx(-STIELTJES[0], rel=1e-14)  # -gamma
+    assert table.validation_residual <= 1e-12
+    assert STIELTJES[1] == pytest.approx(-0.0728158454836767, abs=1e-12)
     # c_{0,j} convention: Gamma(1) = 1
     assert gamma_derivs(1.0, 0)[0] == pytest.approx(1.0)
-
-
-def test_stieltjes_recompute_flag():
-    ctx = A.stieltjes_gamma_tables(recompute=True)
-    assert ctx.gamma_stieltjes(0) == pytest.approx(STIELTJES[0], abs=1e-13)
+    # one shared, read-only table
+    assert A.gamma_laurent_table() is table
+    with pytest.raises(TypeError):
+        table.c[(1, 0)] = 0.0
 
 
 def test_stieltjes_em_vs_table():
-    em = stieltjes_euler_maclaurin(10)
-    for j in range(11):
+    em = stieltjes_euler_maclaurin(12)
+    for j in range(13):
         assert em[j] == pytest.approx(STIELTJES[j], abs=2e-13)
 
 

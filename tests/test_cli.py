@@ -195,11 +195,17 @@ def test_numerical_failure_exit_code(capsys):
 
 
 def test_lerch_boundary_budget_exit_code(capsys):
-    # at L = 6.27 the boundary sum has not met its stopping rule by the term cap
-    t = repr(float(np.exp(-6.27)))
-    code, _o, err = run_cli(["lerch", "--t", t, "--s", "-1.5", "--n-deriv", "2"], capsys)
-    assert code == 2
-    assert "numerical failure" in err
+    # at L = 6.27 the boundary sum has not met its stopping rule by the term
+    # cap: the request keeps its direct value and reports no boundary value
+    from kepler_balance.asymptotics import lerch_phi
+
+    t = float(np.exp(-6.27))
+    code, out, err = run_cli(["lerch", "--t", repr(t), "--s", "-1.5", "--n-deriv", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["boundary"] is None and payload["diff"] is None
+    assert payload["direct"] == lerch_phi(t, -1.5, 2, method="direct")
+    assert "stopping rule" in err
 
 
 def test_kernel_json_format(capsys):
