@@ -79,6 +79,21 @@ def crit_kernel_closed_form():
     return worst <= 1e-9, f"max rel {worst:.2e}"
 
 
+def crit_kernel_boundary_paths():
+    """Direct series, Kummer split and closed form agree, rel err <= 1e-12,
+    at t in {0.91, 0.95, 0.99} (L < 0.1) for phi_v, v in {0, 1, 2.5, 9}."""
+    worst = 0.0
+    for v in (0, 1, 2.5, 9):
+        dens = kern.phi_v_density(v)
+        for t in (0.91, 0.95, 0.99):
+            cf = kern.closed_form_F_phi_v(v, t)
+            direct = kern._kernel_direct(dens, 2, t, 1e-12).value
+            kummer = kern._kernel_kummer(dens, t, 1e-12).value
+            worst = max(worst, abs(direct - cf) / cf, abs(kummer - cf) / cf,
+                        abs(direct - kummer) / cf)
+    return worst <= 1e-12, f"max rel {worst:.2e}"
+
+
 def crit_candidate_contradiction():
     """Candidate v=1, c=4: defect <= 1e-9 on the grid while W != phi_1."""
     cand = RadialProfile.phi_v_candidate(1)
@@ -227,6 +242,7 @@ CRITERIA = (
     ("monge_ampere_identities", crit_monge_ampere_identities),
     ("phi_v_moments", crit_phi_v_moments),
     ("kernel_closed_form", crit_kernel_closed_form),
+    ("kernel_boundary_paths", crit_kernel_boundary_paths),
     ("candidate_contradiction", crit_candidate_contradiction),
     ("asymptotic_chain_exact", crit_asymptotic_chain_exact),
     ("lerch_machinery", crit_lerch_machinery),

@@ -51,6 +51,9 @@ from .special import STIELTJES, gamma_derivs, zeta_deriv_over_factorial
 TWO_PI = 2.0 * math.pi
 DIRECT_SUM_CAP = 10 ** 6
 BOUNDARY_SUM_CAP = 10_000
+# method="auto" takes the boundary expansion below this L (kernel's Kummer
+# split switches at the same L)
+AUTO_BOUNDARY_L = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +201,16 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
     """(d/ds)^n Phi(t, s, 1) = sum_{k>=0} t^k (log 1/(k+1))^n / (k+1)^s.
 
     method: "direct" term-wise summation, "boundary" the |L| < 2 pi
-    singular expansion, "auto" boundary for L < 0.1 (where the direct
-    sum converges slowly) and direct otherwise.
+    singular expansion, "auto" boundary for L < AUTO_BOUNDARY_L = 0.1
+    (where the direct sum converges slowly) and direct otherwise.
+
+    Accuracy: "auto" stays within a few ulp at integer s from -2 to 9 for
+    L up to 0.1 and just past it.  The boundary path loses digits to
+    cancellation at positive integer s and mid-range L: the singular part
+    and the zeta sum nearly cancel, and the result is then scaled by e^L
+    (about 7.5e-9 relative at s = 2, n = 2, L = 4.82).  The CLI's
+    ``lerch`` subcommand reports that path's value as ``boundary`` at every
+    L < 2 pi.
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -207,7 +218,7 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
         raise DomainError("n_deriv must be >= 0")
     L = -math.log(t)
     if method == "auto":
-        method = "boundary" if L < 0.1 else "direct"
+        method = "boundary" if L < AUTO_BOUNDARY_L else "direct"
     if method == "direct":
         return _lerch_direct(t, s, n_deriv)
     if method == "boundary":

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 bad configuration, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -223,7 +224,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="kepler-balance",
         description="Balanced-metric diagnostics on the Kepler-manifold ball",
@@ -275,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except NUMERICAL_ERRORS as exc:

@@ -21,18 +21,57 @@ stays under ~1e4 on the node sets in use), far under half an ulp of any
 moment (c_k ~ 1/k), and normal entries are never touched (t < 1, so an
 entry that left the normal range never comes back), so every moment keeps
 the bits of the unflushed pass.
+
+``kernel_series`` has two paths, chosen by one switch.
+
+* Direct (``_kernel_direct``): the terms are summed until the tail bound
+  drops under ``tol``.  That takes ~1/(1-t) terms, each with its own moment.
+* Kummer split (``_kernel_kummer``), taken when n = 2, the density carries
+  its L-expansion at t = 1 (``Density.l_series``) and L = -log t <
+  ``AUTO_BOUNDARY_L`` = 0.1, the cut ``lerch_phi(method="auto")`` uses.  The
+  expansion gives 1/c_k = (k+1) sum_m A_m (k+1)^-m (``moment_expansion`` ->
+  ``reciprocal_moments``).  With P_M(k) = (2k+1)(k+1) sum_{m<=M} A_m
+  (k+1)^-m and M = ``KUMMER_M`` = 10,
+      F(t) = sum_{m<=M} A_m [2 Phi(t, m-2) - Phi(t, m-1)]
+             + sum_k [N(k)/c_k - P_M(k)] t^k.
+  The first part is at most 12 Lerch values (s = -2..9; zero weights are
+  skipped).  The remainder terms fall like
+  (k+1)^(1-M), so its sum converges at t = 1 itself and needs only tens of
+  moments.  The A_m and the remainder coefficients are built on a
+  density's first near-boundary call and cached on it; each t then costs
+  the Lerch values and one Horner pass.  A density whose float A_m chain
+  misses ``reciprocal_moments``' own product check drops its series and
+  stays on the direct path.
+
+On both paths ``tol`` is an absolute target for the truncation of the sum
+that is computed term by term.  On the Kummer path the remainder stops at
+the first K whose tail model is under ``tol``: the omitted A_{M+1}, A_{M+2}
+terms, summed over k > K with t^k <= t^(K+1) and a safety factor of 10.
+``KernelEval.tail_bound`` reports that model plus
+sum_{k<=K} [N(k) err_k / c_k^2 + 4 eps (N(k)/c_k + |P_M(k)|)] t^k, the
+propagated moment bounds and the rounding of each remainder coefficient.
+Neither path's bound counts the rounding of the final sum (relative
+~1e-16 of F, which near t = 1 is far above any absolute ``tol``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
+from .asymptotics import (
+    AUTO_BOUNDARY_L,
+    a_m_coefficients,
+    lerch_phi,
+    moment_expansion,
+    reciprocal_moments,
+)
 from .errors import (
+    AccuracyError,
     CapabilityError,
     ConvergenceBudgetError,
     DivergenceError,
@@ -40,7 +79,14 @@ from .errors import (
     EstimationError,
     SignedDensityWarning,
 )
-from .profiles import RadialProfile, m_delta_from_v, monge_ampere_density, phi_v
+from .profiles import (
+    RadialProfile,
+    density_in_L,
+    m_delta_from_v,
+    monge_ampere_density,
+    phi_v,
+    phi_v_l_series,
+)
 from .quadrature import MAX_LEVEL, T_FLOOR, nodes_up_to
 
 HARD_TERM_CAP = 10 ** 6
@@ -48,6 +94,11 @@ HARD_TERM_CAP = 10 ** 6
 # _FLUSH_EVERY steps; flushing on every step measured slower
 _TINY = np.finfo(float).tiny
 _FLUSH_EVERY = 32
+# Kummer split near t = 1 (module docstring)
+KUMMER_M = 10
+_KUMMER_MIN_TERMS = 16
+_KUMMER_SAFETY = 10.0
+_EPS = np.finfo(float).eps
 
 
 def dimension_count(k: int, n: int) -> int:
@@ -89,12 +140,17 @@ class MomentSequence:
 
 @dataclass
 class KernelEval:
-    """One kernel-diagonal value with truncation metadata."""
+    """One kernel-diagonal value with truncation metadata.
+
+    ``path`` is "direct" or "kummer"; on the Kummer path ``terms_used``
+    counts the remainder terms and ``tail_bound`` is the remainder bound.
+    """
 
     t: float
     value: float
     terms_used: int
     tail_bound: float
+    path: str = "direct"
 
 
 class Density:
@@ -107,13 +163,21 @@ class Density:
     level is calibrated once per density.  ``moments_block`` flushes
     subnormal running-power entries to 0, which leaves every moment's bits
     unchanged (see the module docstring).
+
+    ``l_series``, when given, maps an order to phi's L-expansion at t = 1
+    (a log-free LSeries in integer powers of L with a nonzero constant
+    term); it is called only on the first near-boundary kernel value, which
+    then takes the Kummer split.
     """
 
-    def __init__(self, fn, origin_exponent, label="density", sign_changing=False):
+    def __init__(self, fn, origin_exponent, label="density", sign_changing=False,
+                 l_series=None):
         self.fn = fn
         self.origin_exponent = origin_exponent
         self.label = label
         self.sign_changing = sign_changing
+        self.l_series = l_series
+        self._kummer = None  # _KummerSplit, built on first use
         self.k_min = _k_min_from_exponent(origin_exponent)
         # keep only nodes whose truncated mass ~ t_floor^(k_min+p0+1) is
         # below roundoff; also keeps intermediate powers finite
@@ -212,7 +276,8 @@ def phi_v_density(v) -> Density:
     if v >= 0:
         w = math.sqrt(float(v))
         p0 = (-1.0 - w) / 4.0
-        dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}")
+        dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}",
+                       l_series=lambda order, v=v: phi_v_l_series(v, order))
     else:
         dens = Density(
             lambda t, v=v: phi_v(v, t), -0.25, label=f"phi_{v}", sign_changing=True
@@ -245,8 +310,12 @@ def density_from_profile(p: RadialProfile, n: int = 2) -> Density:
             "the candidate pairs with phi_v (use phi_v_density or associated_density)"
         )
     p0 = _monge_ampere_exponent(p)
+    l_series = None
+    if n == 2 and p.kind in ("sqrt_poincare", "explicit_n"):
+        l_series = lambda order: _monge_ampere_l_series(p, order)
     dens = Density(
-        lambda t: monge_ampere_density(p, n, t), p0, label=f"W[{p.kind}]"
+        lambda t: monge_ampere_density(p, n, t), p0, label=f"W[{p.kind}]",
+        l_series=l_series,
     )
     probe = np.linspace(0.01, 0.99, 64)
     if np.any(np.asarray(monge_ampere_density(p, n, probe)) < -1e-12):
@@ -257,6 +326,12 @@ def density_from_profile(p: RadialProfile, n: int = 2) -> Density:
             stacklevel=2,
         )
     return dens
+
+
+def _monge_ampere_l_series(p: RadialProfile, order: int):
+    """L-series of W[f] (n = 2): W is cubic in f, so W[s g] = s^3 W[g]."""
+    base = density_in_L(replace(p, scale=1.0).l_series(order + 1))
+    return (base * p.scale ** 3 if p.scale != 1.0 else base).truncate(order)
 
 
 def profile_as_density(p: RadialProfile) -> Density:
@@ -272,7 +347,8 @@ def profile_as_density(p: RadialProfile) -> Density:
         p0 = -rho(max(p.params["solution"].c, 0.0))
     else:
         p0 = 0.0
-    return Density(lambda t: p.eval(t)[0], p0, label=f"f[{p.kind}]")
+    l_series = p.l_series if p.kind == "constant_one" else None
+    return Density(lambda t: p.eval(t)[0], p0, label=f"f[{p.kind}]", l_series=l_series)
 
 
 def as_density(obj) -> Density:
@@ -352,7 +428,24 @@ def closed_form_F_phi_v(v, t):
 
 
 def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
-    """F(t) = sum_k N(k)/c_{k+n-2} t^k by direct summation with a tail bound.
+    """F(t) = sum_k N(k)/c_{k+n-2} t^k with a truncation bound.
+
+    Takes the Kummer split when n = 2, the density has an L-series and
+    -log t < AUTO_BOUNDARY_L; the direct sum otherwise (module docstring).
+    ``tol`` is an absolute truncation target on both paths.
+    """
+    if not (0.0 <= t < 1.0):
+        raise DomainError("t must lie in [0, 1)")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    dens = as_density(phi)
+    if n == 2 and t > 0.0 and -math.log(t) < AUTO_BOUNDARY_L and _kummer_split(dens) is not None:
+        return _kernel_kummer(dens, t, tol)
+    return _kernel_direct(dens, n, t, tol)
+
+
+def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
+    """Direct summation with a tail bound.
 
     Terms whose moment index falls below k_min contribute zero (the moment
     diverges, its reciprocal vanishes).  Truncation: terms are dominated by
@@ -360,11 +453,6 @@ def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
     sum_k C(k+n, n) t^k = (1-t)^-(n+1) and summation stops once the bound
     drops under ``tol``.
     """
-    if not (0.0 <= t < 1.0):
-        raise DomainError("t must lie in [0, 1)")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    dens = as_density(phi)
     k_start = max(0, dens.k_min - (n - 2))
     if t == 0.0:
         if k_start == 0:
@@ -412,6 +500,95 @@ def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
             )
         tk *= t
         binom_next = binom_next * (k + 1 + n) // (k + 1)
+
+
+class _KummerSplit:
+    """A density's Kummer-split data (n = 2): the Lerch weights, the omitted
+    A_m of the tail model, and the remainder coefficients
+    r_k = N(k)/c_k - P_M(k) with their error bounds, grown on demand."""
+
+    def __init__(self, dens: Density):
+        M = KUMMER_M
+        phi_L = dens.l_series(M + 2)
+        lead = phi_L.coeff(0)
+        if lead == 0 or not phi_L.is_log_free() or any(
+            not (isinstance(a, Fraction) and a.denominator == 1) for a, _j in phi_L.terms
+        ):
+            raise CapabilityError(
+                f"{dens.label}: the L-series must be log-free in integer powers "
+                "with a nonzero constant term"
+            )
+        cexp = moment_expansion(phi_L * (1 / lead), M + 3)
+        inv = reciprocal_moments(cexp, M + 2)
+        A = [float(a / lead) for a in a_m_coefficients(inv, M + 2)]
+        self.A = A[: M + 1]
+        # N(k)(k+1) sum_m A_m (k+1)^-m = sum_m A_m [2 (k+1)^(2-m) - (k+1)^(1-m)]
+        weights = {}
+        for m, a in enumerate(self.A):
+            weights[m - 2] = weights.get(m - 2, 0.0) + 2.0 * a
+            weights[m - 1] = weights.get(m - 1, 0.0) - a
+        self.weights = [(s, w) for s, w in sorted(weights.items()) if w != 0.0]
+        self.omitted = [(m, abs(A[m])) for m in (M + 1, M + 2)]
+        self.rem = []
+        self.rem_err = []
+
+    def tail_model(self, t: float, K: int) -> float:
+        """Safety factor times a bound on sum_{k>K} t^k sum_omitted 2 |A_m| (k+1)^(2-m):
+        t^k <= t^(K+1) and the sum over k by its integral from K+1."""
+        return _KUMMER_SAFETY * 2.0 * t ** (K + 1) * sum(
+            a * (K + 1) ** (3 - m) / (m - 3) for m, a in self.omitted
+        )
+
+    def extend(self, dens: Density, K: int, tol: float):
+        """Remainder coefficients for k = 0..K."""
+        if len(self.rem) > K:
+            return
+        dens.moments_block(K, min(1e-13, tol))
+        for k in range(len(self.rem), K + 1):
+            x = 1.0 / (k + 1)
+            p = 0.0
+            for a in reversed(self.A):
+                p = p * x + a
+            poly = (2 * k + 1) * (k + 1) * p
+            ratio, err = 0.0, 0.0  # a divergent moment's reciprocal vanishes
+            if k >= dens.k_min:
+                ck, ek = dens.moment(k)
+                ratio = (2 * k + 1) / ck
+                err = abs(ratio) * ek / abs(ck)
+            self.rem.append(ratio - poly)
+            self.rem_err.append(err + 4.0 * _EPS * (abs(ratio) + abs(poly)))
+
+
+def _kummer_split(dens: Density):
+    """The density's cached _KummerSplit, or None without an L-series."""
+    if dens._kummer is None and dens.l_series is not None:
+        try:
+            dens._kummer = _KummerSplit(dens)
+        except AccuracyError:
+            # a float A_m chain that misses its own product check (phi_v at
+            # v = 60, say) is not used: the density keeps the direct path
+            dens.l_series = None
+    return dens._kummer
+
+
+def _kernel_kummer(dens: Density, t: float, tol: float) -> KernelEval:
+    """Kummer split: Lerch singular part plus the remainder sum (n = 2)."""
+    split = _kummer_split(dens)
+    K = _KUMMER_MIN_TERMS - 1
+    while (model := split.tail_model(t, K)) > tol:
+        K += 1 + K // 8
+        if K > HARD_TERM_CAP:
+            raise ConvergenceBudgetError(
+                f"Kummer remainder at t={t} needs more than {HARD_TERM_CAP} terms"
+            )
+    split.extend(dens, K, tol)
+    rem, err = 0.0, 0.0
+    for k in range(K, -1, -1):
+        rem = rem * t + split.rem[k]
+        err = err * t + split.rem_err[k]
+    singular = sum(w * lerch_phi(t, float(s)) for s, w in split.weights)
+    return KernelEval(t=t, value=singular + rem, terms_used=K + 1,
+                      tail_bound=model + err, path="kummer")
 
 
 def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = None,

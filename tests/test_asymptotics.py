@@ -212,6 +212,18 @@ def test_lerch_boundary_near_two_pi_vs_oracle(L):
             assert abs(b - ref) <= 1e-8 * max(1.0, abs(ref)), (s, n, L, b, ref)
 
 
+@pytest.mark.parametrize("L", [1e-8, 1e-4, 0.05, 0.0999, 0.1001])
+def test_lerch_auto_integer_s_near_boundary_vs_mpmath(L):
+    # the kernel's Kummer split reads method="auto" at integer s below
+    # L = 0.1; 0.1001 checks the direct side of the cut
+    mpmath = pytest.importorskip("mpmath")
+    t = math.exp(-L)
+    for s in range(-2, 9):
+        with mpmath.workdps(30):
+            ref = float(mpmath.lerchphi(mpmath.mpf(t), s, 1))
+        assert A.lerch_phi(t, float(s)) == pytest.approx(ref, rel=1e-12, abs=0), (s, L)
+
+
 def test_lerch_boundary_budget():
     # still above the stopping rule at the term cap: a typed failure, not a
     # silently truncated sum

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kepler_balance
 from kepler_balance import kernel as kern
 from kepler_balance.cli import main, parse_grid, parse_profile
 from kepler_balance.errors import DomainError
@@ -184,10 +188,11 @@ def test_asymptotics_accuracy_failure_exit_code(v, capsys):
 
 
 def test_numerical_failure_exit_code(capsys):
-    # t this close to 1 exceeds the hard series-term cap
+    # n = 3 has no Kummer split: the direct series this close to 1 exceeds
+    # the hard series-term cap
     code, _o, err = run_cli(
-        ["kernel", "--profile", "constant_one", "--t", "0.9999999", "--c", "4",
-         "--tol", "1e-12"],
+        ["kernel", "--profile", "explicit_n:n=3", "--n", "3", "--t", "0.9999999",
+         "--c", "4", "--tol", "1e-12"],
         capsys,
     )
     assert code == 2
@@ -218,3 +223,24 @@ def test_kernel_json_format(capsys):
     payload = json.loads(out)
     assert payload["c"] == 4.0
     assert payload["rows"][0]["t"] == 0.25
+
+
+def test_parser_shared_across_calls():
+    # main() reuses one parser per process; two different subcommands run
+    # back to back in one process print the bytes each prints alone
+    env = dict(os.environ, PYTHONPATH=str(Path(kepler_balance.__file__).parents[1]))
+    cmds = [
+        ["lerch", "--t", "0.5", "--s", "1"],
+        ["kernel", "--profile", "constant_one", "--t", "0.25", "--c", "4"],
+    ]
+
+    def run(*argvs):
+        code = "from kepler_balance.cli import main\n" + "".join(
+            f"assert main({argv!r}) == 0\n" for argv in argvs
+        )
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True).stdout
+
+    alone = [run(argv) for argv in cmds]
+    assert alone[0] and alone[1]
+    assert run(*cmds) == alone[0] + alone[1]

@@ -13,6 +13,7 @@ from kepler_balance.errors import (
     SignedDensityWarning,
 )
 from kepler_balance.profiles import RadialProfile, phi_v
+from kepler_balance.series import PowerLogSeries
 
 
 def test_dimension_count():
@@ -219,9 +220,10 @@ def test_moments_match_unflushed_reference(make):
 def test_kernel_series_near_boundary(v):
     dens = K.phi_v_density(v)
     for t in (0.99, 0.999):
-        # the default absolute tol reads ~52k moments at t = 0.999
-        ke = K.kernel_series(dens, 2, t)
-        assert ke.value == pytest.approx(K.closed_form_F_phi_v(v, t), rel=1e-9)
+        cf = K.closed_form_F_phi_v(v, t)
+        assert K.kernel_series(dens, 2, t).value == pytest.approx(cf, rel=1e-9)
+        # the direct path at the default absolute tol reads ~52k moments at t = 0.999
+        assert K._kernel_direct(dens, 2, t, 1e-10).value == pytest.approx(cf, rel=1e-9)
 
 
 @pytest.mark.parametrize("v", [1, 4, 2.5])
@@ -230,3 +232,150 @@ def test_moments_large_k_match_closed_form(v):
     for k in (10 ** 3, 10 ** 4, 5 * 10 ** 4):
         cf = float(K.moment_phi_v_closed(v, k))
         assert dens.moment(k)[0] == pytest.approx(cf, rel=1e-10)
+
+
+# -- Kummer split near t = 1 --------------------------------------------------
+
+KUMMER_TS = (0.95, 0.99, 0.9999, 1 - 1e-6, 1 - 1e-8)
+
+
+def _one_plus_a_log2(a):
+    """phi = 1 + a log^2 t: L-series 1 + a L^2, c_k = 1/(k+1) + 2a/(k+1)^3."""
+    return K.Density(
+        lambda t: 1.0 + a * np.log(t) ** 2, 0.0, label=f"1+{a}L^2",
+        l_series=lambda order: PowerLogSeries({(0, 0): F(1), (2, 0): F(a)}, order),
+    )
+
+
+def _oracle_one_plus_a_log2(a, t):
+    """F(t) = sum_j t^(j-1) (2j-1)/c_(j-1), j = k+1, at 30+ digits from the
+    exact moments: (2j-1) j / (1 + 2a/j^2) less its first 16 terms in
+    (-2a/j^2)^i is summed directly (it falls like j^-31); the peeled terms
+    are polylogarithms, sum_j t^(j-1) j^-s = Li_s(t)/t."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t, b = mpmath.mpf(t), -2 * mpmath.mpf(a)
+        total = mpmath.mpf(0)
+        for i in range(16):
+            li = 2 * mpmath.polylog(2 * i - 2, t) - mpmath.polylog(2 * i - 1, t)
+            total += b ** i * li / t
+        for j in range(1, 61):
+            j = mpmath.mpf(j)
+            exact = (2 * j - 1) / (1 / j + 2 * mpmath.mpf(a) / j ** 3)
+            peeled = sum((2 * j - 1) * j * (b / j ** 2) ** i for i in range(16))
+            total += t ** (j - 1) * (exact - peeled)
+        return float(total)
+
+
+@pytest.mark.parametrize("make, v", [
+    *(pytest.param(lambda v=v: K.phi_v_density(v), v, id=f"phi_{v}") for v in (1, 4, 9, 2.5)),
+    pytest.param(lambda: K.density_from_profile(RadialProfile.sqrt_poincare(), 2), 1,
+                 id="W[sqrt_poincare]"),
+])
+def test_kummer_vs_closed_form(make, v):
+    # W[2 - 2 sqrt(t)] = 1 = phi_1
+    dens = make()
+    for t in KUMMER_TS:
+        ke = K.kernel_series(dens, 2, t)
+        assert ke.path == "kummer"
+        assert ke.value == pytest.approx(K.closed_form_F_phi_v(v, t), rel=1e-12, abs=0), t
+
+
+def test_kummer_nonzero_remainder_vs_oracle():
+    dens = _one_plus_a_log2(1)
+    for t in KUMMER_TS:
+        ke = K.kernel_series(dens, 2, t)
+        assert ke.path == "kummer"
+        assert ke.value == pytest.approx(_oracle_one_plus_a_log2(1, t), rel=1e-12, abs=0), t
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _one_plus_a_log2(1), id="1+L^2"),
+    pytest.param(lambda: _one_plus_a_log2(5), id="1+5L^2"),
+    pytest.param(lambda: K.phi_v_density(2.5), id="phi_2.5"),
+    pytest.param(lambda: K.density_from_profile(RadialProfile.explicit_n(3), 2),
+                 id="W[explicit_n:n=3]"),
+])
+def test_direct_and_kummer_paths_agree(make):
+    dens = make()
+    for t in (0.91, 0.95, 0.99):
+        direct = K._kernel_direct(dens, 2, t, 1e-10)
+        kummer = K._kernel_kummer(dens, t, 1e-10)
+        assert kummer.value == pytest.approx(direct.value, rel=1e-12, abs=0), t
+
+
+@pytest.mark.parametrize("a, tol", [(1, 1e-10), (5, 1e-10), (5, 1e-4)])
+def test_kummer_tail_bound_covers_error(a, tol):
+    # the bound covers truncation and the moments, not the rounding of the
+    # final sum: allow 4 ulp of F on top
+    dens = _one_plus_a_log2(a)
+    eps = np.finfo(float).eps
+    for t in (0.91, 0.95, *KUMMER_TS):
+        ke = K.kernel_series(dens, 2, t, tol)
+        ref = _oracle_one_plus_a_log2(a, t)
+        err = abs(ke.value - ref)
+        assert err <= ke.tail_bound + 4 * eps * abs(ref), (t, err, ke.tail_bound)
+        if tol == 1e-4 and t < 0.99:
+            # a few remainder terms only: the truncation error is visible
+            assert err > 100 * eps * abs(ref)
+
+
+def test_kummer_remainder_is_short():
+    # tens of moments on a fresh density, whatever t is
+    dens = _fresh_phi_v(4)
+    dens.l_series = K.phi_v_density(4).l_series
+    for t in (0.9999, 1 - 1e-6, 1 - 1e-8):
+        ke = K.kernel_series(dens, 2, t)
+        assert ke.path == "kummer" and 1 <= ke.terms_used <= 64
+    assert len(dens._c) <= 64
+
+
+def test_kummer_switch():
+    t_in, t_out = math.exp(-0.0999), math.exp(-0.1001)
+    phi4 = K.phi_v_density(4)
+    assert K.kernel_series(phi4, 2, t_in).path == "kummer"
+    assert K.kernel_series(phi4, 2, t_out).path == "direct"
+    assert K.kernel_series(phi4, 2, 0.0).path == "direct"
+    # no series: W for n = 3, and a density built without one
+    w3 = K.density_from_profile(RadialProfile.explicit_n(3), 3)
+    assert w3.l_series is None
+    assert K.kernel_series(w3, 3, 0.95).path == "direct"
+    assert K.kernel_series(_fresh_phi_v(4), 2, 0.95).path == "direct"
+
+
+@pytest.mark.parametrize("make, factor", [
+    pytest.param(lambda: K.density_from_profile(RadialProfile.sqrt_poincare(scale=2.0), 2),
+                 1 / 8, id="W[2 sqrt_poincare]"),
+    pytest.param(lambda: K.profile_as_density(RadialProfile.constant_one(scale=0.5)), 2.0,
+                 id="f[constant_one/2]"),
+])
+def test_kummer_scaled_densities(make, factor):
+    # W[s f] = s^3 W[f] and a constant density s: F scales by s^-3 and 1/s
+    dens = make()
+    for t in (0.99, 1 - 1e-6):
+        ke = K.kernel_series(dens, 2, t)
+        assert ke.path == "kummer"
+        cf = factor * K.closed_form_F_phi_v(1, t)
+        assert ke.value == pytest.approx(cf, rel=1e-12, abs=0)
+
+
+def test_kummer_chain_failure_keeps_direct_path():
+    # the float A_m chain of phi_60 misses reciprocal_moments' 1e-12 product
+    # check: that density keeps the direct path
+    dens = _fresh_phi_v(60)
+    dens.l_series = lambda order: K.phi_v_l_series(60, order)
+    ke = K.kernel_series(dens, 2, 0.95)
+    assert ke.path == "direct" and dens.l_series is None
+    assert ke.value == pytest.approx(K.closed_form_F_phi_v(60, 0.95), rel=1e-9)
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): F(1)},  # no constant term
+    {(0, 0): F(1), (1, 1): F(1)},  # a log(1/L) term
+    {(0, 0): F(1), (F(1, 2), 0): F(1)},  # a half-integer power
+], ids=["no-constant", "log", "half-power"])
+def test_kummer_rejects_unusable_series(terms):
+    dens = _fresh_phi_v(4)
+    dens.l_series = lambda order: PowerLogSeries(terms, order)
+    with pytest.raises(CapabilityError):
+        K.kernel_series(dens, 2, 0.99)
