@@ -106,10 +106,13 @@ def _t_values(args):
 
 
 def cmd_kernel(args) -> int:
+    kern.require_tol(args.tol)
     prof = parse_profile(args.profile)
     ts = _t_values(args)
     dens = kern.associated_density(prof, args.n)
     c = "auto" if args.c == "auto" else float(args.c)
+    if c != "auto" and not math.isfinite(c):
+        raise DomainError(f"--c must be finite or 'auto', got {args.c!r}")
     if c == "auto":
         c = kern.estimate_c(prof, args.n, density=dens)
 

@@ -373,6 +373,12 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
     return density_from_profile(p, n)
 
 
+def require_tol(tol):
+    """Raise DomainError unless the truncation target tol is finite and > 0."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+
+
 def moments(phi, k_max: int, tol: float = 1e-12) -> MomentSequence:
     """Moments c_k = int_0^1 t^k phi(t) dt for k = k_min..k_max.
 
@@ -380,8 +386,7 @@ def moments(phi, k_max: int, tol: float = 1e-12) -> MomentSequence:
     through its values).  Each entry carries an observed absolute error
     bound from comparing two quadrature refinement levels.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    require_tol(tol)
     dens = as_density(phi)
     if k_max < dens.k_min:
         raise DivergenceError(
@@ -436,8 +441,7 @@ def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
     """
     if not (0.0 <= t < 1.0):
         raise DomainError("t must lie in [0, 1)")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    require_tol(tol)
     dens = as_density(phi)
     if n == 2 and t > 0.0 and -math.log(t) < AUTO_BOUNDARY_L and _kummer_split(dens) is not None:
         return _kernel_kummer(dens, t, tol)
@@ -600,6 +604,9 @@ def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = No
     defining germ phi_v; pass ``density`` to override.  ``tol`` is the
     absolute truncation target for each kernel value.
     """
+    require_tol(tol)
+    if c != "auto" and not math.isfinite(c):
+        raise DomainError(f"c must be finite or 'auto', got {c!r}")
     dens = density if density is not None else associated_density(p, n)
     if dens.sign_changing:
         warnings.warn(

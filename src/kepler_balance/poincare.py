@@ -2,6 +2,12 @@
 the cubic root rho, boundary-series bootstrap, adaptive integration with
 cusp detection, origin asymptotics, and completeness diagnostics.
 
+The flow is integrated by an in-house scalar Dormand-Prince 5(4) pair
+(``_dormand_prince``) in plain floats: local extrapolation, the standard
+step control (safety 0.9, step factors in [0.2, 10], max step 0.25 in
+tau), Shampine's free quartic dense output, and a terminal cusp event
+whose last step is taken again to end on the root.
+
 The profile f solves W[f] = 1 with f(1) = 0, f'(1) = -1.  Conservation of
 
     Psi(t) = -t/f^3 + t^2 f'^2 / (2 f^2) - t^3 f'^3 / f^3
@@ -21,7 +27,6 @@ from numbers import Rational
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CapabilityError,
@@ -179,7 +184,7 @@ class PoincareSolution:
             f[near] = boundary_taylor_value(self.c, h)
         if np.any(~near):
             tau = np.log(t[~near])
-            f[~near] = self._dense(tau)[0]
+            f[~near] = self._dense(tau)
         g = self.c + t / f ** 3
         fp = -(f / t) * rho(np.maximum(g, 0.0))
         fpp = reconstruct_fpp(t, f, fp)
@@ -217,60 +222,262 @@ def reconstruct_fpp(t, f, fp):
     return out
 
 
+# Dormand-Prince 5(4): the tableau and error weights of Hairer, Norsett &
+# Wanner, Solving ODEs I, Table II.5.2 (Dormand & Prince 1980), and the
+# free quartic interpolant of Shampine (1986) with its optimal c_6, which
+# reads the seven stages of a step (FSAL: the seventh is f at the step end).
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# _DP_P[i] = coefficients of x, x^2, x^3, x^4 that stage i adds to the
+# interpolant y(t_old + x h) = y_old + h sum_i K_i sum_j P[i][j] x^(j+1)
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_DP_SAFETY = 0.9
+_DP_MIN_FACTOR = 0.2
+_DP_MAX_FACTOR = 10.0
+_DP_EXPONENT = -1.0 / 5.0  # the error of the 4th-order estimate scales as h^5
+_EVENT_TOL = 4.0 * math.ulp(1.0)
+
+
+class _DenseOutput:
+    """The quartic interpolant of every accepted step, evaluated at tau.
+
+    Step i runs from tau_old[i] to tau_old[i] + h[i] and has the stages
+    K[i, 0..6]; a point belongs to the step whose span holds it (the first
+    or the last step beyond the ends).
+    """
+
+    def __init__(self, tau_old, h, y_old, stages):
+        self.tau_old = np.array(tau_old)
+        self.h = np.array(h)
+        self.y_old = np.array(y_old)
+        stages = np.array(stages)
+        self.q = sum(stages[:, i, None] * np.array(_DP_P[i]) for i in range(7))
+        self._sign = math.copysign(1.0, self.h[0])  # step starts ascend in sign * tau
+
+    def __call__(self, tau):
+        """f at tau: a float for a scalar, an array for an array."""
+        i = np.searchsorted(self._sign * self.tau_old, self._sign * np.asarray(tau), side="right")
+        i = np.clip(i - 1, 0, len(self.h) - 1)
+        h = self.h[i]
+        x = (tau - self.tau_old[i]) / h
+        q = self.q[i].T
+        y = self.y_old[i] + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
+        return float(y) if np.ndim(tau) == 0 else y
+
+
+def _dp_step(fun, tau, y, f, tau_new):
+    """One Dormand-Prince step from (tau, y), f = fun(tau, y), to tau_new:
+    (y_new, the seven stages, the embedded error estimate)."""
+    a2, a3, a4, a5, a6 = _DP_A
+    b1, _b2, b3, b4, b5, b6 = _DP_B
+    e1, _e2, e3, e4, e5, e6, e7 = _DP_E
+    h = tau_new - tau
+    k1 = f
+    k2 = fun(tau + h / 5, y + h * (a2[0] * k1))
+    k3 = fun(tau + 3 * h / 10, y + h * (a3[0] * k1 + a3[1] * k2))
+    k4 = fun(tau + 4 * h / 5, y + h * (a4[0] * k1 + a4[1] * k2 + a4[2] * k3))
+    k5 = fun(tau + 8 * h / 9, y + h * (a5[0] * k1 + a5[1] * k2 + a5[2] * k3 + a5[3] * k4))
+    k6 = fun(tau_new, y + h * (a6[0] * k1 + a6[1] * k2 + a6[2] * k3 + a6[3] * k4 + a6[4] * k5))
+    y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+    k7 = fun(tau_new, y_new)
+    err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+def _dormand_prince(fun, tau0, y0, tau_end, rtol, atol, max_step, event=None):
+    """Integrate the scalar ODE y' = fun(tau, y) from tau0 to tau_end.
+
+    Step control: the first step from the two-evaluation rule of Hairer,
+    Norsett & Wanner (Section II.4), capped by max_step; a step is accepted
+    when the embedded error estimate e satisfies |e| < atol + rtol
+    max(|y_old|, |y_new|), and the next step is h (0.9 |e|^-1/5) clipped to
+    [0.2, 10] (at most 1 right after a rejection).  The last step ends at
+    tau_end exactly.
+
+    ``event(tau, y)``, if given, is a terminal event with direction -1.
+    When an accepted step takes it from >= 0 to <= 0, the root is found
+    among steps taken again from the same start (``_event_root``), so the
+    last step ends at the root instead of crossing it: the flow is not
+    smooth there, and an interpolant across that point is the least
+    accurate part of the solution.  If the step to the root fails the error
+    test, the integration goes half way to the root and looks again.
+
+    Returns (taus, ys, dense, tau_event): the accepted points in step order
+    (ending at the event root, if one was found), a _DenseOutput, and the
+    root or None.
+    """
+    direction = 1.0 if tau_end > tau0 else -1.0
+    span = abs(tau_end - tau0)
+
+    tau, y = tau0, y0
+    f = fun(tau, y)
+    scale = atol + abs(y) * rtol
+    d0, d1 = abs(y) / scale, abs(f) / scale
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(tau + direction * h0, y + direction * h0 * f)
+    d2 = abs(f1 - f) / scale / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
+    h_abs = min(100.0 * h0, h1, span, max_step)
+
+    taus, ys = [tau], [y]
+    steps = ([], [], [], [])  # tau_old, h, y_old, stages
+    g = event(tau, y) if event is not None else None
+    while direction * (tau - tau_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(tau, direction * math.inf) - tau)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a NaN step
+                raise IntegrationError(
+                    f"Poincare integration failed: step size below {min_step:g} at tau = {tau!r}"
+                )
+            tau_new = tau + direction * h_abs
+            if direction * (tau_new - tau_end) > 0.0:
+                tau_new = tau_end
+            h_abs = abs(tau_new - tau)
+            y_new, stages, err = _dp_step(fun, tau, y, f, tau_new)
+            error_norm = abs(err) / (atol + max(abs(y), abs(y_new)) * rtol)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _DP_MAX_FACTOR
+                else:
+                    factor = min(_DP_MAX_FACTOR, _DP_SAFETY * error_norm ** _DP_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_DP_MIN_FACTOR, _DP_SAFETY * error_norm ** _DP_EXPONENT)
+            rejected = True
+
+        if event is not None:
+            g_new = event(tau_new, y_new)
+            if g >= 0.0 >= g_new:
+                def g_at(end):
+                    return event(end, _dp_step(fun, tau, y, f, end)[0])
+
+                root = _event_root(g_at, tau, g, tau_new, g_new)
+                y_root, stages, err = _dp_step(fun, tau, y, f, root)
+                if abs(err) < atol + max(abs(y), abs(y_root)) * rtol:
+                    for column, value in zip(steps, (tau, root - tau, y, stages)):
+                        column.append(value)
+                    taus.append(root)
+                    ys.append(y_root)
+                    return taus, ys, _DenseOutput(*steps), root
+                # the step to the root fails the error test: go half way
+                # there, and look for the root again from closer
+                h_abs = 0.5 * abs(root - tau)
+                continue
+            g = g_new
+        for column, value in zip(steps, (tau, tau_new - tau, y, stages)):
+            column.append(value)
+        tau, y, f = tau_new, y_new, stages[6]
+        taus.append(tau)
+        ys.append(y)
+    return taus, ys, _DenseOutput(*steps), None
+
+
+def _event_root(g, hi, g_hi, lo, g_lo):
+    """Root of g between hi (g_hi >= 0) and lo (g_lo <= 0) by the Illinois
+    variant of regula falsi, with a bisection step whenever the secant
+    leaves the bracket.
+
+    Stops once the bracket is within 4 eps (1 + |lo|) or g vanishes, and
+    returns the end with g <= 0.
+    """
+    last = 0
+    while g_lo != 0.0 and abs(hi - lo) > _EVENT_TOL * (1.0 + abs(lo)):
+        mid = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if not min(hi, lo) < mid < max(hi, lo):
+            mid = 0.5 * (hi + lo)
+            if mid == hi or mid == lo:
+                break
+        g_mid = g(mid)
+        if g_mid > 0.0:
+            hi, g_hi = mid, g_mid
+            if last == 1:
+                g_lo *= 0.5
+            last = 1
+        else:
+            lo, g_lo = mid, g_mid
+            if last == -1:
+                g_hi *= 0.5
+            last = -1
+    return lo
+
+
 def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
                    boundary_offset: float = 1e-3) -> PoincareSolution:
     """Integrate the Poincare flow from the boundary down to t_min.
 
     Starts at t = 1 - boundary_offset with the degree-4 Taylor value (the
     flow is singular at t = 1 itself) and integrates in tau = log t, which
-    keeps the t^(-rho(c)) growth near the origin non-stiff.  For c < 0 the
-    sign change of c + t/f^3 is located by event bisection: the solution
-    terminates there (f' -> 0, f'' -> -inf) and cannot be continued.
+    keeps the t^(-rho(c)) growth near the origin non-stiff.  The integrator
+    is Dormand-Prince 5(4) with relative tolerance rtol = min(max(tol/100,
+    1e-13), 1e-8), absolute tolerance rtol/1000 and steps of at most 0.25
+    in tau; the last step ends at log t_min exactly.  Between grid points
+    the solution is read from each step's quartic interpolant.
+
+    For c < 0 the sign change of c + t/f^3 (direction -1) is located by
+    regula falsi on the end point of a step taken again from the last
+    accepted point, to 4 eps (1 + |tau|): the solution terminates there
+    (f' -> 0, f'' -> -inf) and cannot be continued.
+
+    Raises DomainError unless c is finite, tol is finite and positive,
+    0 < t_min < 1 - boundary_offset and 0 < boundary_offset < 1.
     """
     c = float(c)
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c!r}")
     if not (0.0 < t_min < 1.0):
         raise DomainError("t_min must lie in (0, 1)")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if not (0.0 < boundary_offset < 1.0):
+        raise DomainError("boundary_offset must lie in (0, 1)")
     h0 = boundary_offset
     t_start = 1.0 - h0
     if t_min >= t_start:
         raise DomainError("t_min must be below the bootstrap point 1 - h0")
     f_start = boundary_taylor_value(c, h0)
 
-    def rhs(tau, y):
-        t = math.exp(tau)
-        g = c + t / y[0] ** 3
-        return [-y[0] * rho(g if g > 0.0 else 0.0)]
+    def cusp_event(tau, f):
+        return c + math.exp(tau) / (f * f * f)
 
-    def cusp_event(tau, y):
-        return c + math.exp(tau) / y[0] ** 3
-
-    cusp_event.terminal = True
-    cusp_event.direction = -1.0
+    def rhs(tau, f):
+        g = cusp_event(tau, f)
+        return -f * rho(g if g > 0.0 else 0.0)
 
     rtol = min(max(tol * 1e-2, 1e-13), 1e-8)
-    sol = solve_ivp(
-        rhs,
-        (math.log(t_start), math.log(t_min)),
-        [f_start],
-        method="RK45",
-        rtol=rtol,
-        atol=rtol * 1e-3,
-        dense_output=True,
-        events=[cusp_event] if c < 0 else None,
-        max_step=0.25,
-    )
-    if sol.status == -1:
-        raise IntegrationError(f"Poincare integration failed: {sol.message}")
+    try:
+        taus, fs, dense, tau0 = _dormand_prince(
+            rhs, math.log(t_start), f_start, math.log(t_min), rtol, rtol * 1e-3,
+            max_step=0.25, event=cusp_event if c < 0 else None,
+        )
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise IntegrationError(f"Poincare integration failed: {exc}") from exc
+    t0 = None if tau0 is None else math.exp(tau0)
 
-    t0 = None
-    if c < 0 and sol.t_events and len(sol.t_events[0]):
-        t0 = float(math.exp(sol.t_events[0][0]))
-
-    taus = sol.t
     ts = np.exp(taus)
-    fs = sol.y[0]
+    fs = np.array(fs)
     order = np.argsort(ts)
     ts, fs = ts[order], fs[order]
     keep = fs > 0
@@ -304,7 +511,7 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
         t0=t0,
         psi_residual_max=psi_res,
         w_residual_max=w_res,
-        _dense=sol.sol,
+        _dense=dense,
     )
 
 
@@ -364,13 +571,13 @@ def cusp_data(sol: PoincareSolution, sigma: float | None = None) -> CuspData:
         raise DomainError("solution did not terminate: cusp data undefined")
     t0 = sol.t0
     # f(t0) by continuity from the dense output at t0 itself
-    f_t0 = float(sol._dense(math.log(t0))[0])
+    f_t0 = sol._dense(math.log(t0))
     span = math.sqrt(max(sol.t_start - t0, 1e-8))
     if sigma is None:
         sigma = 2e-3 * span
 
     def q(sig):
-        return float(sol._dense(math.log(t0 + sig * sig))[0])
+        return sol._dense(math.log(t0 + sig * sig))
 
     q0 = f_t0
     q1, q2, q3 = q(sigma), q(2 * sigma), q(3 * sigma)

@@ -17,7 +17,10 @@ k, so a value does not depend on the batch it came in.
   k quarter turns, exact zeros included.
 
 Gamma derivatives come from the Leibniz/polygamma recursion on
-Gamma' = Gamma psi_0.
+Gamma' = Gamma psi_0.  The polygamma functions psi_n are computed
+here: the upward recurrence psi_n(x) = psi_n(x + m) - (-1)^n n! sum_{i<m}
+(x + i)^-(n+1) carries x to a shift point of its own, where the Bernoulli
+asymptotic series through B_30 is below eps of its leading term.
 
 Stieltjes constants are embedded as a validated table;
 ``stieltjes_euler_maclaurin`` recomputes them from scratch on request.
@@ -25,13 +28,11 @@ Stieltjes constants are embedded as a validated table;
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaln as _gammaln
-from scipy.special import polygamma as _polygamma
 
 from .errors import DomainError
 
@@ -110,21 +111,109 @@ def _mul_linear(a, c):
 
 
 # ---------------------------------------------------------------------------
+# polygamma
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _polygamma_series(n: int):
+    """(Bernoulli weights, shift point) of the asymptotic series of psi_n.
+
+    psi_0(z) ~ log z - 1/(2z) - sum_k B_2k / (2k) z^-2k and, for n >= 1,
+    psi_n(z) ~ (-1)^(n+1) n! z^-n [1/n + 1/(2z) + sum_k d_k z^-2k] with
+    d_k = B_2k (2k+n-1)! / ((2k)! n!), k = 1..15.  From the shift point on,
+    the B_30 term is below eps of the leading term (1, or 1/n in the bracket).
+    """
+    if n == 0:
+        coeffs = tuple(float(b / (2 * i)) for i, b in enumerate(_BERNOULLI_EVEN, start=1))
+    else:
+        coeffs = tuple(
+            float(b * Fraction(math.factorial(2 * i + n - 1), math.factorial(2 * i) * math.factorial(n)))
+            for i, b in enumerate(_BERNOULLI_EVEN, start=1)
+        )
+    shift = math.ceil((abs(coeffs[-1]) * max(n, 1) / 2.0 ** -52) ** (1.0 / (2 * len(coeffs))))
+    return coeffs, shift
+
+
+def _ipow(v, e: int):
+    """v^e for an integer e >= 1 by squaring; the same multiplications for a
+    float and for each element of an array."""
+    out = None
+    while True:
+        if e & 1:
+            out = v if out is None else out * v
+        e >>= 1
+        if not e:
+            return out
+        v = v * v
+
+
+def _polygamma_asymptotic(n: int, coeffs, z, log_z):
+    """psi_0(z), or psi_n(z) / ((-1)^(n+1) n!) for n >= 1, by the series."""
+    u = 1.0 / z
+    w = u * u
+    poly = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        poly = poly * w + c
+    if n == 0:
+        return log_z - u * (0.5 + u * poly)
+    return _ipow(u, n) * (1.0 / n + u * (0.5 + u * poly))
+
+
+def _polygamma(n: int, x):
+    """psi_n(x) for integer n >= 0 and x > 0; a float for a float, an array
+    for an array.
+
+    An x below the shift point is carried up by the recurrence to x + m,
+    m = ceil(shift_n - x), and the recurrence terms are added smallest
+    first.  An array evaluates the series at its elements past the shift
+    point with the operations a float takes, and the others one at a time,
+    so ``_polygamma(n, arr)[i] == _polygamma(n, float(arr[i]))`` exactly.
+    """
+    coeffs, shift = _polygamma_series(n)
+    scale = 1.0 if n == 0 else (-1.0) ** (n + 1) * math.factorial(n)
+    if np.ndim(x) != 0:
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        near = x < shift
+        z = x[~near]
+        out[~near] = scale * _polygamma_asymptotic(n, coeffs, z, np.log(z) if n == 0 else None)
+        out[near] = [_polygamma(n, v) for v in x[near].tolist()]
+        return out
+    x = float(x)
+    m = max(0, math.ceil(shift - x))
+    z = x + m
+    # np.log, not math.log: the array path takes its logs from np.log
+    acc = _polygamma_asymptotic(n, coeffs, z, float(np.log(z)) if n == 0 else None)
+    for i in range(m - 1, -1, -1):
+        if n == 0:
+            acc -= 1.0 / (x + i)
+        else:
+            acc += _ipow(1.0 / (x + i), n + 1)
+    return scale * acc
+
+
+# ---------------------------------------------------------------------------
 # Gamma derivatives
 # ---------------------------------------------------------------------------
+
+_GAMMA_MAX_X = 171.62  # Gamma(x) > the largest float64 beyond this
+
 
 def gamma_derivs(x: float, jmax: int):
     """[Gamma(x), Gamma'(x), ..., Gamma^(jmax)(x)] at non-pole real x.
 
     x > 0: h_{j+1} = sum_i C(j,i) h_{j-i} psi_i(x) with psi_i = polygamma.
     x < 0 non-integer: Gamma(x) = Gamma(x+1)/x differentiated downward.
+    Raises DomainError at the poles and where Gamma(x) overflows float64.
     """
     x = float(x)
     if x <= 0 and x == int(x):
         raise DomainError("Gamma derivatives at a nonpositive integer pole")
     if x > 0:
-        psis = [float(_polygamma(i, x)) for i in range(jmax + 1)]
-        h = [float(_gamma_fn(x))]
+        if x > _GAMMA_MAX_X:
+            raise DomainError(f"Gamma({x!r}) overflows float64")
+        psis = [_polygamma(i, x) for i in range(jmax + 1)]
+        h = [math.gamma(x)]
         for j in range(jmax):
             h.append(sum(math.comb(j, i) * h[j - i] * psis[i] for i in range(j + 1)))
         return h
@@ -263,7 +352,8 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     direct = z >= -0.5
     if direct.any():
         kd = ks[direct]
-        scale = np.exp(kd * log_L - _gammaln(kd + 1.0))
+        log_fact = np.array([math.lgamma(k + 1.0) for k in kd.tolist()])
+        scale = np.exp(kd * log_L - log_fact)
         out[direct] = _zeta_em(z[direct], n)[:, n] * scale
     if not direct.all():
         out[~direct] = _reflected(s, ks[~direct], n, log_L)[:, n]

@@ -244,3 +244,46 @@ def test_parser_shared_across_calls():
     alone = [run(argv) for argv in cmds]
     assert alone[0] and alone[1]
     assert run(*cmds) == alone[0] + alone[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--c", "0.5", "--tol", "nan"],
+    ["poincare", "--c", "0.5", "--tol", "inf"],
+    ["poincare", "--c", "nan"],
+    ["poincare", "--c", "inf"],
+    ["poincare", "--c=-inf"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--tol", "nan"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "4", "--tol", "nan"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "4", "--tol", "inf"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "nan"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "inf"],
+], ids=["poincare-tol-nan", "poincare-tol-inf", "poincare-c-nan", "poincare-c-inf",
+        "poincare-c-minus-inf", "kernel-tol-nan-auto-c", "kernel-tol-nan", "kernel-tol-inf",
+        "kernel-c-nan", "kernel-c-inf"])
+def test_nonfinite_inputs_are_config_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "configuration error" in err
+    assert out == ""
+
+
+def test_cli_runs_without_scipy():
+    # a fresh interpreter: importing the CLI and running one request of each
+    # numerical kind loads no scipy module
+    env = dict(os.environ, PYTHONPATH=str(Path(kepler_balance.__file__).parents[1]))
+    code = "\n".join([
+        "import os, sys",
+        "from kepler_balance.cli import main",
+        "runs = [",
+        "    (['poincare', '--c', '-0.1', '--tmin', '1e-3'], 3),",
+        "    (['lerch', '--t', '0.5', '--s', '2', '--n-deriv', '1'], 0),",
+        "    (['asymptotics', '--v', '17.3', '--order', '10'], 0),",
+        "    (['kernel', '--profile', 'phi_v_candidate:v=2.5', '--t', '0.95', '--c', '4'], 0),",
+        "]",
+        "for argv, want in runs:",
+        "    assert main(argv + ['--out', os.devnull]) == want, argv",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"

@@ -379,3 +379,20 @@ def test_kummer_rejects_unusable_series(terms):
     dens.l_series = lambda order: PowerLogSeries(terms, order)
     with pytest.raises(CapabilityError):
         K.kernel_series(dens, 2, 0.99)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_nonfinite_tol_rejected(tol):
+    dens = K.phi_v_density(1)
+    with pytest.raises(DomainError):
+        K.kernel_series(dens, 2, 0.5, tol=tol)
+    with pytest.raises(DomainError):
+        K.moments(dens, 5, tol=tol)
+    with pytest.raises(DomainError):
+        K.balanced_defect(RadialProfile.sqrt_poincare(), 2, 4.0, 0.5, tol=tol)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_nonfinite_c_rejected(c):
+    with pytest.raises(DomainError):
+        K.balanced_defect(RadialProfile.sqrt_poincare(), 2, c, 0.5)

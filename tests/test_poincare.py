@@ -247,3 +247,67 @@ def test_solve_validates_inputs():
         P.solve_poincare(0.0, t_min=0.0)
     with pytest.raises(DomainError):
         P.solve_poincare(0.0, t_min=1e-3, tol=-1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(c=math.nan), dict(c=math.inf), dict(c=-math.inf),
+    dict(c=0.5, tol=math.nan), dict(c=0.5, tol=math.inf), dict(c=0.5, tol=0.0),
+    dict(c=0.5, boundary_offset=math.nan), dict(c=0.5, boundary_offset=0.0),
+])
+def test_solve_rejects_nonfinite(kwargs):
+    with pytest.raises(DomainError):
+        P.solve_poincare(**kwargs)
+
+
+def _reference_solve(c, t_min, method="RK45", rtol=1e-12, atol=1e-15):
+    """The flow as solve_poincare poses it (tol = 1e-10), solved by scipy."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    h0 = 1e-3
+    f_start = P.boundary_taylor_value(c, h0)
+
+    def rhs(tau, y):
+        g = c + math.exp(tau) / y[0] ** 3
+        return [-y[0] * P.rho(g if g > 0.0 else 0.0)]
+
+    def cusp(tau, y):
+        return c + math.exp(tau) / y[0] ** 3
+
+    cusp.terminal = True
+    cusp.direction = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # DOP853 raises an rtol below 100 eps to that
+        return solve_ivp(rhs, (math.log(1.0 - h0), math.log(t_min)), [f_start],
+                         method=method, rtol=rtol, atol=atol, dense_output=True,
+                         events=[cusp] if c < 0 else None, max_step=0.25)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.2, 1.9, -0.1])
+def test_integrator_vs_scipy_rk45(c):
+    ref = _reference_solve(c, 1e-4)
+    sol = P.solve_poincare(c, t_min=1e-4)
+    # the end value: f(t_min), or f(t0) at the cusp
+    assert sol.f_grid[0] == pytest.approx(ref.y[0][-1], rel=1e-10)
+    lo = sol.t0 if c < 0 else sol.t_min_reached
+    taus = np.linspace(math.log(lo), math.log(sol.t_start), 52)[1:-1]
+    f = sol.eval(np.exp(taus))[0]
+    assert np.max(np.abs(f / ref.sol(taus)[0] - 1.0)) <= 1e-9
+    # the same step control takes about as many steps
+    assert abs(len(sol.t_grid) - len(ref.t)) <= 0.1 * len(ref.t)
+
+
+def test_cusp_location_vs_rk45():
+    sol = P.solve_poincare(-0.1, t_min=1e-4)
+    rk45 = math.exp(_reference_solve(-0.1, 1e-4).t_events[0][0])
+    # RK45 at the same tolerances finds t0 only to ~3e-11 here, and its t0
+    # moves by 4e-11 when its rtol is scaled by 1.0001: 1e-10 is its noise
+    assert sol.t0 == pytest.approx(rk45, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [-0.1, -0.27])
+def test_cusp_location_vs_dop853(c):
+    # the last step ends on the root (taken again when the step to the
+    # root fails the error test); locating the root on the interpolant of
+    # a step across the cusp is off by 3e-11 at c = -0.27
+    sol = P.solve_poincare(c, t_min=1e-4)
+    ref = _reference_solve(c, 1e-4, method="DOP853", rtol=1e-14, atol=1e-20)
+    assert sol.t0 == pytest.approx(math.exp(ref.t_events[0][0]), rel=2e-11)

@@ -8,6 +8,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from kepler_balance.special import (
+    _polygamma,
     gamma_derivs,
     stieltjes_euler_maclaurin,
     zeta_deriv,
@@ -31,6 +32,34 @@ def test_gamma_derivs_vs_mpmath(x):
     for j in range(6):
         ref = float(mpmath.diff(mpmath.gamma, x, j)) if j else float(mpmath.gamma(x))
         assert gd[j] == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+
+def test_gamma_derivs_overflow_is_domain_error():
+    from kepler_balance.errors import DomainError
+
+    assert math.isfinite(gamma_derivs(171.5, 2)[0])
+    for x in (171.7, 201.0):
+        with pytest.raises(DomainError):
+            gamma_derivs(x, 1)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_polygamma_vs_mpmath(n):
+    for x in (0.5, 1.0, 1.5, 2.5, 7.3, 40.0, 1e3, 1e4):
+        ref = float(mpmath.polygamma(n, x))
+        mine = _polygamma(n, x)
+        assert type(mine) is float
+        assert mine == pytest.approx(ref, rel=1e-14, abs=1e-15), x
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+def test_polygamma_array_matches_scalar_bitwise(n):
+    rng = np.random.default_rng(n)
+    xs = np.concatenate([rng.uniform(0.01, 30.0, 300), 10.0 ** rng.uniform(-3, 5, 300)])
+    batch = _polygamma(n, xs)
+    assert np.array_equal(batch, np.array([_polygamma(n, float(x)) for x in xs]))
+    # a slice on its own gives the bits it has inside the long batch
+    assert np.array_equal(_polygamma(n, xs[250:350]), batch[250:350])
 
 
 def test_scaled_zeta_terms_vs_mpmath():
