@@ -57,7 +57,7 @@ def crit_phi_v_moments():
     worst = 0.0
     for v in (0, 0.5, 1, 4, 9):
         dens = kern.phi_v_density(v)
-        ms = kern.moments(dens, 20, tol=1e-12)
+        ms = kern.moments(dens, 20)
         for k in range(ms.k_min, 21):
             cf = float(kern.moment_phi_v_closed(v, k))
             worst = max(worst, abs(ms.c(k) - cf) / cf)

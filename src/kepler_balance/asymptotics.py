@@ -211,6 +211,11 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
     (about 7.5e-9 relative at s = 2, n = 2, L = 4.82).  The CLI's
     ``lerch`` subcommand reports that path's value as ``boundary`` at every
     L < 2 pi.
+
+    Raises DomainError where the path's value is not finite: a term or the
+    sum overflowed float64 (large negative s, say).  The direct sum overflows
+    in k^-s before t^k damps it, so it fails below s ~ -93 even where Phi
+    itself is a finite float.
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -220,15 +225,24 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
     if method == "auto":
         method = "boundary" if L < AUTO_BOUNDARY_L else "direct"
     if method == "direct":
-        return _lerch_direct(t, s, n_deriv)
-    if method == "boundary":
+        # an overflowing term makes the sum non-finite, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _lerch_direct(t, s, n_deriv)
+    elif method == "boundary":
         if L >= TWO_PI:
             raise CapabilityError(
                 f"boundary expansion valid for L < 2*pi; got L={L:.3f} (use direct)"
             )
         # Phi normalization: e^L times the k >= 1 series value
-        return math.exp(L) * t_phi_boundary_value(s, n_deriv, L)
-    raise DomainError(f"unknown method {method!r}")
+        value = math.exp(L) * t_phi_boundary_value(s, n_deriv, L)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    if not math.isfinite(value):
+        raise DomainError(
+            f"Phi(t={t:g}, s={s:g}) with n_deriv={n_deriv} overflowed float64 "
+            f"on the {method} path"
+        )
+    return value
 
 
 def _lerch_direct(t: float, s: float, n: int) -> float:
@@ -309,7 +323,13 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
         raise CapabilityError("boundary formula needs 0 < L < 2*pi")
     logL = math.log(L)
     power, coeffs, skip = _boundary_singular_part(s, n)
-    total = sum(c * logL ** j for j, c in enumerate(coeffs)) * L ** float(power)
+    try:
+        total = sum(c * logL ** j for j, c in enumerate(coeffs)) * L ** float(power)
+    except OverflowError:
+        # an exact Gamma(1-s) coefficient or L^(s-1) beyond float64
+        raise DomainError(
+            f"singular part at s={s:g}, n_deriv={n}, L={L:.6g} overflows float64"
+        ) from None
     # regular terms in blocks of k, added in order until five consecutive
     # terms fall below 1e-18 of the running total
     small_run = 0
@@ -360,29 +380,6 @@ def lerch_boundary_expansion(s: float, n_deriv: int, order: int) -> LSeries:
 # boundary expansion of the kernel diagonal
 # ---------------------------------------------------------------------------
 
-def _dimension_poly_in_kp1(n: int):
-    """N(k) as exact coefficients of powers of (k+1): N(k) = sum_i d_i (k+1)^i."""
-
-    def binom_poly(shift):
-        # C(k+shift, n-1) as polynomial in y = k+1: product (k+shift-r), r=0..n-2
-        coeffs = {0: Fraction(1)}
-        for r in range(n - 1):
-            const = Fraction(shift - r - 1)  # (k + shift - r) = (y + shift - r - 1)
-            new = {}
-            for p, c in coeffs.items():
-                new[p + 1] = new.get(p + 1, Fraction(0)) + c
-                new[p] = new.get(p, Fraction(0)) + c * const
-            coeffs = new
-        fact = Fraction(1, math.factorial(n - 1))
-        return {p: c * fact for p, c in coeffs.items()}
-
-    total = {}
-    for shift in (n - 1, n - 2):
-        for p, c in binom_poly(shift).items():
-            total[p] = total.get(p, Fraction(0)) + c
-    return total
-
-
 def boundary_expansion_F(inv: InverseKSeries, n: int = 2, order: int = 8) -> LSeries:
     """L-expansion of F(t) = sum_k N(k)/c_{k+n-2} t^k near t = 1 (n = 2).
 
@@ -399,8 +396,8 @@ def boundary_expansion_F(inv: InverseKSeries, n: int = 2, order: int = 8) -> LSe
         )
     if not inv.terms or inv.min_power() != -1:
         raise NormalizationError("1/c_k expansion must lead with (k+1)")
-    dims = _dimension_poly_in_kp1(n)
-    n_series = PowerLogSeries({(Fraction(-p), 0): c for p, c in dims.items()},
+    # N(k) = 2 (k+1) - 1
+    n_series = PowerLogSeries({(Fraction(-1), 0): Fraction(2), (Fraction(0), 0): Fraction(-1)},
                               inv.order)
     g = n_series * inv
     result = PowerLogSeries.zero(order)

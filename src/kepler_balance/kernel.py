@@ -6,11 +6,15 @@ t^k on (0, 1).  For the phi_v germ family everything also has closed forms,
 which the series path is cross-checked against.
 
 Moments are computed by tanh-sinh quadrature over a fixed node set shared
-across k (calibrated against the next refinement level, so every entry
-carries an observed error bound).  Every cached c_k is filled by the same
-running-power pass, so its bits never depend on evaluation order.  The
-cache is one contiguous prefix k_min..k_min+len-1, held as two lists
-(values, error bounds).
+across k.  Each entry carries an observed error bound: its difference from
+the level-(L-1) rule, whose nodes are the leading prefix of the level-L
+set, dotted at their own length.  A density computes c_k one way only: one
+running-power pass fills the cache, a contiguous prefix
+k_min..k_min+len-1 held as two lists (values, error bounds).  The node
+level is chosen once per density against the fixed target
+``_CALIBRATION_TOL``, from probes read off that same pass, which the cache
+keeps.  No caller's ``tol`` reaches the moments, so their bits never depend
+on evaluation order.
 
 The running power t^k decays into the subnormal range for every node below
 ~0.99 and, for t > 0.5, sticks at the smallest subnormal; arithmetic on
@@ -94,6 +98,10 @@ HARD_TERM_CAP = 10 ** 6
 # _FLUSH_EVERY steps; flushing on every step measured slower
 _TINY = np.finfo(float).tiny
 _FLUSH_EVERY = 32
+# calibrate accepts the coarsest level whose probe moments (k_min + _PROBES)
+# differ from the level-(L-1) rule by at most this, absolutely
+_CALIBRATION_TOL = 2.5e-14
+_PROBES = (0, 7, 63)
 # Kummer split near t = 1 (module docstring)
 KUMMER_M = 10
 _KUMMER_MIN_TERMS = 16
@@ -117,9 +125,10 @@ def _k_min_from_exponent(p0) -> int:
 
 @dataclass
 class MomentSequence:
-    """Moments c_k with per-entry absolute error bounds."""
+    """Moments c_k, k = k_min.., with per-entry absolute error bounds."""
 
-    values: dict
+    values: list
+    errors: list
     k_min: int
     sign_changing: bool = False
 
@@ -129,13 +138,10 @@ class MomentSequence:
                 f"moment c_{k} diverges; smallest finite index is k_min={self.k_min}",
                 k_min=self.k_min,
             )
-        return self.values[k][0]
+        return self.values[k - self.k_min]
 
     def err(self, k: int) -> float:
-        return self.values[k][1]
-
-    def ks(self):
-        return sorted(self.values)
+        return self.errors[k - self.k_min]
 
 
 @dataclass
@@ -159,10 +165,11 @@ class Density:
     ``fn`` is vectorized; ``origin_exponent`` p0 means phi(t) ~ C t^p0
     (possibly times logs) as t -> 0, which fixes which moments exist.
     Moment values are cached as a contiguous prefix from k_min, in two
-    lists indexed by k - k_min (values and observed error bounds); the node
-    level is calibrated once per density.  ``moments_block`` flushes
-    subnormal running-power entries to 0, which leaves every moment's bits
-    unchanged (see the module docstring).
+    lists indexed by k - k_min (values and observed error bounds), all from
+    one running-power pass at one node level.  ``calibrate`` picks that
+    level once per density against ``_CALIBRATION_TOL`` and keeps its probe
+    pass.  ``moments_block`` flushes subnormal running-power entries to 0,
+    which leaves every moment's bits unchanged (see the module docstring).
 
     ``l_series``, when given, maps an order to phi's L-expansion at t = 1
     (a log-free LSeries in integer powers of L with a nonzero constant
@@ -185,7 +192,7 @@ class Density:
         t_floor = 10.0 ** (-16.0 / max(margin, 0.064))
         self.t_floor = float(min(max(t_floor, T_FLOOR), 1e-16))
         self._level = None
-        self._values = None  # (w_level * phi, w_prev * phi, t)
+        self._values = None  # (w * phi, w_prev * phi on the prefix, t)
         self._c = []  # c_k for k = k_min + i
         self._err = []  # its observed error bound
 
@@ -196,41 +203,32 @@ class Density:
 
     def _setup(self, level):
         t, w = nodes_up_to(level, t_floor=self.t_floor)
-        t_prev, w_prev = nodes_up_to(level - 1, t_floor=self.t_floor)
+        _t_prev, w_prev = nodes_up_to(level - 1, t_floor=self.t_floor)
         phi = np.asarray(self.fn(t), dtype=float)
         if not np.all(np.isfinite(phi)):
             raise DomainError(f"{self.label}: non-finite density values on the node set")
-        # level-(L-1) rule over the same concatenated array: its nodes are the
-        # leading len(t_prev) entries, with weights twice the level-L scale.
-        wp = np.zeros_like(w)
-        wp[: len(w_prev)] = w_prev
+        # the level-(L-1) nodes are the leading len(w_prev) entries of t
         self._level = level
-        self._values = (w * phi, wp * phi, t)
+        self._values = (w * phi, w_prev * phi[: len(w_prev)], t)
+        self._c, self._err = [], []
 
-    def _raw_moment(self, k):
-        wphi, wphi_prev, t = self._values
-        pw = t ** float(k)
-        val = float(np.dot(wphi, pw))
-        prev = float(np.dot(wphi_prev, pw))
-        return val, abs(val - prev)
-
-    def calibrate(self, tol):
-        """Pick the node level: coarsest whose k_min-moment settles within tol/4."""
+    def calibrate(self):
+        """Pick the node level: the coarsest whose probe moments settle within
+        ``_CALIBRATION_TOL``.  The probes come from the cache's own pass, which
+        stays filled through k_min + 63."""
         if self._level is not None:
             return
         for level in (9, 10, 11, MAX_LEVEL):
             self._setup(level)
-            probes = [self.k_min, self.k_min + 7, self.k_min + 64]
-            deltas = [self._raw_moment(k)[1] for k in probes]
-            if max(deltas) <= max(tol, 1e-15) / 4 or level == MAX_LEVEL:
+            self.moments_block(self.k_min + _PROBES[-1])
+            if max(self._err[i] for i in _PROBES) <= _CALIBRATION_TOL:
                 return
 
-    def moment(self, k, tol=1e-13):
+    def moment(self, k):
         """c_k with an observed error bound; DivergenceError below k_min.
 
         A missing entry is filled through ``moments_block``, so the bits of
-        c_k never depend on which call computed it first.  ``tol`` only sets
-        the node level, on the density's first use (``calibrate``).
+        c_k never depend on which call computed it first.
         """
         if k < self.k_min:
             raise DivergenceError(
@@ -239,27 +237,29 @@ class Density:
             )
         i = k - self.k_min
         if i >= len(self._c):
-            self.moments_block(k, tol)
+            self.moments_block(k)
         return self._c[i], self._err[i]
 
-    def moments_block(self, k_max, tol=1e-13):
+    def moments_block(self, k_max):
         """Fill the cache for all finite k <= k_max in one incremental pass.
 
         The running power restarts at t^k_min and walks over the cached
         prefix with multiplies only; dots start at the first missing k.
         """
-        self.calibrate(tol)
+        if self._level is None:
+            self.calibrate()
         filled = len(self._c)
         if k_max - self.k_min < filled:
             return
         wphi, wphi_prev, t = self._values
+        n_prev = len(wphi_prev)
         pw = t ** float(self.k_min)
         for i in range(k_max - self.k_min + 1):
             if i % _FLUSH_EVERY == 0:
                 pw[pw < _TINY] = 0.0
             if i >= filled:
                 val = float(np.dot(wphi, pw))
-                prev = float(np.dot(wphi_prev, pw))
+                prev = float(np.dot(wphi_prev, pw[:n_prev]))
                 self._c.append(val)
                 self._err.append(abs(val - prev))
             np.multiply(pw, t, out=pw)
@@ -362,13 +362,14 @@ def as_density(obj) -> Density:
 def associated_density(p: RadialProfile, n: int = 2) -> Density:
     """Density paired with the profile in the balanced identity.
 
-    The phi_v candidate was built against its germ phi_v; constant_one is
-    itself the density; other kinds pair with their own W[f].
+    The phi_v candidate was built against its germ phi_v (the kernel moments
+    in its defining identity are phi_v moments); constant_one is itself the
+    density (W[1] vanishes identically); other kinds pair with their own
+    Monge-Ampere density W[f].
     """
-    kind, v = p.associated_density_kind()
-    if kind == "phi_v":
-        return phi_v_density(v)
-    if kind == "self":
+    if p.kind == "phi_v_candidate":
+        return phi_v_density(p.params["v"])
+    if p.kind == "constant_one":
         return profile_as_density(p)
     return density_from_profile(p, n)
 
@@ -379,22 +380,22 @@ def require_tol(tol):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
 
 
-def moments(phi, k_max: int, tol: float = 1e-12) -> MomentSequence:
+def moments(phi, k_max: int) -> MomentSequence:
     """Moments c_k = int_0^1 t^k phi(t) dt for k = k_min..k_max.
 
     ``phi`` may be a Density or a RadialProfile (interpreted as a density
     through its values).  Each entry carries an observed absolute error
-    bound from comparing two quadrature refinement levels.
+    bound from comparing two quadrature refinement levels; the values are
+    the density's cached pass, at the level fixed by ``_CALIBRATION_TOL``.
     """
-    require_tol(tol)
     dens = as_density(phi)
     if k_max < dens.k_min:
         raise DivergenceError(
             f"all requested moments diverge; k_min={dens.k_min}", k_min=dens.k_min
         )
-    dens.moments_block(k_max, tol)
-    vals = {k: dens.moment(k) for k in range(dens.k_min, k_max + 1)}
-    return MomentSequence(vals, dens.k_min, dens.sign_changing)
+    dens.moments_block(k_max)
+    n = k_max - dens.k_min + 1
+    return MomentSequence(dens._c[:n], dens._err[:n], dens.k_min, dens.sign_changing)
 
 
 def moment_phi_v_closed(v, k: int):
@@ -476,13 +477,15 @@ def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
     tk = t ** k_start
     binom_next = math.comb(k_start + 1 + n, n)
     k = k_start
-    # term k reads c_{k+n-2}: each fill covers the moments of terms <= block
-    block = max(64, k_start + 64)
-    dens.moments_block(block + n - 2, min(1e-13, tol))
+    # term k reads c_{k+n-2}: each fill covers the moments of terms <= block;
+    # the first block ends where calibration's pass does (c_{k_min+63}), so
+    # a fresh density's first fill does not walk the running power again
+    block = max(k_start + 8, dens.k_min + 63 - (n - 2))
+    dens.moments_block(block + n - 2)
     while True:
         if k > block:
             block = min(2 * block, HARD_TERM_CAP)
-            dens.moments_block(block + n - 2, min(1e-13, tol))
+            dens.moments_block(block + n - 2)
         ck, _err = dens.moment(k + n - 2)
         ratio = dimension_count(k, n) / ck
         term = ratio * tk
@@ -543,11 +546,11 @@ class _KummerSplit:
             a * (K + 1) ** (3 - m) / (m - 3) for m, a in self.omitted
         )
 
-    def extend(self, dens: Density, K: int, tol: float):
+    def extend(self, dens: Density, K: int):
         """Remainder coefficients for k = 0..K."""
         if len(self.rem) > K:
             return
-        dens.moments_block(K, min(1e-13, tol))
+        dens.moments_block(K)
         for k in range(len(self.rem), K + 1):
             x = 1.0 / (k + 1)
             p = 0.0
@@ -585,7 +588,7 @@ def _kernel_kummer(dens: Density, t: float, tol: float) -> KernelEval:
             raise ConvergenceBudgetError(
                 f"Kummer remainder at t={t} needs more than {HARD_TERM_CAP} terms"
             )
-    split.extend(dens, K, tol)
+    split.extend(dens, K)
     rem, err = 0.0, 0.0
     for k in range(K, -1, -1):
         rem = rem * t + split.rem[k]

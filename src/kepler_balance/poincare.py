@@ -197,16 +197,6 @@ class PoincareSolution:
         vals = psi(self.t_grid, self.f_grid, self.fp_grid)
         return np.abs(vals - self.c) / psi_scale(self.t_grid, self.f_grid)
 
-    def summary(self):
-        out = {
-            "c": self.c,
-            "t_min_reached": self.t_min_reached,
-            "psi_residual_max": self.psi_residual_max,
-            "w_residual_max": self.w_residual_max,
-        }
-        out["t0"] = self.t0
-        return out
-
 
 def reconstruct_fpp(t, f, fp):
     """f'' from W[f] = 1:  f'' = (1/(t f)) (1/(t f') - f f' + t f'^2).

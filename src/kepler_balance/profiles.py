@@ -393,20 +393,6 @@ class RadialProfile:
         exp_part = (L * Fraction(m, 3)).exp() if m else one
         return (exp_part * u * body).truncate(order)
 
-    def associated_density_kind(self):
-        """Density paired with this profile in the balanced check.
-
-        The balanced candidate is constructed against its germ phi_v (the
-        kernel moments in its defining identity are phi_v moments);
-        constant_one IS a density (W[1] vanishes identically); every other
-        kind pairs with its own Monge-Ampere density W[f].
-        """
-        if self.kind == "phi_v_candidate":
-            return ("phi_v", self.params["v"])
-        if self.kind == "constant_one":
-            return ("self", None)
-        return ("monge_ampere", None)
-
 
 def _fract(x):
     """Integral floats become exact Fractions; everything else passes through."""

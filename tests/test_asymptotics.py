@@ -240,6 +240,21 @@ def test_lerch_domain_and_capability():
         A.lerch_phi(math.exp(-7.0), 2, 0, method="boundary")  # L > 2 pi
 
 
+def test_lerch_nonfinite_value_is_domain_error():
+    from kepler_balance.errors import DomainError
+
+    # both paths overflow float64 at s = -170, t = 0.5; at t = 0.99 the
+    # boundary path's exact Gamma(1-s) = 175! does not fit a float either
+    for t, s, method in [(0.5, -170.0, "direct"), (0.5, -170.0, "boundary"),
+                         (0.99, -175.0, "boundary"), (0.99, -175.0, "auto")]:
+        with pytest.raises(DomainError, match="overflow"):
+            A.lerch_phi(t, s, 0, method=method)
+    with pytest.raises(DomainError, match="overflows"):
+        A.t_phi_boundary_value(-175.0, 0, -math.log(0.99))
+    # a large finite value keeps its direct-sum bits
+    assert A.lerch_phi(0.5, -40.0, 0, method="direct") == A._lerch_direct(0.5, -40.0, 0)
+
+
 def test_boundary_expansion_s1():
     # -log L + gamma-terms; L-coefficient -zeta(0) = 1/2; log L present
     ser = A.lerch_boundary_expansion(1, 0, 6)

@@ -267,6 +267,20 @@ def test_nonfinite_inputs_are_config_errors(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["lerch", "--t", "0.5", "--s", "-170", "--n-deriv", "0"],
+    ["lerch", "--t", "0.99", "--s", "-175", "--n-deriv", "0"],
+], ids=["t0.5-s-170", "t0.99-s-175"])
+def test_lerch_nonfinite_value_is_config_error(argv, capsys):
+    # the direct sum overflows float64 first at both points (the boundary
+    # path too, at t = 0.99 in its exact Gamma(1-s)): no NaN or Infinity on
+    # stdout, no traceback
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "configuration error" in err and "overflow" in err
+    assert out == ""
+
+
 def test_cli_runs_without_scipy():
     # a fresh interpreter: importing the CLI and running one request of each
     # numerical kind loads no scipy module
