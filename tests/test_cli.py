@@ -267,6 +267,17 @@ def test_nonfinite_inputs_are_config_errors(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_kernel_n_below_2_is_config_error(n, capsys):
+    # at t = 0 the series reads only its first term; n is still checked
+    code, out, err = run_cli(
+        ["kernel", "--profile", "constant_one", f"--n={n}", "--t", "0", "--c", "4"], capsys
+    )
+    assert code == 1
+    assert "configuration error" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["lerch", "--t", "0.5", "--s", "-170", "--n-deriv", "0"],
     ["lerch", "--t", "0.99", "--s", "-175", "--n-deriv", "0"],

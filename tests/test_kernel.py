@@ -8,11 +8,13 @@ import pytest
 from kepler_balance import kernel as K
 from kepler_balance.errors import (
     CapabilityError,
+    ConvergenceBudgetError,
     DivergenceError,
     DomainError,
     SignedDensityWarning,
 )
 from kepler_balance.profiles import RadialProfile, phi_v
+from kepler_balance.quadrature import nodes_up_to
 from kepler_balance.series import PowerLogSeries
 
 
@@ -197,7 +199,8 @@ def _unflushed_moments(dens, k_max):
     """The running-power pass without the subnormal flush: a fresh t^k_min,
     then pw = pw * t, every k recomputed from k_min.  Also returns the final
     power so a test can check that subnormal entries occurred."""
-    wphi, wphi_prev, t = dens._values
+    wphi, wphi_prev, _pw = dens._values
+    t, _w = nodes_up_to(dens._level, t_floor=dens.t_floor)
     pw = t ** float(dens.k_min)
     out = []
     for _ in range(dens.k_min, k_max + 1):
@@ -235,6 +238,54 @@ def test_moments_match_unflushed_reference(make):
     ks = range(k0, k0 + 6001)
     assert [chunked.moment(k) for k in ks] == ref
     assert [by_k.moment(k) for k in ks] == ref
+
+
+@pytest.mark.parametrize("make, n", [
+    pytest.param(lambda: _fresh_phi_v(2.5), 2, id="phi_2.5"),
+    pytest.param(lambda: K.density_from_profile(RadialProfile.explicit_n(4), 4), 4,
+                 id="W[explicit_n:n=4]"),
+])
+@pytest.mark.parametrize("t", [0.05, 0.5, 0.9])
+def test_direct_sum_fill_economy(make, n, t):
+    # fills grow by an eighth of the block: past the calibration pass, the
+    # moments filled exceed those read by at most that
+    dens = make()
+    ke = K.kernel_series(dens, n, t)
+    assert ke.path == "direct"
+    k_start = max(0, dens.k_min - (n - 2))
+    used = k_start + ke.terms_used + n - 2 - dens.k_min
+    assert used <= len(dens._c) <= max(64, used + max(8, used // 8))
+
+
+@pytest.mark.parametrize("fill", [
+    lambda dens, k: dens.moments_block(k),
+    lambda dens, k: dens.moment(k),
+    lambda dens, k: K.moments(dens, k),
+], ids=["moments_block", "moment", "moments"])
+def test_moment_fill_past_cap_rejected(fill):
+    # checked before any work: no calibration, no allocation
+    dens = _fresh_phi_v(4)
+    with pytest.raises(ConvergenceBudgetError):
+        fill(dens, K.HARD_TERM_CAP + 1)
+    assert len(dens._c) == 0 and dens._level is None
+
+
+def test_direct_sum_fills_stop_at_cap(monkeypatch):
+    # with the cap lowered to 300, t = 0.92 passes the t^K <= tol pre-check
+    # (K ~ 276) but n = 4 needs more terms: the sum fails without filling
+    # any moment past the cap
+    monkeypatch.setattr(K, "HARD_TERM_CAP", 300)
+    dens = K.density_from_profile(RadialProfile.explicit_n(4), 4)
+    with pytest.raises(ConvergenceBudgetError):
+        K.kernel_series(dens, 4, 0.92)
+    assert dens.k_min + len(dens._c) - 1 == 300
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_kernel_series_rejects_n_below_2(n, t):
+    with pytest.raises(DomainError):
+        K.kernel_series(K.phi_v_density(1), n, t)
 
 
 @pytest.mark.parametrize("v", [1, 4, 2.5])
