@@ -166,6 +166,8 @@ def cmd_poincare(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     v = args.v
+    if not math.isfinite(v):
+        raise DomainError(f"--v must be finite, got {v!r}")
     vfrac = Fraction(v).limit_denominator(10 ** 9) if v == int(v) else v
     phiL = phi_v_l_series(vfrac if isinstance(vfrac, Fraction) else v, args.order + 3)
     cexp = asym.moment_expansion(phiL, args.order + 3)
@@ -183,6 +185,8 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_lerch(args) -> int:
     t = args.t
+    if not 0.0 < t < 1.0:
+        raise DomainError(f"--t must lie in (0, 1), got {t!r}")
     L = -math.log(t)
     direct = asym.lerch_phi(t, args.s, args.n_deriv, method="direct")
     boundary = None

@@ -7,26 +7,26 @@ which the series path is cross-checked against.
 
 Moments are computed by tanh-sinh quadrature over a fixed node set shared
 across k.  Each entry carries an observed error bound: its difference from
-the level-(L-1) rule, whose nodes are the leading prefix of the level-L
-set, dotted at their own length.  A density computes c_k one way only: one
-running-power pass fills the cache, a contiguous prefix k_min..k_min+len-1
-held as two lists (values, error bounds).  The density keeps that pass's
-running power t^(k_min+len) in place of the node array (``nodes_up_to``
-gives t back from its memo), so a later fill resumes where the last one
-stopped, and its moments have the bits of one long pass.  The node level is
-chosen once per density against the fixed target ``_CALIBRATION_TOL``, from
-probes read off that same pass, which the cache keeps.  No caller's ``tol``
-reaches the moments, so their bits never depend on evaluation order.
+the level-(L-1) rule, whose nodes are a subset of the level-L set, taken
+through a second weight column.  The nodes carry l = log t with the exact
+1 - t near t = 1 (``quadrature``), and t^k is taken as exp(k l), never as a
+running product of rounded t, so no error builds up with k.  A density
+fills its cache, a contiguous prefix k_min..k_min+len-1 held as two lists
+(values, error bounds), in aligned blocks of ``_BLOCK`` = 64: block j covers
+k0 = k_min + 64 j through k0 + 63 and is the product
+(Q * exp(k0 l)) @ W, with Q = exp(outer(0..63, l)) memoised per level and W
+the two weighted-density columns (one product up to level 9, a sum over
+chunks of ``_COLUMNS`` nodes above).  Nodes whose exp(k0 l) is below
+1e-300 are a leading slice of the sorted table and are left out.  Every fill
+computes whole blocks of that shape (the last is cut at ``HARD_TERM_CAP``):
+BLAS can round a row differently in a product of another shape, and whole
+aligned blocks keep each c_k's bits a function of k and the level only.
 
-The running power t^k decays into the subnormal range for every node below
-~0.99 and, for t > 0.5, sticks at the smallest subnormal; arithmetic on
-subnormals is several times slower on common CPUs.  The pass therefore sets
-entries below the smallest normal float (~2.2e-308) to 0 every few steps.
-A flushed entry's term w phi t^k in the dot is then below ~1e-300 (|w phi|
-stays under ~1e4 on the node sets in use), far under half an ulp of any
-moment (c_k ~ 1/k), and normal entries are never touched (t < 1, so an
-entry that left the normal range never comes back), so every moment keeps
-the bits of the unflushed pass.
+The node level is chosen once per density, as the coarsest from
+``_MIN_LEVEL`` = 6 whose probes c_k, k = k_min + ``_PROBES``, differ from
+the level-(L-1) rule by at most ``_CALIBRATION_RTOL`` = 1e-14 relative.
+The probes come from the first block, which the cache keeps.  No caller's
+``tol`` reaches the moments, so their bits never depend on evaluation order.
 
 ``kernel_series`` has two paths, chosen by one switch.
 
@@ -63,7 +63,9 @@ Neither path's bound counts the rounding of the final sum (relative
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -96,13 +98,17 @@ from .profiles import (
 from .quadrature import MAX_LEVEL, T_FLOOR, nodes_up_to
 
 HARD_TERM_CAP = 10 ** 6
-# moments_block sets running-power entries below _TINY to 0 every
-# _FLUSH_EVERY steps; flushing on every step measured slower
-_TINY = np.finfo(float).tiny
-_FLUSH_EVERY = 32
-# calibrate accepts the coarsest level whose probe moments (k_min + _PROBES)
-# differ from the level-(L-1) rule by at most this, absolutely
-_CALIBRATION_TOL = 2.5e-14
+# moments are filled in aligned blocks of this many (module docstring)
+_BLOCK = 64
+# a node whose exp(k0 l) is below e^_LOG_DEAD adds nothing to block k0
+_LOG_DEAD = math.log(1e-300)
+# node columns per product in a block, which bounds its temporary to 4 MB
+# (one product up to level 9; Q * exp(k0 l) takes 25 MB at level 12)
+_COLUMNS = 8192
+# calibrate accepts the coarsest level from _MIN_LEVEL whose probe moments
+# (k_min + _PROBES) differ from the level-(L-1) rule by at most this, relative
+_MIN_LEVEL = 6
+_CALIBRATION_RTOL = 1e-14
 _PROBES = (0, 7, 63)
 # Kummer split near t = 1 (module docstring)
 KUMMER_M = 10
@@ -161,18 +167,36 @@ class KernelEval:
     path: str = "direct"
 
 
+# Q per level, held weakly: it lives while some density at that level does
+_BLOCK_POWERS = weakref.WeakValueDictionary()
+
+
+def _block_powers(level: int):
+    """Q = exp(outer(0.._BLOCK-1, l)) on the level's unfloored node table.
+
+    Built in place on first use and kept only while a density at ``level``
+    holds it: Q takes 25 MB at level 12, and the levels that calibration
+    tries and moves past free theirs.
+    """
+    q = _BLOCK_POWERS.get(level)
+    if q is None:
+        q = np.multiply.outer(np.arange(_BLOCK, dtype=float), nodes_up_to(level, 0.0)[2])
+        np.exp(q, out=q)
+        q.flags.writeable = False
+        _BLOCK_POWERS[level] = q
+    return q
+
+
 class Density:
     """A density on (0, 1) with a known endpoint exponent at t = 0.
 
     ``fn`` is vectorized; ``origin_exponent`` p0 means phi(t) ~ C t^p0
     (possibly times logs) as t -> 0, which fixes which moments exist.
     Moment values are cached as a contiguous prefix from k_min, in two
-    lists indexed by k - k_min (values and observed error bounds), all from
-    one running-power pass at one node level.  ``calibrate`` picks that
-    level once per density against ``_CALIBRATION_TOL`` and keeps its probe
-    pass.  ``moments_block`` resumes that pass from the kept running power
-    and flushes subnormal running-power entries to 0, which leaves every
-    moment's bits unchanged (see the module docstring).
+    lists indexed by k - k_min (values and observed error bounds), filled
+    in aligned blocks of ``_BLOCK`` at one node level from exact powers
+    exp(k l) (module docstring).  ``calibrate`` picks that level once per
+    density against ``_CALIBRATION_RTOL`` and keeps its probe block.
 
     ``l_series``, when given, maps an order to phi's L-expansion at t = 1
     (a log-free LSeries in integer powers of L with a nonzero constant
@@ -190,12 +214,12 @@ class Density:
         self._kummer = None  # _KummerSplit, built on first use
         self.k_min = _k_min_from_exponent(origin_exponent)
         # keep only nodes whose truncated mass ~ t_floor^(k_min+p0+1) is
-        # below roundoff; also keeps intermediate powers finite
+        # below roundoff
         margin = self.k_min + float(origin_exponent) + 1.0
         t_floor = 10.0 ** (-16.0 / max(margin, 0.064))
         self.t_floor = float(min(max(t_floor, T_FLOOR), 1e-16))
         self._level = None
-        self._values = None  # (w * phi, w_prev * phi on the prefix, t^(k_min+len(_c)))
+        self._nodes = None  # (l, Q, W) on the floored nodes; W = [w phi, w_prev phi]
         self._c = []  # c_k for k = k_min + i
         self._err = []  # its observed error bound
 
@@ -205,29 +229,32 @@ class Density:
     # -- node machinery -------------------------------------------------
 
     def _setup(self, level):
-        t, w = nodes_up_to(level, t_floor=self.t_floor)
-        # the kept running power; made before the temporaries below, which
-        # measured ~0.4 MB less peak RSS over a session of fresh densities
-        pw = t ** float(self.k_min)
-        _t_prev, w_prev = nodes_up_to(level - 1, t_floor=self.t_floor)
+        t, w, ell, w_prev = nodes_up_to(level, t_floor=self.t_floor)
         phi = np.asarray(self.fn(t), dtype=float)
         if not np.all(np.isfinite(phi)):
             raise DomainError(f"{self.label}: non-finite density values on the node set")
-        # the level-(L-1) nodes are the leading len(w_prev) entries of t
+        if not np.any(phi):
+            # every moment would be 0, and F = sum N(k)/c_k t^k undefined
+            raise DomainError(f"{self.label}: the density vanishes on the node set")
+        weights = np.stack([w * phi, w_prev * phi], axis=1)
+        # drop the last level's Q before this level's is built; the floor cut
+        # is a leading slice of the table, and so of Q's columns
+        self._nodes = None
+        q = _block_powers(level)[:, -len(ell):]
         self._level = level
-        self._values = (w * phi, w_prev * phi[: len(w_prev)], pw)
+        self._nodes = (ell, q, weights)
         self._c, self._err = [], []
 
     def calibrate(self):
-        """Pick the node level: the coarsest whose probe moments settle within
-        ``_CALIBRATION_TOL``.  The probes come from the cache's own pass, which
-        stays filled through k_min + 63."""
+        """Pick the node level: the coarsest from ``_MIN_LEVEL`` whose probe
+        moments settle within ``_CALIBRATION_RTOL`` of |c_k|.  The probes come
+        from the cache's own first block, which stays filled through k_min + 63."""
         if self._level is not None:
             return
-        for level in (9, 10, 11, MAX_LEVEL):
+        for level in range(_MIN_LEVEL, MAX_LEVEL + 1):
             self._setup(level)
             self.moments_block(self.k_min + _PROBES[-1])
-            if max(self._err[i] for i in _PROBES) <= _CALIBRATION_TOL:
+            if all(self._err[i] <= _CALIBRATION_RTOL * abs(self._c[i]) for i in _PROBES):
                 return
 
     def moment(self, k):
@@ -247,11 +274,12 @@ class Density:
         return self._c[i], self._err[i]
 
     def moments_block(self, k_max):
-        """Fill the cache for all finite k <= k_max in one incremental pass.
+        """Fill the cache for all finite k <= k_max, in whole aligned blocks.
 
-        The pass resumes from the kept running power t^(k_min + len(_c)),
-        so a fill costs only its new moments.  ConvergenceBudgetError, before
-        any work, when k_max > HARD_TERM_CAP.
+        Each block k0..k0+63 (k0 = k_min + 64 j) is a product of exact
+        powers (module docstring); the cache stops at the end of the block
+        holding k_max, or at c_HARD_TERM_CAP.  ConvergenceBudgetError,
+        before any work, when k_max > HARD_TERM_CAP.
         """
         if k_max > HARD_TERM_CAP:
             raise ConvergenceBudgetError(
@@ -259,21 +287,17 @@ class Density:
             )
         if self._level is None:
             self.calibrate()
-        filled = len(self._c)
-        if k_max - self.k_min < filled:
-            return
-        wphi, wphi_prev, pw = self._values
-        t, _w = nodes_up_to(self._level, t_floor=self.t_floor)
-        n_prev = len(wphi_prev)
-        # i counts from k_min, so the flush hits the steps it would in one pass
-        for i in range(filled, k_max - self.k_min + 1):
-            if i % _FLUSH_EVERY == 0:
-                pw[pw < _TINY] = 0.0
-            val = float(np.dot(wphi, pw))
-            prev = float(np.dot(wphi_prev, pw[:n_prev]))
-            self._c.append(val)
-            self._err.append(abs(val - prev))
-            np.multiply(pw, t, out=pw)
+        ell, q, weights = self._nodes
+        while (k0 := self.k_min + len(self._c)) <= k_max:
+            # exp(k0 l) < 1e-300 on a leading slice: l is sorted and k0 >= 0
+            lo = int(np.searchsorted(ell, _LOG_DEAD / k0)) if k0 > 0 else 0
+            block = np.zeros((_BLOCK, 2))
+            for c0 in range(lo, len(ell), _COLUMNS):
+                cols = slice(c0, c0 + _COLUMNS)
+                block += (q[:, cols] * np.exp(k0 * ell[cols])) @ weights[cols]
+            block = block[: HARD_TERM_CAP - k0 + 1]
+            self._c.extend(block[:, 0].tolist())
+            self._err.extend(np.abs(block[:, 0] - block[:, 1]).tolist())
 
 
 _PHI_V_DENSITIES = {}
@@ -397,7 +421,7 @@ def moments(phi, k_max: int) -> MomentSequence:
     ``phi`` may be a Density or a RadialProfile (interpreted as a density
     through its values).  Each entry carries an observed absolute error
     bound from comparing two quadrature refinement levels; the values are
-    the density's cached pass, at the level fixed by ``_CALIBRATION_TOL``.
+    the density's cached blocks, at the level fixed by ``_CALIBRATION_RTOL``.
     ConvergenceBudgetError when k_max > HARD_TERM_CAP.
     """
     dens = as_density(phi)
@@ -452,6 +476,8 @@ def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
     -log t < AUTO_BOUNDARY_L; the direct sum otherwise (module docstring).
     ``tol`` is an absolute truncation target on both paths.
     """
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise DomainError("n must be >= 2")
     if not (0.0 <= t < 1.0):
@@ -470,8 +496,8 @@ def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
     diverges, its reciprocal vanishes).  Truncation: terms are dominated by
     C (k+1)^n t^k; the tail is bounded with the exact generating function
     sum_k C(k+n, n) t^k = (1-t)^-(n+1) and summation stops once the bound
-    drops under ``tol``.  Each fill adds max(8, block // 8) terms, so at
-    most that many moments are filled past the last one read.
+    drops under ``tol``.  Each fill adds one aligned block of moments, so
+    fewer than 64 are filled past the last one read.
     ``kernel_series`` has checked n >= 2.
     """
     k_start = max(0, dens.k_min - (n - 2))
@@ -493,22 +519,14 @@ def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
     tk = t ** k_start
     binom_next = math.comb(k_start + 1 + n, n)
     k = k_start
-    # term k reads c_{k+n-2}: each fill covers the moments of terms <= block,
-    # and no fill reaches past c_HARD_TERM_CAP; the first block ends where
-    # calibration's pass does (c_{k_min+63})
-    block_cap = HARD_TERM_CAP - (n - 2)
-    block = min(max(k_start + 8, dens.k_min + 63 - (n - 2)), block_cap)
-    dens.moments_block(block + n - 2)
+    # term k reads c_{k+n-2}, at index k + offset of the cache; a fill past
+    # c_HARD_TERM_CAP raises ConvergenceBudgetError
+    dens.moments_block(k_start + n - 2)
     c = dens._c
     offset = n - 2 - dens.k_min
     while True:
-        if k > block:
-            if block == block_cap:
-                raise ConvergenceBudgetError(
-                    f"kernel series at t={t} needs moments past c_{HARD_TERM_CAP}"
-                )
-            block = min(block + max(8, block // 8), block_cap)
-            dens.moments_block(block + n - 2)
+        if k + offset >= len(c):
+            dens.moments_block(k + n - 2)
         # N(k) as in dimension_count, without its per-call checks
         ratio = (math.comb(k + n - 1, n - 1) + math.comb(k + n - 2, n - 1)) / c[k + offset]
         term = ratio * tk

@@ -1,19 +1,22 @@
 """Double-exponential (tanh-sinh) quadrature on (0, 1).
 
 Handles endpoint singularities t^p (p > -1), optionally with log factors,
-without any integrand-specific treatment.  Nodes near t = 0 are generated as
-e^(-2|y|) / (1 + e^(-2|y|)), so a small t keeps its full relative accuracy
-down to the denormal range; near t = 1 the nodes round to 1.0, and 1 - t
-is not kept.  ``nodes_up_to`` (by default) and ``integrate_01`` drop the
-nodes below T_FLOOR.  Levels double the node density; a level-L total is
-half the level-(L-1) total plus the new odd-multiple nodes, and the
-integral is accepted once two consecutive levels agree within tolerance.
+without any integrand-specific treatment.  Nodes are generated from
+s = e^(-2|y|) / (1 + e^(-2|y|)) = min(t, 1 - t), which keeps its full
+relative accuracy at both endpoints.  Near t = 0, t = s itself, down to the
+denormal range; near t = 1 the node t rounds (to 1.0 for a quarter of the
+nodes), but each node also carries l = log t, taken as log1p(-s) above
+t = 1/2 and log(s) below, so t^k = exp(k l) keeps the exact 1 - t.  Levels
+double the node density; a level-L total is half the level-(L-1) total plus
+the new odd-multiple nodes, and ``integrate_01`` accepts the integral once
+two consecutive levels agree within tolerance.  Both drop the nodes below
+T_FLOOR by default.
 
-``nodes_up_to`` memoises each level's compound table before any floor
-(read-only arrays, ~0.8 MB at level 12) and applies the ``t >= t_floor``
-mask on every call.  A density that asks for its nodes again on each
-moment fill gets the same nodes, in the same order, with the same bits,
-without rebuilding them.
+``nodes_up_to`` memoises one table per level (read-only, ~1.6 MB at level
+12): the compound rule's nodes sorted by t, with t, the weights, l and the
+level-(L-1) weights (2w on that level's nodes, 0 on the nodes new at
+level L).  The ``t >= t_floor`` cut is a leading slice of that table, so a
+density gets its nodes as a view, in the same order, with the same bits.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ _CUTOFF = 6.2  # |u| cap: y = (pi/2) sinh(6.2) ~ 390 pushes t to ~1e-340
 T_FLOOR = 1e-250  # smallest node kept by default
 
 
-@lru_cache(maxsize=None)
-def _raw_nodes(level: int):
-    """Node block for refinement ``level``: (t, w).
+def _level_nodes(level: int):
+    """Node block for refinement ``level``: (u, t, l, w), with l = log t.
 
     Level 0 is the full trapezoid at h = 1; higher levels contain only the
     odd multiples of h = 2^-level (the nodes newly added by halving).
@@ -54,36 +56,39 @@ def _raw_nodes(level: int):
     sech2 = 4.0 * ey / (1.0 + ey) ** 2
     w = h * 0.25 * math.pi * np.cosh(u) * sech2
     keep = (w > 0) & (t > 0)  # w > 0 also implies 1 - t > 0
-    return t[keep], w[keep]
+    u, y, small, t, w = u[keep], y[keep], small[keep], t[keep], w[keep]
+    ell = np.where(y > 0, np.log1p(-small), np.log(small))
+    return u, t, ell, w
 
 
 @lru_cache(maxsize=None)
-def _compound_nodes(level: int):
-    """Unfloored (t, w) of the compound level-``level`` rule, read-only."""
-    ts, ws = [], []
-    for lv in range(level + 1):
-        t, w = _raw_nodes(lv)
-        ts.append(t)
-        ws.append(w * 2.0 ** (lv - level))
-    t, w = np.concatenate(ts), np.concatenate(ws)
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
-def nodes_up_to(level: int, t_floor: float = T_FLOOR):
-    """(t, w) of the compound level-``level`` rule, concatenated; read-only.
+def _node_table(level: int):
+    """Rows t, w, l, w_prev of the compound level-``level`` rule, sorted by t.
 
     A node introduced at level lv carries stored weight with factor
     h_lv = 2^-lv; in the compound rule the step is 2^-level, so each block
-    is rescaled by 2^(lv - level).  The unfloored table is memoised per
-    level and the ``t >= t_floor`` mask is applied per call.
+    is rescaled by 2^(lv - level), and by twice that in the level-(level-1)
+    rule.  Sorting by u sorts t and l too (both are monotone in u).
     """
-    t, w = _compound_nodes(level)
-    if t_floor > 0.0:
-        keep = t >= t_floor
-        t, w = t[keep], w[keep]
-        t.flags.writeable = w.flags.writeable = False
-    return t, w
+    blocks = [_level_nodes(lv) for lv in range(level + 1)]
+    u, t, ell, w = (np.concatenate(rows) for rows in zip(*blocks))
+    lv = np.concatenate([np.full(len(b[0]), lv) for lv, b in enumerate(blocks)])
+    w_prev = np.where(lv < level, w * 2.0 ** (lv - level + 1), 0.0)
+    table = np.stack([t, w * 2.0 ** (lv - level), ell, w_prev])[:, np.argsort(u)]
+    table.flags.writeable = False
+    return table
+
+
+def nodes_up_to(level: int, t_floor: float = T_FLOOR):
+    """Read-only rows (t, w, l, w_prev) of the compound level-``level`` rule.
+
+    The nodes are sorted by t, and those below ``t_floor`` are cut as a
+    leading slice of the memoised table.  l = log t keeps the exact 1 - t
+    near t = 1; w_prev holds the level-(level-1) weights on that level's
+    nodes and 0 on the nodes new at ``level``.
+    """
+    table = _node_table(level)
+    return table[:, np.searchsorted(table[0], t_floor):]
 
 
 def integrate_01(f, tol=1e-12):
@@ -97,7 +102,7 @@ def integrate_01(f, tol=1e-12):
     prev = None
     err = math.inf
     for lv in range(MAX_LEVEL + 1):
-        t, w = _raw_nodes(lv)
+        _u, t, _ell, w = _level_nodes(lv)
         keep = t >= T_FLOOR
         t, w = t[keep], w[keep]
         vals = np.asarray(f(t), dtype=float)

@@ -199,6 +199,18 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["kernel", "--profile", "explicit_n:n=3,scale=0", "--n", "3", "--t", "0.5", "--c", "4"],
+     "density vanishes"),
+    (["lerch", "--t", "0", "--s", "2"], "--t must lie in (0, 1), got 0.0"),
+    (["asymptotics", "--v", "nan", "--order", "10"], "--v must be finite, got nan"),
+], ids=["kernel-zero-density", "lerch-t-0", "asymptotics-v-nan"])
+def test_bad_input_named_in_configuration_error(argv, names, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("configuration error: ") and names in err
+
+
 def test_lerch_boundary_budget_exit_code(capsys):
     # at L = 6.27 the boundary sum has not met its stopping rule by the term
     # cap: the request keeps its direct value and reports no boundary value

@@ -163,15 +163,20 @@ def test_estimate_c_scaling_homogeneity():
 
 
 def test_moment_determinism():
-    # identical bits whether c_k is filled one k at a time or in one block
+    # identical bits whether c_k is filled one k at a time, in one fill, or
+    # in a short fill and then a long one
     for v in (0, 1, 2.5, 4, 9):
         p0 = (-1.0 - math.sqrt(v)) / 4.0
         by_k = K.Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v} by k")
         block = K.Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v} block")
+        split = K.Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v} split")
         ks = range(by_k.k_min, by_k.k_min + 200)
         one_at_a_time = [by_k.moment(k) for k in ks]
         block.moments_block(ks[-1])
+        split.moments_block(ks[5])
+        split.moments_block(ks[-1])
         assert one_at_a_time == [block.moment(k) for k in ks], v
+        assert (split._c, split._err) == (block._c, block._err), v
 
 
 def test_moments_independent_of_call_order():
@@ -187,28 +192,28 @@ def test_moments_independent_of_call_order():
 
 
 def test_calibration_keeps_its_probe_pass():
-    # the three probes are read off the pass that fills the cache: a fresh
+    # the three probes are read off the block that fills the cache: a fresh
     # density holds exactly k_min..k_min+63 after calibrating
     dens = _fresh_phi_v(2.5)
     dens.calibrate()
     assert len(dens._c) == len(dens._err) == 64
-    assert max(dens._err[i] for i in K._PROBES) <= K._CALIBRATION_TOL
+    assert all(dens._err[i] <= K._CALIBRATION_RTOL * abs(dens._c[i]) for i in K._PROBES)
 
 
-def _unflushed_moments(dens, k_max):
-    """The running-power pass without the subnormal flush: a fresh t^k_min,
-    then pw = pw * t, every k recomputed from k_min.  Also returns the final
-    power so a test can check that subnormal entries occurred."""
-    wphi, wphi_prev, _pw = dens._values
-    t, _w = nodes_up_to(dens._level, t_floor=dens.t_floor)
-    pw = t ** float(dens.k_min)
+def _exact_power_moments(dens, ks):
+    """Per-k reference at the density's level: math.fsum of w phi exp(k l)
+    and of the level-(L-1) weights, over every node above the floor, with
+    the fsum of |w phi exp(k l)| as the scale of one ulp."""
+    t, w, ell, w_prev = nodes_up_to(dens._level, t_floor=dens.t_floor)
+    phi = np.asarray(dens.fn(t), dtype=float)
     out = []
-    for _ in range(dens.k_min, k_max + 1):
-        val = float(np.dot(wphi, pw))
-        prev = float(np.dot(wphi_prev, pw[:len(wphi_prev)]))
-        out.append((val, abs(val - prev)))
-        pw = pw * t
-    return out, pw
+    for k in ks:
+        power = np.exp(k * ell)
+        terms = w * phi * power
+        val = math.fsum(terms.tolist())
+        prev = math.fsum((w_prev * phi * power).tolist())
+        out.append((val, abs(val - prev), math.fsum(np.abs(terms).tolist())))
+    return out
 
 
 def _fresh_phi_v(v):
@@ -224,20 +229,23 @@ def _fresh_phi_v(v):
                  id="W[explicit_n:n=6]"),
 ])
 def test_moments_match_unflushed_reference(make):
-    # the flush and the prefix storage keep every (value, err) bit for bit,
-    # whatever the fill order: irregular blocks, or out-of-order moment(k)
+    # every (value, err) lies within a few ulp of a per-k math.fsum over the
+    # exact powers, and the blocks keep their bits whatever the fill order:
+    # irregular fills, or out-of-order moment(k)
     chunked, by_k = make(), make()
     k0 = chunked.k_min
     for top in (k0 + 3, k0 + 100, k0 + 1000, k0 + 6000):
         chunked.moments_block(top)
     for k in (k0 + 700, k0 + 2, k0 + 6000, k0 + 3100):
         by_k.moment(k)
-    ref, pw = _unflushed_moments(chunked, k0 + 6000)
-    tiny = np.finfo(float).tiny
-    assert np.count_nonzero((pw > 0) & (pw < tiny)) > 0  # the flush had work
     ks = range(k0, k0 + 6001)
-    assert [chunked.moment(k) for k in ks] == ref
-    assert [by_k.moment(k) for k in ks] == ref
+    assert [chunked.moment(k) for k in ks] == [by_k.moment(k) for k in ks]
+    sample = [*range(k0, k0 + 200), *range(k0 + 200, k0 + 6001, 97)]
+    eps = np.finfo(float).eps
+    for k, (val, err, scale) in zip(sample, _exact_power_moments(chunked, sample)):
+        c, e = chunked.moment(k)
+        assert abs(c - val) <= 4 * eps * scale, k
+        assert abs(e - err) <= 4 * eps * scale, k
 
 
 @pytest.mark.parametrize("make, n", [
@@ -247,14 +255,14 @@ def test_moments_match_unflushed_reference(make):
 ])
 @pytest.mark.parametrize("t", [0.05, 0.5, 0.9])
 def test_direct_sum_fill_economy(make, n, t):
-    # fills grow by an eighth of the block: past the calibration pass, the
-    # moments filled exceed those read by at most that
+    # fills are whole aligned 64-blocks: the cache ends with the block that
+    # holds the last moment read
     dens = make()
     ke = K.kernel_series(dens, n, t)
     assert ke.path == "direct"
     k_start = max(0, dens.k_min - (n - 2))
     used = k_start + ke.terms_used + n - 2 - dens.k_min
-    assert used <= len(dens._c) <= max(64, used + max(8, used // 8))
+    assert len(dens._c) == K._BLOCK * max(1, -(-used // K._BLOCK))
 
 
 @pytest.mark.parametrize("fill", [
@@ -273,7 +281,7 @@ def test_moment_fill_past_cap_rejected(fill):
 def test_direct_sum_fills_stop_at_cap(monkeypatch):
     # with the cap lowered to 300, t = 0.92 passes the t^K <= tol pre-check
     # (K ~ 276) but n = 4 needs more terms: the sum fails without filling
-    # any moment past the cap
+    # any moment past the cap, and the last block is cut there
     monkeypatch.setattr(K, "HARD_TERM_CAP", 300)
     dens = K.density_from_profile(RadialProfile.explicit_n(4), 4)
     with pytest.raises(ConvergenceBudgetError):
@@ -286,6 +294,14 @@ def test_direct_sum_fills_stop_at_cap(monkeypatch):
 def test_kernel_series_rejects_n_below_2(n, t):
     with pytest.raises(DomainError):
         K.kernel_series(K.phi_v_density(1), n, t)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+def test_kernel_series_rejects_non_integer_n(n):
+    # a dimension count needs an integer n: DomainError, not math.comb's TypeError
+    with pytest.raises(DomainError, match="integer"):
+        K.kernel_series(K.phi_v_density(1), n, 0.5)
+    assert K.kernel_series(K.phi_v_density(1), np.int64(2), 0.5).value == pytest.approx(20.0)
 
 
 @pytest.mark.parametrize("v", [1, 4, 2.5])
@@ -304,6 +320,39 @@ def test_moments_large_k_match_closed_form(v):
     for k in (10 ** 3, 10 ** 4, 5 * 10 ** 4):
         cf = float(K.moment_phi_v_closed(v, k))
         assert dens.moment(k)[0] == pytest.approx(cf, rel=1e-10)
+
+
+LARGE_KS = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
+
+
+@pytest.mark.parametrize("v", [1, 2.5, 7.5])
+def test_moments_to_the_cap_match_closed_form(v):
+    # exact powers exp(k l) carry no error that grows with k; a running
+    # product of rounded t was 1.4e-13 off at k = 5*10^4
+    dens = _fresh_phi_v(v)
+    dens.moments_block(K.HARD_TERM_CAP)
+    assert dens._level == K._MIN_LEVEL
+    for k in LARGE_KS:
+        cf = float(K.moment_phi_v_closed(v, k))
+        assert abs(dens.moment(k)[0] - cf) <= 1e-15 * cf, k
+
+
+@pytest.mark.parametrize("p, n", [
+    pytest.param(RadialProfile.explicit_n(3), 3, id="W[explicit_n:n=3]"),
+    pytest.param(RadialProfile.explicit_n(6), 6, id="W[explicit_n:n=6]"),
+    pytest.param(RadialProfile.sqrt_poincare(), 2, id="W[sqrt_poincare]"),
+])
+def test_level_6_moments_match_level_12(p, n):
+    # W[f] settles at the coarsest level and stays within 1e-15 of a
+    # level-12 math.fsum over exact powers up to the cap
+    dens = K.density_from_profile(p, n)
+    dens.moments_block(K.HARD_TERM_CAP)
+    assert dens._level == K._MIN_LEVEL
+    t, w, ell, _w_prev = nodes_up_to(12, t_floor=dens.t_floor)
+    wphi = w * dens.fn(t)
+    for k in (*(dens.k_min + i for i in (0, 7, 63, 400)), *LARGE_KS):
+        ref = math.fsum((wphi * np.exp(k * ell)).tolist())
+        assert abs(dens.moment(k)[0] - ref) <= 1e-15 * abs(ref), k
 
 
 # -- Kummer split near t = 1 --------------------------------------------------
