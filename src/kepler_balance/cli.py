@@ -168,8 +168,10 @@ def cmd_asymptotics(args) -> int:
     v = args.v
     if not math.isfinite(v):
         raise DomainError(f"--v must be finite, got {v!r}")
-    vfrac = Fraction(v).limit_denominator(10 ** 9) if v == int(v) else v
-    phiL = phi_v_l_series(vfrac if isinstance(vfrac, Fraction) else v, args.order + 3)
+    if args.order < 0:
+        raise DomainError(f"--order must be >= 0, got {args.order}")
+    # an integer v runs the exact chain; any other v the float chain
+    phiL = phi_v_l_series(int(v) if v.is_integer() else v, args.order + 3)
     cexp = asym.moment_expansion(phiL, args.order + 3)
     inv = asym.reciprocal_moments(cexp, args.order + 2)
     A = asym.a_m_coefficients(inv, args.order)

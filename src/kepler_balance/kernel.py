@@ -45,9 +45,10 @@ The probes come from the first block, which the cache keeps.  No caller's
   (k+1)^(1-M), so its sum converges at t = 1 itself and needs only tens of
   moments.  The A_m and the remainder coefficients are built on a
   density's first near-boundary call and cached on it; each t then costs
-  the Lerch values and one Horner pass.  A density whose float A_m chain
-  misses ``reciprocal_moments``' own product check drops its series and
-  stays on the direct path.
+  the Lerch values and one Horner pass.  The chain from the L-series to
+  the A_m runs in exact rationals (a float coefficient converts exactly),
+  so ``reciprocal_moments``' product check holds and every series a
+  density carries is used.
 
 On both paths ``tol`` is an absolute target for the truncation of the sum
 that is computed term by term.  On the Kummer path the remainder stops at
@@ -79,7 +80,6 @@ from .asymptotics import (
     reciprocal_moments,
 )
 from .errors import (
-    AccuracyError,
     CapabilityError,
     ConvergenceBudgetError,
     DivergenceError,
@@ -96,6 +96,7 @@ from .profiles import (
     phi_v_l_series,
 )
 from .quadrature import MAX_LEVEL, T_FLOOR, nodes_up_to
+from .series import PowerLogSeries
 
 HARD_TERM_CAP = 10 ** 6
 # moments are filled in aligned blocks of this many (module docstring)
@@ -312,7 +313,7 @@ def phi_v_density(v) -> Density:
         w = math.sqrt(float(v))
         p0 = (-1.0 - w) / 4.0
         dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}",
-                       l_series=lambda order, v=v: phi_v_l_series(v, order))
+                       l_series=lambda order, v=v: phi_v_l_series(Fraction(v), order))
     else:
         dens = Density(
             lambda t, v=v: phi_v(v, t), -0.25, label=f"phi_{v}", sign_changing=True
@@ -366,7 +367,7 @@ def density_from_profile(p: RadialProfile, n: int = 2) -> Density:
 def _monge_ampere_l_series(p: RadialProfile, order: int):
     """L-series of W[f] (n = 2): W is cubic in f, so W[s g] = s^3 W[g]."""
     base = density_in_L(replace(p, scale=1.0).l_series(order + 1))
-    return (base * p.scale ** 3 if p.scale != 1.0 else base).truncate(order)
+    return (base * Fraction(p.scale) ** 3).truncate(order)
 
 
 def profile_as_density(p: RadialProfile) -> Density:
@@ -554,7 +555,7 @@ class _KummerSplit:
     def __init__(self, dens: Density):
         M = KUMMER_M
         phi_L = dens.l_series(M + 2)
-        lead = phi_L.coeff(0)
+        lead = Fraction(phi_L.coeff(0))
         if lead == 0 or not phi_L.is_log_free() or any(
             not (isinstance(a, Fraction) and a.denominator == 1) for a, _j in phi_L.terms
         ):
@@ -562,7 +563,9 @@ class _KummerSplit:
                 f"{dens.label}: the L-series must be log-free in integer powers "
                 "with a nonzero constant term"
             )
-        cexp = moment_expansion(phi_L * (1 / lead), M + 3)
+        # exact: Fraction(c) keeps every bit of a float coefficient
+        unit = PowerLogSeries({k: Fraction(c) / lead for k, c in phi_L.terms.items()}, phi_L.order)
+        cexp = moment_expansion(unit, M + 3)
         inv = reciprocal_moments(cexp, M + 2)
         A = [float(a / lead) for a in a_m_coefficients(inv, M + 2)]
         self.A = A[: M + 1]
@@ -606,12 +609,7 @@ class _KummerSplit:
 def _kummer_split(dens: Density):
     """The density's cached _KummerSplit, or None without an L-series."""
     if dens._kummer is None and dens.l_series is not None:
-        try:
-            dens._kummer = _KummerSplit(dens)
-        except AccuracyError:
-            # a float A_m chain that misses its own product check (phi_v at
-            # v = 60, say) is not used: the density keeps the direct path
-            dens.l_series = None
+        dens._kummer = _KummerSplit(dens)
     return dens._kummer
 
 

@@ -432,7 +432,11 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
     (f' -> 0, f'' -> -inf) and cannot be continued.
 
     Raises DomainError unless c is finite, tol is finite and positive,
-    0 < t_min < 1 - boundary_offset and 0 < boundary_offset < 1.
+    0 < t_min < 1 - boundary_offset and 0 < boundary_offset < 1.  It also
+    raises DomainError when the cusp lies between the bootstrap point and
+    t = 1: the Taylor model has f <= 0 or c + t/f^3 <= 0 somewhere on
+    [1 - boundary_offset, 1), checked on 256 evenly spaced points (with the
+    default offset, for c below about -1.48e9).
     """
     c = float(c)
     if not math.isfinite(c):
@@ -448,6 +452,16 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
     if t_min >= t_start:
         raise DomainError("t_min must be below the bootstrap point 1 - h0")
     f_start = boundary_taylor_value(c, h0)
+    # the Taylor model must stay on the regular side of the cusp over the whole
+    # bootstrap interval: f > 0 and c + t/f^3 > 0 for t in [1 - h0, 1)
+    hs = h0 * np.arange(1, 257) / 256.0
+    fs = boundary_taylor_value(c, hs)
+    if not np.all(fs > 0.0) or np.any(c + (1.0 - hs) / fs ** 3 <= 0.0):
+        raise DomainError(
+            f"c = {c!r} is too negative for boundary_offset = {h0!r}: the flow "
+            "has reached its cusp before t = 1 - boundary_offset; use a smaller "
+            "boundary_offset"
+        )
 
     def cusp_event(tau, f):
         return c + math.exp(tau) / (f * f * f)

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational, Real
 import numpy as np
 
 from .errors import CapabilityError, DomainError, NormalizationError, TruncationError
@@ -103,24 +103,19 @@ def phi_v(v, t):
 def phi_v_l_coefficients(v, J):
     """Taylor coefficients a_0..a_J of phi_v in L at L = 0.
 
-    a_j = [(1+w)(1-w)^j - (1-w)(1+w)^j] / (4^j j! 2w) with w = sqrt(v);
-    at v = 0 the limit is (1-j)/(4^j j!).  Exact rationals whenever sqrt(v)
-    is rational.
+    With w = sqrt(v), a_j = [(1+w)(1-w)^j - (1-w)(1+w)^j] / (4^j j! 2w) is
+    even in w, so it is a polynomial in v with integer coefficients:
+        a_j = sum_p v^p [C(j, 2p) - C(j, 2p+1)] / (4^j j!),
+    valid for every real v (v = 0 and v < 0 included).  An int or Fraction v
+    gives exact Fractions, a float v gives floats.
     """
     if J < 0:
         raise DomainError("J must be >= 0")
-    if v == 0:
-        return [Fraction(1 - j, 4 ** j * math.factorial(j)) for j in range(J + 1)]
-    w = sqrt_of(v)
-    out = []
-    for j in range(J + 1):
-        num = (1 + w) * (1 - w) ** j - (1 - w) * (1 + w) ** j
-        den = 4 ** j * math.factorial(j) * 2 * w
-        if isinstance(w, Fraction):
-            out.append(Fraction(num) / den)
-        else:
-            out.append(num / den)
-    return out
+    return [
+        sum(v ** p * (math.comb(j, 2 * p) - math.comb(j, 2 * p + 1)) for p in range(j // 2 + 1))
+        / Fraction(4 ** j * math.factorial(j))
+        for j in range(J + 1)
+    ]
 
 
 def phi_v_l_series(v, order):
@@ -140,8 +135,10 @@ class RadialProfile:
     def __post_init__(self):
         if self.kind not in KINDS and self.kind != "custom":
             raise DomainError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "explicit_n" and int(self.params.get("n", 0)) < 2:
-            raise DomainError("explicit_n requires integer n >= 2")
+        if self.kind == "explicit_n":
+            n = self.params.get("n")
+            if not (isinstance(n, Integral) and n >= 2):
+                raise DomainError(f"explicit_n requires integer n >= 2, got n = {n!r}")
         if self.kind == "phi_v_candidate":
             if float(self.params.get("v", -1)) < 0:
                 raise DomainError("phi_v_candidate requires v >= 0")
@@ -160,7 +157,10 @@ class RadialProfile:
 
     @classmethod
     def explicit_n(cls, n, scale=1.0):
-        return cls("explicit_n", {"n": int(n)}, scale)
+        """n is an integer >= 2; an integral float such as 3.0 is taken as 3."""
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
+        return cls("explicit_n", {"n": n}, scale)
 
     @classmethod
     def phi_v_candidate(cls, v, scale=1.0):
@@ -169,6 +169,12 @@ class RadialProfile:
     @classmethod
     def taylor_at_one(cls, coeffs, scale=1.0):
         """Coefficients of L^1, L^2, ... ; rescaled so the leading one is 1."""
+        if not (isinstance(coeffs, (list, tuple)) and coeffs
+                and all(isinstance(c, Real) for c in coeffs)):
+            raise DomainError(
+                "taylor_at_one needs coeffs, a nonempty list of numbers "
+                "(inline, one coefficient is written coeffs=1;0)"
+            )
         a1 = coeffs[0]
         if a1 == 0:
             raise NormalizationError("leading L-coefficient must be nonzero")
@@ -213,7 +219,7 @@ class RadialProfile:
         if kind == "phi_v_candidate":
             return cls.phi_v_candidate(params["v"], scale)
         if kind == "taylor_at_one":
-            return cls.taylor_at_one(list(params["coeffs"]), scale)
+            return cls.taylor_at_one(params["coeffs"], scale)
         if kind == "constant_one":
             return cls.constant_one(scale)
         if kind == "poincare_numeric":

@@ -22,6 +22,42 @@ def test_phi_v_L_coeffs_examples():
     assert coeffs[2] == F(1, 4)
 
 
+def _phi_v_l_closed_form(w, J):
+    """a_j = [(1+w)(1-w)^j - (1-w)(1+w)^j] / (4^j j! 2w) for v = w^2, and its
+    limit (1-j)/(4^j j!) at w = 0."""
+    if w == 0:
+        return [F(1 - j, 4 ** j * math.factorial(j)) for j in range(J + 1)]
+    return [((1 + w) * (1 - w) ** j - (1 - w) * (1 + w) ** j) / (4 ** j * math.factorial(j) * 2 * w)
+            for j in range(J + 1)]
+
+
+@pytest.mark.parametrize("w", [0, 1, 2, 3, F(1, 2)])
+def test_phi_v_L_coeffs_match_closed_form(w):
+    coeffs = phi_v_l_coefficients(w * w, 20)
+    assert coeffs == _phi_v_l_closed_form(F(w), 20)
+    assert all(type(c) is F for c in coeffs)
+
+
+def test_phi_v_L_coeffs_types():
+    # exact for int and Fraction v (square or not), floats for a float v
+    for v in (2, -1, F(173, 10), F(2.5)):
+        assert all(type(c) is F for c in phi_v_l_coefficients(v, 8)), v
+    assert all(type(c) is float for c in phi_v_l_coefficients(2.5, 8))
+    assert phi_v_l_coefficients(2.5, 8) == [float(c) for c in phi_v_l_coefficients(F(5, 2), 8)]
+
+
+@pytest.mark.parametrize("v", [-4, -1, 0.5, 2.5, 17.3, 60])
+def test_phi_v_L_series_sums_to_phi_v(v):
+    # sum_j a_j L^j against phi_v(v, e^-L) at small L, for v of either sign
+    from kepler_balance.profiles import phi_v
+
+    for L in (1e-3, 0.01, 0.05):
+        want = phi_v(v, math.exp(-L))
+        for vv in (v, F(v)):
+            got = float(sum(c * F(L) ** j for j, c in enumerate(phi_v_l_coefficients(vv, 24))))
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (vv, L)
+
+
 # --- moment expansion ------------------------------------------------------
 
 def test_moment_expansion_trivial():
@@ -116,8 +152,9 @@ def test_chain_exactness_and_identities():
 
 
 def test_product_identity_float():
-    # float (irrational sqrt v) chain still satisfies c * (1/c) = 1 to 1e-13
-    cexp = A.moment_expansion(phi_v_l_series(2, 10), 10)
+    # the float chain (a float v) still satisfies c * (1/c) = 1 to 1e-13
+    cexp = A.moment_expansion(phi_v_l_series(2.0, 10), 10)
+    assert not cexp.is_rational()
     inv = A.reciprocal_moments(cexp, 9)
     prod = (cexp * inv) - 1
     assert max((abs(float(c)) for c in prod.terms.values()), default=0.0) < 1e-13

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,23 @@ def test_asymptotics_json(capsys):
     assert payload["A"][2] == "-1/2"
 
 
+@pytest.mark.parametrize("v", ["2", "-1"])
+def test_asymptotics_exact_for_any_integer_v(v, capsys):
+    # the exact chain runs for every integer v, square or not, and v < 0
+    code, out, _ = run_cli(["asymptotics", "--v", v, "--order", "12"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is True and payload["v"] == float(v)
+    A = [Fraction(a) for a in payload["A"]]
+    assert A == [1, 0] + [(1 - int(v)) / Fraction(2) ** (m + 2) for m in range(2, 13)]
+
+
+def test_asymptotics_negative_order_rejected(capsys):
+    code, out, err = run_cli(["asymptotics", "--v", "4", "--order", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "configuration error: --order must be >= 0, got -1\n"
+
+
 def test_lerch_json(capsys):
     code, out, _ = run_cli(["lerch", "--t", "0.5", "--s", "1"], capsys)
     assert code == 0
@@ -204,7 +222,15 @@ def test_numerical_failure_exit_code(capsys):
      "density vanishes"),
     (["lerch", "--t", "0", "--s", "2"], "--t must lie in (0, 1), got 0.0"),
     (["asymptotics", "--v", "nan", "--order", "10"], "--v must be finite, got nan"),
-], ids=["kernel-zero-density", "lerch-t-0", "asymptotics-v-nan"])
+    (["kernel", "--profile", "explicit_n:n=2.5", "--t", "0.5", "--c", "4"],
+     "explicit_n requires integer n >= 2, got n = 2.5"),
+    (["kernel", "--profile", '{"kind": "explicit_n", "params": {"n": 3.7}}', "--t", "0.5",
+      "--c", "4"], "explicit_n requires integer n >= 2, got n = 3.7"),
+    (["kernel", "--profile", "taylor_at_one:coeffs=1", "--t", "0.9", "--c", "4"],
+     "coeffs, a nonempty list of numbers"),
+    (["poincare", "--c=-2e9"], "c = -2000000000.0 is too negative for boundary_offset = 0.001"),
+], ids=["kernel-zero-density", "lerch-t-0", "asymptotics-v-nan", "explicit_n-n-2.5",
+        "explicit_n-json-n-3.7", "taylor_at_one-one-coeff", "poincare-past-cusp"])
 def test_bad_input_named_in_configuration_error(argv, names, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""

@@ -480,14 +480,33 @@ def test_kummer_scaled_densities(make, factor):
         assert ke.value == pytest.approx(cf, rel=1e-12, abs=0)
 
 
-def test_kummer_chain_failure_keeps_direct_path():
-    # the float A_m chain of phi_60 misses reciprocal_moments' 1e-12 product
-    # check: that density keeps the direct path
+def test_phi_60_takes_the_kummer_path():
+    # the A_m chain is exact for every v, so a large v such as 60 keeps its
+    # series and takes the Kummer path
     dens = _fresh_phi_v(60)
-    dens.l_series = lambda order: K.phi_v_l_series(60, order)
-    ke = K.kernel_series(dens, 2, 0.95)
-    assert ke.path == "direct" and dens.l_series is None
-    assert ke.value == pytest.approx(K.closed_form_F_phi_v(60, 0.95), rel=1e-9)
+    dens.l_series = K.phi_v_density(60).l_series
+    for t in (0.95, 0.999, 1 - 1e-6):
+        ke = K.kernel_series(dens, 2, t)
+        assert ke.path == "kummer", t
+        assert ke.value == pytest.approx(K.closed_form_F_phi_v(60, t), rel=1e-12, abs=0), t
+
+
+@pytest.mark.parametrize("v", [2.5, 3.14159, 7.3, 60])
+def test_kummer_weights_exact_for_non_square_v(v, monkeypatch):
+    # A_m = (1 - v)/2^(m+2) exactly, so the weights 2 A_(s+2) - A_(s+1),
+    # s = 1..8, vanish and one point makes 4 Lerch calls
+    dens = _fresh_phi_v(v)
+    dens.l_series = K.phi_v_density(v).l_series
+    split = K._kummer_split(dens)
+    assert split.A[:2] == [1.0, 0.0]
+    for m in range(2, K.KUMMER_M + 1):
+        assert split.A[m] == float((1 - F(v)) / 2 ** (m + 2)), m
+    assert [s for s, _w in split.weights] == [-2, -1, 0, 9]
+    calls = []
+    lerch = K.lerch_phi
+    monkeypatch.setattr(K, "lerch_phi", lambda *a: calls.append(a) or lerch(*a))
+    ke = K.kernel_series(dens, 2, 0.999)
+    assert ke.path == "kummer" and len(calls) == 4
 
 
 @pytest.mark.parametrize("terms", [

@@ -259,6 +259,25 @@ def test_solve_rejects_nonfinite(kwargs):
         P.solve_poincare(**kwargs)
 
 
+@pytest.mark.parametrize("c", [-1.5e9, -2e9, -1e10, -1e20])
+def test_solve_rejects_cusp_before_bootstrap_point(c):
+    # the boundary Taylor model already meets the cusp (or f <= 0) between
+    # t = 1 - boundary_offset and t = 1: no flow can start there
+    with pytest.raises(DomainError, match=r"c = .* boundary_offset = 0\.001"):
+        P.solve_poincare(c)
+    # a smaller offset starts on the regular side again
+    if c == -2e9:
+        assert P.solve_poincare(c, boundary_offset=1e-4).t0 is not None
+
+
+def test_very_negative_c_still_terminates_at_cusp(tmp_path, capsys):
+    from kepler_balance.cli import main
+
+    sol = P.solve_poincare(-1e9)
+    assert sol.t0 is not None and 1 - 1e-3 > sol.t0 > 0.998
+    assert main(["poincare", "--c=-1e9", "--out", str(tmp_path / "f.csv")]) == 3
+
+
 def _reference_solve(c, t_min, method="RK45", rtol=1e-12, atol=1e-15):
     """The flow as solve_poincare poses it (tol = 1e-10), solved by scipy."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp

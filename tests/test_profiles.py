@@ -216,6 +216,31 @@ def test_taylor_profile_normalization():
         RadialProfile.taylor_at_one([0.0, 1.0])
 
 
+@pytest.mark.parametrize("n", [2.5, 3.7, math.nan, 1, "3"])
+def test_explicit_n_requires_integer_n(n):
+    # n used to be truncated silently (2.5 ran as n = 2)
+    with pytest.raises(DomainError, match="integer n >= 2"):
+        RadialProfile.explicit_n(n)
+    with pytest.raises(DomainError, match="integer n >= 2"):
+        RadialProfile("explicit_n", {"n": n})
+
+
+def test_explicit_n_accepts_integral_float():
+    assert RadialProfile.explicit_n(3.0) == RadialProfile.explicit_n(3)
+    assert type(RadialProfile.explicit_n(3.0).params["n"]) is int
+    # the stored n must be an int: a float 3.0 kept as is broke l_series
+    with pytest.raises(DomainError, match="integer n >= 2"):
+        RadialProfile("explicit_n", {"n": 3.0})
+
+
+@pytest.mark.parametrize("coeffs", [1, 1.5, "1;0", [], [1.0, "x"], None])
+def test_taylor_at_one_requires_a_list_of_numbers(coeffs):
+    with pytest.raises(DomainError, match="coeffs"):
+        RadialProfile.taylor_at_one(coeffs)
+    with pytest.raises(DomainError, match="coeffs"):
+        RadialProfile.from_json({"kind": "taylor_at_one", "params": {"coeffs": coeffs}})
+
+
 def test_json_round_trip():
     p = RadialProfile.phi_v_candidate(1)
     q = RadialProfile.from_json(p.to_json())
