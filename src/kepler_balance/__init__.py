@@ -21,7 +21,7 @@ from .errors import (
     SignedDensityWarning,
     TruncationError,
 )
-from .series import InverseKSeries, LSeries, PowerLogSeries
+from .series import PowerLogSeries
 from .profiles import (
     RadialProfile,
     density_in_L,
@@ -32,14 +32,12 @@ from .profiles import (
 from .kernel import (
     Density,
     KernelEval,
-    MomentSequence,
     balanced_defect,
     closed_form_F_phi_v,
     dimension_count,
     estimate_c,
     kernel_series,
     moment_phi_v_closed,
-    moments,
     phi_v_density,
 )
 from .asymptotics import (

@@ -4,11 +4,11 @@ the Lerch transcendent with s-derivatives, and the L-expansion of F near t=1.
 Conventions
 -----------
 * Moment asymptotics are written uniformly in x = 1/(k+1) with log(k+1)
-  = log(1/x) as the log grading (InverseKSeries).
+  = log(1/x) as the log grading (a PowerLogSeries in x).
 * ``lerch_phi`` returns (d/ds)^n Phi(t, s, 1) = sum_{k>=0} t^k
   (log 1/(k+1))^n / (k+1)^s; multiplying by t re-indexes to the classical
   sum over k >= 1.
-* Boundary expansions are LSeries in L = log(1/t) with log(1/L) grading;
+* Boundary expansions are PowerLogSeries in L = log(1/t) with log(1/L) grading;
   they converge for |L| < 2 pi.
 * The boundary formula (Erdelyi's |L| < 2 pi expansion, Bateman Manuscript
   Project I, 1.11) writes (d/ds)^n [t Phi(t, s, 1)] as a singular part
@@ -45,7 +45,7 @@ from .errors import (
     TruncationError,
 )
 from .profiles import phi_v_l_coefficients
-from .series import InverseKSeries, LSeries, PowerLogSeries
+from .series import PowerLogSeries
 from .special import STIELTJES, gamma_derivs, zeta_deriv_over_factorial
 
 TWO_PI = 2.0 * math.pi
@@ -125,7 +125,7 @@ def gamma_laurent_table() -> GammaLaurentTable:
 # moment expansions
 # ---------------------------------------------------------------------------
 
-def moment_expansion(phi_L: LSeries, order: int) -> InverseKSeries:
+def moment_expansion(phi_L: PowerLogSeries, order: int) -> PowerLogSeries:
     """Large-k expansion of c_k = int_0^1 t^k phi(t) dt from the L-series of phi.
 
     Each term b L^a (log 1/L)^j maps through
@@ -166,7 +166,7 @@ def moment_expansion(phi_L: LSeries, order: int) -> InverseKSeries:
     return PowerLogSeries(out, out_order)
 
 
-def reciprocal_moments(c_exp: InverseKSeries, order: int) -> InverseKSeries:
+def reciprocal_moments(c_exp: PowerLogSeries, order: int) -> PowerLogSeries:
     """1/c_k as (k+1) sum_m A_m /(k+1)^m with A_0 = 1, from the c_k expansion.
 
     Requires the input to lead with exactly 1/(k+1) (unit coefficient);
@@ -188,7 +188,7 @@ def reciprocal_moments(c_exp: InverseKSeries, order: int) -> InverseKSeries:
     return inv
 
 
-def a_m_coefficients(inv: InverseKSeries, m_max: int):
+def a_m_coefficients(inv: PowerLogSeries, m_max: int):
     """A_0..A_m_max from a reciprocal-moment expansion (k+1) sum A_m x^m."""
     return [inv.coeff(Fraction(m - 1), 0) for m in range(m_max + 1)]
 
@@ -352,7 +352,7 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     )
 
 
-def _t_phi_boundary_series(s: float, n: int, order: int) -> LSeries:
+def _t_phi_boundary_series(s: float, n: int, order: int) -> PowerLogSeries:
     """Series in L of (d/ds)^n [t Phi(t, s, 1)] (the k >= 1 sum), |L| < 2 pi:
     the singular part of ``_boundary_singular_part`` plus the zeta terms
     through L^order, in the log(1/L) grading."""
@@ -364,7 +364,7 @@ def _t_phi_boundary_series(s: float, n: int, order: int) -> LSeries:
     return PowerLogSeries(terms, order)
 
 
-def lerch_boundary_expansion(s: float, n_deriv: int, order: int) -> LSeries:
+def lerch_boundary_expansion(s: float, n_deriv: int, order: int) -> PowerLogSeries:
     """L-series of (d/ds)^n Phi(t, s, 1) near t = 1, valid for |L| < 2 pi.
 
     Built from the k >= 1 series by the exact re-indexing factor e^L.
@@ -380,7 +380,7 @@ def lerch_boundary_expansion(s: float, n_deriv: int, order: int) -> LSeries:
 # boundary expansion of the kernel diagonal
 # ---------------------------------------------------------------------------
 
-def boundary_expansion_F(inv: InverseKSeries, n: int = 2, order: int = 8) -> LSeries:
+def boundary_expansion_F(inv: PowerLogSeries, n: int = 2, order: int = 8) -> PowerLogSeries:
     """L-expansion of F(t) = sum_k N(k)/c_{k+n-2} t^k near t = 1 (n = 2).
 
     ``inv`` is the expansion of 1/c_k with leading term (k+1); for n = 2 the
@@ -415,7 +415,7 @@ def boundary_expansion_F(inv: InverseKSeries, n: int = 2, order: int = 8) -> LSe
 # balanced germ family
 # ---------------------------------------------------------------------------
 
-def germ_family_f(v, order: int = 3, allow_flat_extension: bool = False) -> LSeries:
+def germ_family_f(v, order: int = 3, allow_flat_extension: bool = False) -> PowerLogSeries:
     """f-germ of the balanced family: L - L^2/4 + ((3 - 12 A_2)/72) L^3 + ...
 
     with A_2 = (1-v)/16 (and A_1 = 0).  Beyond L^3 the germ is only

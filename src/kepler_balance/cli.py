@@ -28,13 +28,11 @@ from . import kernel as kern
 from . import poincare as poin
 from .errors import (
     AccuracyError,
-    CapabilityError,
     ConvergenceBudgetError,
     DivergenceError,
     DomainError,
     EstimationError,
     IntegrationError,
-    NormalizationError,
 )
 from .profiles import RadialProfile, phi_v_l_series
 
@@ -45,7 +43,8 @@ NUMERICAL_ERRORS = (
     EstimationError,
     IntegrationError,
 )
-CONFIG_ERRORS = (DomainError, CapabilityError, NormalizationError, ValueError, KeyError)
+# DomainError, CapabilityError and NormalizationError are ValueErrors
+CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError)
 
 
 def fmt(x: float) -> str:
@@ -106,34 +105,20 @@ def _t_values(args):
 
 
 def cmd_kernel(args) -> int:
-    kern.require_tol(args.tol)
     prof = parse_profile(args.profile)
     ts = _t_values(args)
-    dens = kern.associated_density(prof, args.n)
     c = "auto" if args.c == "auto" else float(args.c)
-    if c != "auto" and not math.isfinite(c):
-        raise DomainError(f"--c must be finite or 'auto', got {args.c!r}")
-    if c == "auto":
-        c = kern.estimate_c(prof, args.n, density=dens)
-
-    def one(t):
-        F = kern.kernel_series(dens, args.n, float(t), tol=args.tol).value
-        f = prof.eval(float(t))[0] if t > 0 else kern._f_at_zero(prof)
-        return F, F - c / f ** (args.n + 1)
-
-    rows = [one(t) for t in ts]
+    c, Fs, defects = kern.defect_table(prof, args.n, c, ts, tol=args.tol)
+    rows = list(zip(ts, Fs, defects))
     if args.format == "json":
         payload = {
             "c": c,
-            "rows": [
-                {"t": float(t), "F": F, "defect": d}
-                for t, (F, d) in zip(ts, rows)
-            ],
+            "rows": [{"t": float(t), "F": F, "defect": d} for t, F, d in rows],
         }
         _emit(json.dumps(payload, indent=2, default=float) + "\n", args.out)
     else:
         lines = ["t,F,defect"]
-        for t, (F, d) in zip(ts, rows):
+        for t, F, d in rows:
             lines.append(f"{fmt(t)},{fmt(F)},{fmt(d)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -294,9 +279,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
     except CONFIG_ERRORS as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 1
 

@@ -5,6 +5,12 @@ holomorphic components and c_k are the moments of the density phi against
 t^k on (0, 1).  For the phi_v germ family everything also has closed forms,
 which the series path is cross-checked against.
 
+The layer takes a ``Density`` (``phi_v_density``, ``associated_density``,
+``density_from_profile`` or ``Density(...)``); anything else raises
+CapabilityError.  ``Density.moment(k)`` reads c_k with its error bound.
+``defect_table`` is the one loop over t: it gives F and the balanced defect
+per t to ``balanced_defect`` and to the CLI's ``kernel`` subcommand.
+
 Moments are computed by tanh-sinh quadrature over a fixed node set shared
 across k.  Each entry carries an observed error bound: its difference from
 the level-(L-1) rule, whose nodes are a subset of the level-L set, taken
@@ -133,27 +139,6 @@ def _k_min_from_exponent(p0) -> int:
 
 
 @dataclass
-class MomentSequence:
-    """Moments c_k, k = k_min.., with per-entry absolute error bounds."""
-
-    values: list
-    errors: list
-    k_min: int
-    sign_changing: bool = False
-
-    def c(self, k: int) -> float:
-        if k < self.k_min:
-            raise DivergenceError(
-                f"moment c_{k} diverges; smallest finite index is k_min={self.k_min}",
-                k_min=self.k_min,
-            )
-        return self.values[k - self.k_min]
-
-    def err(self, k: int) -> float:
-        return self.errors[k - self.k_min]
-
-
-@dataclass
 class KernelEval:
     """One kernel-diagonal value with truncation metadata.
 
@@ -200,7 +185,7 @@ class Density:
     density against ``_CALIBRATION_RTOL`` and keeps its probe block.
 
     ``l_series``, when given, maps an order to phi's L-expansion at t = 1
-    (a log-free LSeries in integer powers of L with a nonzero constant
+    (a log-free PowerLogSeries in integer powers of L with a nonzero constant
     term); it is called only on the first near-boundary kernel value, which
     then takes the Kummer split.
     """
@@ -305,21 +290,24 @@ _PHI_V_DENSITIES = {}
 
 
 def phi_v_density(v) -> Density:
-    """phi_v as a Density (cached per v); v < 0 is sign-changing but integrable."""
+    """phi_v as a Density (cached per v).
+
+    For every v < 1, phi_v is negative near t = 0 (for 0 < v < 1 its leading
+    coefficient there is -(1 - sqrt v)/(2 sqrt v)): such a density is
+    integrable but flagged sign-changing, with a SignedDensityWarning.
+    """
     key = float(v)
     if key in _PHI_V_DENSITIES:
         return _PHI_V_DENSITIES[key]
+    p0, l_series = -0.25, None
     if v >= 0:
-        w = math.sqrt(float(v))
-        p0 = (-1.0 - w) / 4.0
-        dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}",
-                       l_series=lambda order, v=v: phi_v_l_series(Fraction(v), order))
-    else:
-        dens = Density(
-            lambda t, v=v: phi_v(v, t), -0.25, label=f"phi_{v}", sign_changing=True
-        )
+        p0 = (-1.0 - math.sqrt(float(v))) / 4.0
+        l_series = lambda order, v=v: phi_v_l_series(Fraction(v), order)
+    dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}", sign_changing=v < 1,
+                   l_series=l_series)
+    if dens.sign_changing:
         warnings.warn(
-            f"phi_v with v={v} < 0 changes sign: not a nonnegative volume element",
+            f"phi_v with v={v} < 1 changes sign: not a nonnegative volume element",
             SignedDensityWarning,
             stacklevel=2,
         )
@@ -370,31 +358,6 @@ def _monge_ampere_l_series(p: RadialProfile, order: int):
     return (base * Fraction(p.scale) ** 3).truncate(order)
 
 
-def profile_as_density(p: RadialProfile) -> Density:
-    """A profile's own values f(t) used as a density (e.g. constant_one)."""
-    if p.kind == "phi_v_candidate":
-        m, _delta = m_delta_from_v(p.params["v"])
-        p0 = -float(m) / 3.0
-    elif p.kind == "taylor_at_one":
-        raise CapabilityError("taylor_at_one is only valid near t = 1; cannot integrate")
-    elif p.kind == "poincare_numeric":
-        from .poincare import rho
-
-        p0 = -rho(max(p.params["solution"].c, 0.0))
-    else:
-        p0 = 0.0
-    l_series = p.l_series if p.kind == "constant_one" else None
-    return Density(lambda t: p.eval(t)[0], p0, label=f"f[{p.kind}]", l_series=l_series)
-
-
-def as_density(obj) -> Density:
-    if isinstance(obj, Density):
-        return obj
-    if isinstance(obj, RadialProfile):
-        return profile_as_density(obj)
-    raise CapabilityError("expected a Density or RadialProfile")
-
-
 def associated_density(p: RadialProfile, n: int = 2) -> Density:
     """Density paired with the profile in the balanced identity.
 
@@ -406,33 +369,21 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
     if p.kind == "phi_v_candidate":
         return phi_v_density(p.params["v"])
     if p.kind == "constant_one":
-        return profile_as_density(p)
+        return Density(lambda t: p.eval(t)[0], 0.0, label="f[constant_one]",
+                       l_series=p.l_series)
     return density_from_profile(p, n)
+
+
+def _require_density(obj) -> Density:
+    if not isinstance(obj, Density):
+        raise CapabilityError(f"expected a Density, got {type(obj).__name__}")
+    return obj
 
 
 def require_tol(tol):
     """Raise DomainError unless the truncation target tol is finite and > 0."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-
-
-def moments(phi, k_max: int) -> MomentSequence:
-    """Moments c_k = int_0^1 t^k phi(t) dt for k = k_min..k_max.
-
-    ``phi`` may be a Density or a RadialProfile (interpreted as a density
-    through its values).  Each entry carries an observed absolute error
-    bound from comparing two quadrature refinement levels; the values are
-    the density's cached blocks, at the level fixed by ``_CALIBRATION_RTOL``.
-    ConvergenceBudgetError when k_max > HARD_TERM_CAP.
-    """
-    dens = as_density(phi)
-    if k_max < dens.k_min:
-        raise DivergenceError(
-            f"all requested moments diverge; k_min={dens.k_min}", k_min=dens.k_min
-        )
-    dens.moments_block(k_max)
-    n = k_max - dens.k_min + 1
-    return MomentSequence(dens._c[:n], dens._err[:n], dens.k_min, dens.sign_changing)
 
 
 def moment_phi_v_closed(v, k: int):
@@ -470,7 +421,7 @@ def closed_form_F_phi_v(v, t):
     return float(val) if scalar else val
 
 
-def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
+def kernel_series(dens: Density, n: int, t: float, tol: float = 1e-10) -> KernelEval:
     """F(t) = sum_k N(k)/c_{k+n-2} t^k with a truncation bound.
 
     Takes the Kummer split when n = 2, the density has an L-series and
@@ -484,7 +435,7 @@ def kernel_series(phi, n: int, t: float, tol: float = 1e-10) -> KernelEval:
     if not (0.0 <= t < 1.0):
         raise DomainError("t must lie in [0, 1)")
     require_tol(tol)
-    dens = as_density(phi)
+    _require_density(dens)
     if n == 2 and t > 0.0 and -math.log(t) < AUTO_BOUNDARY_L and _kummer_split(dens) is not None:
         return _kernel_kummer(dens, t, tol)
     return _kernel_direct(dens, n, t, tol)
@@ -633,40 +584,47 @@ def _kernel_kummer(dens: Density, t: float, tol: float) -> KernelEval:
                       tail_bound=model + err, path="kummer")
 
 
-def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = None,
-                    tol: float = 1e-11):
-    """F(t) - c / f(t)^(n+1) for the profile's associated density.
+def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None,
+                 tol: float = 1e-11):
+    """F(t) and the balanced defect F(t) - c / f(t)^(n+1) at each t of ``ts``.
 
     ``c`` may be "auto" (estimated by boundary extrapolation).  The default
-    density is W[f], except for the phi_v candidate which pairs with its
-    defining germ phi_v; pass ``density`` to override.  ``tol`` is the
-    absolute truncation target for each kernel value.
+    density is ``associated_density(p, n)``: W[f], except for the phi_v
+    candidate, which pairs with its defining germ phi_v, and constant_one,
+    which is its own density; pass ``density`` to override.  ``tol`` is the
+    absolute truncation target for each kernel value.  At t = 0 f is the
+    limit f(0+).  Returns (c, F, defect): c as given or estimated, and one
+    list of floats each for F and the defect, in the order of ``ts``.
     """
     require_tol(tol)
     if c != "auto" and not math.isfinite(c):
         raise DomainError(f"c must be finite or 'auto', got {c!r}")
-    dens = density if density is not None else associated_density(p, n)
+    dens = associated_density(p, n) if density is None else _require_density(density)
     if dens.sign_changing:
         warnings.warn(
             "defect computed against a sign-changing density",
             SignedDensityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if c == "auto":
         c = estimate_c(p, n, density=dens)
-    scalar = np.isscalar(t)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ts)
-    for i, ti in enumerate(ts):
-        if ti == 0.0:
-            f0 = _f_at_zero(p)
-            F = kernel_series(dens, n, 0.0).value
-            out[i] = F - c / f0 ** (n + 1)
-            continue
-        f, _fp, _fpp = p.eval(ti)
-        F = kernel_series(dens, n, ti, tol=tol).value
-        out[i] = F - c / f ** (n + 1)
-    return float(out[0]) if scalar else out
+    Fs, defects = [], []
+    for t in ts:
+        t = float(t)
+        F = kernel_series(dens, n, t, tol=tol).value
+        f = p.eval(t)[0] if t > 0 else _f_at_zero(p)
+        Fs.append(F)
+        defects.append(F - c / f ** (n + 1))
+    return c, Fs, defects
+
+
+def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = None,
+                    tol: float = 1e-11):
+    """F(t) - c / f(t)^(n+1) at a scalar t (a float) or an array of t (an
+    array), computed by ``defect_table`` with the same arguments."""
+    _c, _F, defects = defect_table(p, n, c, np.atleast_1d(np.asarray(t, dtype=float)),
+                                   density, tol)
+    return float(defects[0]) if np.isscalar(t) else np.array(defects)
 
 
 def _f_at_zero(p: RadialProfile):
@@ -689,7 +647,7 @@ def _f_at_zero(p: RadialProfile):
 
 def estimate_c(p: RadialProfile, n: int, density: Density | None = None) -> float:
     """Boundary value of f^(n+1) F by Richardson extrapolation on t = 1 - 0.1 2^-i,
-    i = 0..5.
+    i = 0..5, against ``density`` (default ``associated_density(p, n)``).
 
     Declared failed (EstimationError) if the last two extrapolants differ
     by more than 1e-3.

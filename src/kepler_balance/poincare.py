@@ -562,7 +562,7 @@ class CuspData(NamedTuple):
     qpp_numeric: float
 
 
-def cusp_data(sol: PoincareSolution, sigma: float | None = None) -> CuspData:
+def cusp_data(sol: PoincareSolution) -> CuspData:
     """Cusp structure at t0 for a terminated (c < 0) solution.
 
     Q(sigma) := f(t0 + sigma^2) is smooth with Q'(0) = Q''(0) = 0; the
@@ -576,9 +576,7 @@ def cusp_data(sol: PoincareSolution, sigma: float | None = None) -> CuspData:
     t0 = sol.t0
     # f(t0) by continuity from the dense output at t0 itself
     f_t0 = sol._dense(math.log(t0))
-    span = math.sqrt(max(sol.t_start - t0, 1e-8))
-    if sigma is None:
-        sigma = 2e-3 * span
+    sigma = 2e-3 * math.sqrt(max(sol.t_start - t0, 1e-8))
 
     def q(sig):
         return sol._dense(math.log(t0 + sig * sig))

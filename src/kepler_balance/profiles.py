@@ -25,7 +25,7 @@ from numbers import Integral, Rational, Real
 import numpy as np
 
 from .errors import CapabilityError, DomainError, NormalizationError, TruncationError
-from .series import LSeries, PowerLogSeries, nth_root_fraction
+from .series import PowerLogSeries, nth_root_fraction
 
 KINDS = (
     "sqrt_poincare",
@@ -119,7 +119,7 @@ def phi_v_l_coefficients(v, J):
 
 
 def phi_v_l_series(v, order):
-    """phi_v as an LSeries at the boundary."""
+    """phi_v as a PowerLogSeries in L at the boundary."""
     coeffs = phi_v_l_coefficients(v, order)
     return PowerLogSeries({(Fraction(j), 0): c for j, c in enumerate(coeffs)}, order)
 
@@ -428,7 +428,7 @@ def monge_ampere_density(p: RadialProfile, n: int, t):
     return _maybe_scalar(w, scalar)
 
 
-def density_in_L(f_series: LSeries) -> LSeries:
+def density_in_L(f_series: PowerLogSeries) -> PowerLogSeries:
     """L-series of the density W[f] from the L-series of f (n = 2).
 
     In the boundary variable L the density is exp(L) f'(f'^2 - f f'') with

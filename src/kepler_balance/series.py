@@ -10,11 +10,10 @@ rational (``Fraction``) or floating; log-powers ``j`` are nonnegative
 integers.  Coefficients stay ``Fraction`` as long as every input is
 rational, so chains of operations can be checked identically.
 
-Two views of the same structure are used elsewhere:
+The same type serves two variables elsewhere:
 
-* ``LSeries`` -- X = L = log(1/t), boundary expansions at t = 1;
-* ``InverseKSeries`` -- X = 1/(k+1), large-index moment asymptotics,
-  where log(1/X) = log(k+1).
+* X = L = log(1/t), boundary expansions at t = 1;
+* X = 1/(k+1), large-index moment asymptotics, where log(1/X) = log(k+1).
 """
 
 from __future__ import annotations
@@ -331,9 +330,3 @@ class PowerLogSeries:
             raise NormalizationError("exact evaluation needs a log-free rational series")
         x = Fraction(x)
         return sum(c * x ** a for (a, _j), c in self.terms.items())
-
-
-# Aliases used by the domain modules: the L-variable boundary series and the
-# 1/(k+1) moment-asymptotics series share the representation.
-LSeries = PowerLogSeries
-InverseKSeries = PowerLogSeries

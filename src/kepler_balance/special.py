@@ -361,11 +361,6 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     return float(out[0]) if np.ndim(k) == 0 else out
 
 
-def zeta_deriv(s: float, n: int = 0) -> float:
-    """zeta^(n)(s) at real s != 1."""
-    return zeta_deriv_over_factorial(s, 0, n)
-
-
 def stieltjes_euler_maclaurin(jmax: int, N: int = 400, M: int = 10, digits: int = 45):
     """Recompute gamma_0..gamma_jmax by Euler-Maclaurin.
 

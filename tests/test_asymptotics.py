@@ -421,9 +421,9 @@ def test_stieltjes_em_vs_table():
 
 def test_zeta_derivative_against_em_cross():
     # spot checks of the jet machinery against independent high-precision data
-    from kepler_balance.special import zeta_deriv
+    from kepler_balance.special import zeta_deriv_over_factorial as zd
 
-    assert zeta_deriv(2.0, 0) == pytest.approx(math.pi ** 2 / 6, rel=1e-14)
-    assert zeta_deriv(0.0, 0) == pytest.approx(-0.5, rel=1e-13)
-    assert zeta_deriv(-1.0, 0) == pytest.approx(-1.0 / 12.0, rel=1e-12)
-    assert zeta_deriv(0.0, 1) == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)
+    assert zd(2.0, 0, 0) == pytest.approx(math.pi ** 2 / 6, rel=1e-14)
+    assert zd(0.0, 0, 0) == pytest.approx(-0.5, rel=1e-13)
+    assert zd(-1.0, 0, 0) == pytest.approx(-1.0 / 12.0, rel=1e-12)
+    assert zd(0.0, 0, 1) == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)

@@ -56,6 +56,31 @@ def test_kernel_candidate_grid(capsys, tmp_path):
     assert max(defects) <= 1e-9
 
 
+@pytest.mark.parametrize("profile, c", [
+    ("constant_one", "4"),
+    ("phi_v_candidate:v=1", "4"),
+    ("phi_v_candidate:v=1", "auto"),
+    ("sqrt_poincare", "auto"),
+])
+def test_kernel_rows_match_library(profile, c, capsys):
+    # the CLI and the library share one loop over t: each printed F and
+    # defect, t = 0 included, is the library's float after the 17-digit
+    # round trip (constant_one has no boundary c: f^3 F grows like (1-t)^-3)
+    tol = 1e-11
+    code, out, _err = run_cli(["kernel", "--profile", profile, "--grid", "0:0.95:5",
+                               "--c", c, "--tol", repr(tol)], capsys)
+    assert code == 0
+    prof = parse_profile(profile)
+    dens = kern.associated_density(prof, 2)
+    c_lib = "auto" if c == "auto" else float(c)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 5 and float(rows[0][0]) == 0.0
+    for t, F, defect in rows:
+        t = float(t)
+        assert float(F) == kern.kernel_series(dens, 2, t, tol=tol).value, t
+        assert float(defect) == kern.balanced_defect(prof, 2, c_lib, t, density=dens, tol=tol), t
+
+
 def test_kernel_constant_one_point(capsys):
     code, out, _ = run_cli(
         ["kernel", "--profile", "constant_one", "--n", "2", "--t", "0.5", "--c", "4"],

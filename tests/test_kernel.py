@@ -28,30 +28,31 @@ def test_dimension_count():
 
 
 def test_moments_constant_one():
-    ms = K.moments(RadialProfile.constant_one(), 10)
+    dens = K.associated_density(RadialProfile.constant_one())
+    assert dens.label == "f[constant_one]"
     for k in range(11):
-        assert ms.c(k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
-        assert ms.err(k) <= 1e-12
+        c, err = dens.moment(k)
+        assert c == pytest.approx(1.0 / (k + 1), rel=1e-13)
+        assert err <= 1e-12
 
 
 def test_moment_spot_values():
-    assert K.moments(K.phi_v_density(9), 3).c(1) == pytest.approx(0.6, rel=1e-12)
-    assert K.moments(K.phi_v_density(0), 3).c(0) == pytest.approx(8 / 9, rel=1e-12)
+    assert K.phi_v_density(9).moment(1)[0] == pytest.approx(0.6, rel=1e-12)
+    assert K.phi_v_density(0).moment(0)[0] == pytest.approx(8 / 9, rel=1e-12)
 
 
 @pytest.mark.parametrize("v", [0, 0.5, 1, 4, 9])
 def test_moments_match_closed_form(v):
     dens = K.phi_v_density(v)
-    ms = K.moments(dens, 20)
-    for k in range(ms.k_min, 21):
+    for k in range(dens.k_min, 21):
         cf = float(K.moment_phi_v_closed(v, k))
-        assert ms.c(k) == pytest.approx(cf, rel=1e-10)
+        assert dens.moment(k)[0] == pytest.approx(cf, rel=1e-10)
 
 
 def test_moment_monotone_decreasing():
     for v in (0, 1, 9):
-        ms = K.moments(K.phi_v_density(v), 15)
-        cs = [ms.c(k) for k in range(ms.k_min, 16)]
+        dens = K.phi_v_density(v)
+        cs = [dens.moment(k)[0] for k in range(dens.k_min, 16)]
         assert all(c > 0 for c in cs)
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
@@ -60,12 +61,10 @@ def test_k_min_detection_and_divergence():
     assert K.phi_v_density(9).k_min == 1
     assert K.phi_v_density(1).k_min == 0
     with pytest.raises(DivergenceError) as exc:
-        K.moments(K.phi_v_density(9), 5).c(0)
+        K.phi_v_density(9).moment(0)
     assert exc.value.k_min == 1
     with pytest.raises(DivergenceError):
         K.moment_phi_v_closed(9, 0)
-    with pytest.raises(DivergenceError):
-        K.moments(K.phi_v_density(9), 0)
 
 
 def test_moment_closed_form_values():
@@ -81,13 +80,35 @@ def test_negative_v_density_flagged():
     with pytest.warns(SignedDensityWarning):
         dens = K.phi_v_density(-4)
     assert dens.sign_changing
-    ms = K.moments(dens, 5)
-    assert ms.sign_changing
-    assert all(np.isfinite(ms.c(k)) for k in range(6))
+    assert all(np.isfinite(dens.moment(k)[0]) for k in range(6))
+
+
+@pytest.mark.parametrize("v, flagged", [(0, True), (0.25, True), (0.9, True),
+                                        (1, False), (4, False)])
+def test_phi_v_below_one_flagged(v, flagged, monkeypatch):
+    # phi_v is negative near t = 0 for every v < 1: phi_0.9(1e-8) = -212.2
+    assert (phi_v(v, 1e-8) < 0) == flagged
+    monkeypatch.setattr(K, "_PHI_V_DENSITIES", {})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dens = K.phi_v_density(v)
+    assert dens.sign_changing == flagged
+    signed = [w for w in caught if issubclass(w.category, SignedDensityWarning)]
+    assert len(signed) == flagged
+
+
+def test_kernel_layer_takes_a_density():
+    prof = RadialProfile.constant_one()
+    with pytest.raises(CapabilityError, match="RadialProfile"):
+        K.kernel_series(prof, 2, 0.5)
+    with pytest.raises(CapabilityError, match="RadialProfile"):
+        K.balanced_defect(prof, 2, 4.0, 0.5, density=prof)
+    with pytest.raises(CapabilityError, match="RadialProfile"):
+        K.estimate_c(prof, 2, density=prof)
 
 
 def test_kernel_series_examples():
-    dens = K.profile_as_density(RadialProfile.constant_one())
+    dens = K.associated_density(RadialProfile.constant_one())
     assert K.kernel_series(dens, 2, 0.5, 1e-11).value == pytest.approx(20.0, rel=1e-11)
     assert K.kernel_series(dens, 2, 0.0).value == pytest.approx(1.0, rel=1e-13)
     ke = K.kernel_series(K.phi_v_density(9), 2, 0.5, 1e-11)
@@ -268,8 +289,7 @@ def test_direct_sum_fill_economy(make, n, t):
 @pytest.mark.parametrize("fill", [
     lambda dens, k: dens.moments_block(k),
     lambda dens, k: dens.moment(k),
-    lambda dens, k: K.moments(dens, k),
-], ids=["moments_block", "moment", "moments"])
+], ids=["moments_block", "moment"])
 def test_moment_fill_past_cap_rejected(fill):
     # checked before any work: no calibration, no allocation
     dens = _fresh_phi_v(4)
@@ -467,7 +487,7 @@ def test_kummer_switch():
 @pytest.mark.parametrize("make, factor", [
     pytest.param(lambda: K.density_from_profile(RadialProfile.sqrt_poincare(scale=2.0), 2),
                  1 / 8, id="W[2 sqrt_poincare]"),
-    pytest.param(lambda: K.profile_as_density(RadialProfile.constant_one(scale=0.5)), 2.0,
+    pytest.param(lambda: K.associated_density(RadialProfile.constant_one(scale=0.5)), 2.0,
                  id="f[constant_one/2]"),
 ])
 def test_kummer_scaled_densities(make, factor):
