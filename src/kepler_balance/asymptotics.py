@@ -213,9 +213,10 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
     L < 2 pi.
 
     Raises DomainError where the path's value is not finite: a term or the
-    sum overflowed float64 (large negative s, say).  The direct sum overflows
-    in k^-s before t^k damps it, so it fails below s ~ -93 even where Phi
-    itself is a finite float.
+    sum overflowed float64 (large negative s, say).  Where (k+1)^-s alone
+    would overflow, the direct sum forms the term as
+    exp(k log t - s log(k+1)), so it fails only where a term or Phi itself
+    passes the float range.
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -254,7 +255,11 @@ def _lerch_direct(t: float, s: float, n: int) -> float:
         ks = np.arange(k0, k0 + block, dtype=float)
         tk = np.exp(ks * logt)
         kp1 = ks + 1.0
-        terms = tk * kp1 ** (-s)
+        power = kp1 ** (-s)
+        terms = tk * power
+        huge = np.isinf(power)  # s < 0: (k+1)^-s overflows before t^k damps it
+        if huge.any():
+            terms[huge] = np.exp(ks[huge] * logt - s * np.log(kp1[huge]))
         if n:
             terms = terms * (-np.log(kp1)) ** n
         total += float(terms.sum())

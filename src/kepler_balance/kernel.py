@@ -650,7 +650,10 @@ def estimate_c(p: RadialProfile, n: int, density: Density | None = None) -> floa
     i = 0..5, against ``density`` (default ``associated_density(p, n)``).
 
     Declared failed (EstimationError) if the last two extrapolants differ
-    by more than 1e-3.
+    by more than 1e-3.  If, in that case, f^(n+1) F itself moves by at
+    least as much at each of the last three halvings of 1 - t, it diverges
+    (f does not vanish like 1 - t at t = 1, say f = 1): the profile has no
+    finite boundary value, and DomainError is raised instead.
     """
     dens = density if density is not None else associated_density(p, n)
     levels = 6
@@ -671,6 +674,13 @@ def estimate_c(p: RadialProfile, n: int, density: Density | None = None) -> floa
     best = R[-1][0]
     prev_best = R[-2][0]
     if not math.isfinite(best) or abs(best - prev_best) > 1e-3:
+        steps = [b - a for a, b in zip(g, g[1:])][-3:]
+        if all(abs(later) >= abs(earlier) > 0.0 for earlier, later in zip(steps, steps[1:])):
+            raise DomainError(
+                f"profile {p.kind!r} has no finite boundary value of f^(n+1) F at n = {n}: it "
+                f"moves by {steps[0]:.6g}, {steps[1]:.6g}, {steps[2]:.6g} as 1 - t "
+                "halves; supply c"
+            )
         raise EstimationError(
             f"Richardson extrapolation did not settle: {best} vs {prev_best}; "
             f"diagonal={[row[0] for row in R]}"

@@ -21,6 +21,7 @@ at an interior cusp t0 where c + t/f^3 = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -37,55 +38,73 @@ from .errors import (
 from .quadrature import integrate_01
 
 SQRT2 = math.sqrt(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-_RHO_MAX_ITER = 100
-_RHO_STEP_TOL = 4.0 * math.ulp(1.0)  # 4 float64 machine epsilons
+# rho(a) solves x^3 + x^2/2 = a; x = y - 1/6 turns it into the depressed
+# cubic y^3 - y/12 + (1/108 - a) = 0, whose discriminant changes sign at
+# a = 1/54 (below it the cubic has three real roots, two of them negative)
+_RHO_BRANCH = 1.0 / 54.0
+_RHO_SQRT_START = 1e-8  # below: start from the series sqrt(2a) - 2a
+_RHO_SERIES_ONLY = 2.0 ** -120  # below: that series is the root to rounding
+_THIRD = 1.0 / 3.0  # math.cbrt needs Python 3.11
 
 
 def _rho_scalar(a: float) -> float:
     if not 0.0 <= a < math.inf:
         raise DomainError(f"rho requires finite a >= 0, got {a!r}")
-    s = math.sqrt(2.0 * a)
-    r = a ** (1.0 / 3.0)
-    x = s if a <= 1.0 else r
-    lo, hi = 0.0, max(s, r) + 1.0
-    for _ in range(_RHO_MAX_ITER):
-        fx = x * x * x + 0.5 * x * x - a
-        if fx <= 0.0:
-            lo = x
-        else:
-            hi = x
-        dfx = 3.0 * x * x + x
-        xn = x - fx / dfx if dfx > 0.0 else x
-        if not lo <= xn <= hi:  # also catches a NaN step
-            xn = 0.5 * (lo + hi)
-        done = abs(xn - x) <= _RHO_STEP_TOL * max(1.0, xn)
-        x = xn
-        if done:
-            break
-    # one Newton polish for the residual bound
-    fx = x * x * x + 0.5 * x * x - a
-    dfx = 3.0 * x * x + x
-    if dfx > 0.0:
-        x -= fx / dfx
-    return max(x, 0.0)
+    if a < _RHO_SQRT_START:
+        # the trigonometric form loses x to cancellation in y - 1/6 here
+        s = math.sqrt(2.0 * a)
+        x = s - s * s
+        if a < _RHO_SERIES_ONLY:
+            return x
+    elif a < _RHO_BRANCH:
+        x = (math.cos(math.acos(108.0 * a - 1.0) / 3.0) - 0.5) / 3.0
+    else:
+        # Cardano, with sqrt(h^2 - 216^-2) written so that h^2 cannot overflow
+        h = 0.5 * a - 1.0 / 216.0
+        q = 1.0 / (216.0 * h)
+        u = (h + h * math.sqrt(1.0 - q * q)) ** _THIRD
+        x = u + 1.0 / (36.0 * u) - 1.0 / 6.0
+    # two Newton steps on (x^3 + x^2/2 - a)/8 in z = x/2: the same steps, but
+    # z^3 ~ a/8 cannot overflow
+    b = 0.125 * a
+    z = 0.5 * x
+    x -= (z * z * z + 0.25 * z * z - b) / (1.5 * z * z + 0.25 * z)
+    z = 0.5 * x
+    x -= (z * z * z + 0.25 * z * z - b) / (1.5 * z * z + 0.25 * z)
+    return x
 
 
 def rho(a):
     """Unique nonnegative root of x^3 + x^2/2 = a, for finite a >= 0.
 
-    Safeguarded Newton in float64 with bracket [0, max(sqrt(2a), a^(1/3)) + 1]:
-    the initial guess is sqrt(2a) for a <= 1 and a^(1/3) beyond, and a step
-    that leaves the bracket is replaced by bisection.  Iteration stops once a
-    step satisfies |x_new - x| <= 4 eps max(1, x_new) (eps the float64
-    machine epsilon), or after 100 steps; one final Newton step polishes the
-    root.  Residual |rho^3 + rho^2/2 - a| <= 1e-14 max(1, a).
+    Closed form, then two Newton steps.  With x = y - 1/6 the cubic is
+    y^3 - y/12 + (1/108 - a) = 0, and the branch point is a = 1/54, where
+    its discriminant vanishes:
+
+    - a >= 1/54: Cardano, x = u + 1/(36u) - 1/6 with
+      u = (h + h sqrt(1 - (216 h)^-2))^(1/3) and h = a/2 - 1/216;
+    - 1e-8 <= a < 1/54: the trigonometric form
+      x = (cos(acos(108a - 1)/3) - 1/2)/3;
+    - a < 1e-8: the series sqrt(2a) - 2a, where the trigonometric form
+      cancels; below 2^-120 that series is returned as it is, since it is
+      the root to rounding (and x^2 ~ 2a may be subnormal).
+
+    Then two Newton steps polish the root (see W. Kahan, "To solve a real
+    cubic equation", 1986, on computing it without losing accuracy).  Over
+    the whole float range, from 5e-324 to 1.8e308, the result is finite
+    and within 1 ulp of the exact root, and
+    |rho^3 + rho^2/2 - a| <= 1e-14 max(1, a).  rho does not decrease
+    across the switches between forms.
 
     Scalars give a float.  Arrays are solved element by element with the same
     scalar routine, so ``rho(arr)[i] == rho(float(arr[i]))`` exactly and the
     result keeps the input's shape.  Raises DomainError for a < 0, NaN and
     +-inf, on scalars and on any array element.
     """
+    if type(a) is float:  # the flow's right-hand side: skip the dispatch
+        return _rho_scalar(a)
     if np.isscalar(a):
         return _rho_scalar(float(a))
     a = np.asarray(a, dtype=float)
@@ -414,6 +433,13 @@ def _event_root(g, hi, g_hi, lo, g_lo):
     return lo
 
 
+def _overflow_error(c: float, t_min: float) -> DomainError:
+    return DomainError(
+        f"c = {c!r} is too large for t_min = {t_min!r}: f grows at least like "
+        "t^-rho(c), and f^3 in Psi and W overflows float64 before t_min"
+    )
+
+
 def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
                    boundary_offset: float = 1e-3) -> PoincareSolution:
     """Integrate the Poincare flow from the boundary down to t_min.
@@ -436,7 +462,11 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
     raises DomainError when the cusp lies between the bootstrap point and
     t = 1: the Taylor model has f <= 0 or c + t/f^3 <= 0 somewhere on
     [1 - boundary_offset, 1), checked on 256 evenly spaced points (with the
-    default offset, for c below about -1.48e9).
+    default offset, for c below about -1.48e9), and when c > 0 is so large
+    that f^3, which Psi and W hold, overflows float64 before t_min (f grows
+    at least like t^-rho(c); from about c = 3.8e4 at t_min = 1e-3).  Where
+    the lower bound on f already passes the cube root of the float range,
+    that is raised before the flow is integrated.
     """
     c = float(c)
     if not math.isfinite(c):
@@ -452,6 +482,10 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
     if t_min >= t_start:
         raise DomainError("t_min must be below the bootstrap point 1 - h0")
     f_start = boundary_taylor_value(c, h0)
+    # Psi and W hold f^3, and for c > 0 log f grows by at least rho(c) per
+    # unit of -tau: past a third of float64's exponent range they overflow
+    if c > 0.0 and math.log(f_start) + rho(c) * math.log(t_start / t_min) > _LOG_FLOAT_MAX / 3.0:
+        raise _overflow_error(c, t_min)
     # the Taylor model must stay on the regular side of the cusp over the whole
     # bootstrap interval: f > 0 and c + t/f^3 > 0 for t in [1 - h0, 1)
     hs = h0 * np.arange(1, 257) / 256.0
@@ -486,18 +520,22 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
     ts, fs = ts[order], fs[order]
     keep = fs > 0
     ts, fs = ts[keep], fs[keep]
-    g = c + ts / fs ** 3
-    fps = -(fs / ts) * rho(np.maximum(g, 0.0))
-    fpps = reconstruct_fpp(ts, fs, fps)
+    # an overflow here leaves a residual that is not finite, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = c + ts / fs ** 3
+        fps = -(fs / ts) * rho(np.maximum(g, 0.0))
+        fpps = reconstruct_fpp(ts, fs, fps)
 
-    interior = fps < 0  # exclude the cusp point itself from residual checks
-    res = np.abs(psi(ts[interior], fs[interior], fps[interior]) - c)
-    res = res / psi_scale(ts[interior], fs[interior])
-    psi_res = float(res.max()) if res.size else 0.0
-    w_vals = monge_ampere_on_grid(ts[interior], fs[interior], fps[interior],
-                                  fpps[interior])
-    w_den = w_scale(ts[interior], fs[interior], fps[interior], fpps[interior])
-    w_res = float((np.abs(w_vals - 1.0) / w_den).max()) if w_vals.size else 0.0
+        interior = fps < 0  # exclude the cusp point itself from residual checks
+        res = np.abs(psi(ts[interior], fs[interior], fps[interior]) - c)
+        res = res / psi_scale(ts[interior], fs[interior])
+        psi_res = float(res.max()) if res.size else 0.0
+        w_vals = monge_ampere_on_grid(ts[interior], fs[interior], fps[interior],
+                                      fpps[interior])
+        w_den = w_scale(ts[interior], fs[interior], fps[interior], fpps[interior])
+        w_res = float((np.abs(w_vals - 1.0) / w_den).max()) if w_vals.size else 0.0
+    if not (math.isfinite(psi_res) and math.isfinite(w_res)):
+        raise _overflow_error(c, t_min)
     if psi_res > 100.0 * tol:
         raise IntegrationError(
             f"Psi drift {psi_res:g} exceeds 100 x tol; integration unreliable"

@@ -292,6 +292,19 @@ def test_lerch_nonfinite_value_is_domain_error():
     assert A.lerch_phi(0.5, -40.0, 0, method="direct") == A._lerch_direct(0.5, -40.0, 0)
 
 
+@pytest.mark.parametrize("s", [-94.0, -100.0, -120.0, -150.0])
+@pytest.mark.parametrize("n", [0, 1])
+def test_lerch_direct_large_negative_s_matches_mpmath(s, n):
+    # (k+1)^-s overflows from s = -94 at t = 0.5 although Phi is finite:
+    # those terms are formed as exp(k log t - s log(k+1))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = mpmath.diff(lambda x: mpmath.lerchphi(0.5, x, 1), s, n)
+    value = A.lerch_phi(0.5, s, n, method="direct")
+    assert math.isfinite(value)
+    assert value == pytest.approx(float(ref), rel=1e-13)
+
+
 def test_boundary_expansion_s1():
     # -log L + gamma-terms; L-coefficient -zeta(0) = 1/2; log L present
     ser = A.lerch_boundary_expansion(1, 0, 6)

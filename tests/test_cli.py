@@ -91,6 +91,15 @@ def test_kernel_constant_one_point(capsys):
     assert F == pytest.approx(20.0, rel=1e-9)
 
 
+def test_kernel_auto_c_without_boundary_value_is_config_error(capsys):
+    # the default --c auto on a profile with no boundary c is the input's
+    # fault (exit 1), not a numerical failure (exit 2)
+    code, out, err = run_cli(["kernel", "--profile", "constant_one", "--t", "0.5"], capsys)
+    assert code == 1
+    assert "configuration error" in err and "no finite boundary value" in err
+    assert out == ""
+
+
 def test_kernel_empty_grid_is_config_error(capsys):
     code, _o, err = run_cli(
         ["kernel", "--profile", "constant_one", "--grid", "0.5:0.1:0", "--c", "4"],

@@ -176,6 +176,14 @@ def test_estimate_c():
     assert K.estimate_c(RadialProfile.sqrt_poincare(), 2) == pytest.approx(4.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_estimate_c_without_boundary_value_is_domain_error(n):
+    # f = 1 does not vanish at t = 1: f^(n+1) F = F grows like (1-t)^-(n+1),
+    # so the input has no boundary c, and no extrapolation can give one
+    with pytest.raises(DomainError, match="no finite boundary value"):
+        K.estimate_c(RadialProfile("constant_one"), n)
+
+
 def test_estimate_c_scaling_homogeneity():
     # holding the density fixed, f -> 2f scales f^(n+1) F by 2^(n+1)
     base = K.density_from_profile(RadialProfile.sqrt_poincare(), 2)

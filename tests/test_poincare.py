@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -25,6 +26,30 @@ def solm():
     return P.solve_poincare(-0.1, t_min=1e-4)
 
 
+def _rho_oracle(a, mpmath):
+    """The root at the working precision: Newton from sqrt(2a) or a^(1/3),
+    whichever is the smaller upper bound of the root, decreases
+    monotonically to it (the cubic is convex for x > 0)."""
+    am = mpmath.mpf(a)
+    x = min(mpmath.sqrt(2 * am), mpmath.cbrt(am))
+    while True:
+        x_new = x - (x ** 3 + x ** 2 / 2 - am) / (3 * x ** 2 + x)
+        if x_new >= x:
+            return x
+        x = x_new
+
+
+_BRANCH = 1.0 / 54.0  # where rho switches from the trigonometric form to Cardano
+# the whole float range, with the branch point and its neighbours
+FULL_RANGE = np.concatenate([
+    [5e-324, 1e-320, 2.0 ** -1022],
+    np.logspace(-300, -12, 289),
+    [math.nextafter(_BRANCH, 0.0), _BRANCH, math.nextafter(_BRANCH, 1.0)],
+    np.logspace(12, math.log10(1.7e308), 150),
+    [1.7e308],
+])
+
+
 def test_rho_values():
     assert P.rho(0.0) == 0.0
     assert P.rho(1.5) == pytest.approx(1.0, rel=1e-15)
@@ -45,6 +70,9 @@ def test_rho_residual_grid():
     assert np.max(P.rho_residual(grid)) <= 1e-14
     big = np.logspace(1, 6, 20)
     assert np.max(P.rho_residual(big) / np.maximum(1.0, big)) <= 1e-14
+    assert np.all(np.isfinite(P.rho(FULL_RANGE)))
+    assert np.max(P.rho_residual(FULL_RANGE) / np.maximum(1.0, FULL_RANGE)) <= 1e-14
+    assert math.isfinite(P.rho(1.7976931348623157e308))
 
 
 def test_rho_monotone():
@@ -85,20 +113,25 @@ def test_rho_independent_of_batch():
 
 def test_rho_matches_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
-    grid = np.concatenate([np.logspace(-12, 6, 181), np.linspace(0.01, 3.0, 100)])
-    with mpmath.workdps(40):
+    grid = np.concatenate([np.logspace(-12, 6, 181), np.linspace(0.01, 3.0, 100), FULL_RANGE])
+    with mpmath.workdps(50):
         for a in grid:
             a = float(a)
-            am = mpmath.mpf(a)
-            x0 = math.sqrt(2.0 * a) if a <= 1.0 else a ** (1.0 / 3.0)
-            ref = mpmath.findroot(
-                lambda x: (x ** 3 + x ** 2 / 2) / am - 1,
-                x0,
-                solver="newton",
-                df=lambda x: (3 * x ** 2 + x) / am,
-            )
+            ref = _rho_oracle(a, mpmath)
             r = P.rho(a)
+            assert math.isfinite(r), a
             assert abs(mpmath.mpf(r) - ref) <= math.ulp(float(ref)), a
+
+
+@pytest.mark.parametrize("switch", [_BRANCH, 1e-8, 2.0 ** -120])
+def test_rho_monotone_across_branch_switch(switch):
+    # 64 consecutive floats on each side of a switch between closed forms
+    below, above = [switch], [switch]
+    for _ in range(64):
+        below.insert(0, math.nextafter(below[0], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    vals = [P.rho(a) for a in below + above[1:]]
+    assert all(x <= y for x, y in zip(vals, vals[1:]))
 
 
 def test_psi_examples():
@@ -268,6 +301,31 @@ def test_solve_rejects_cusp_before_bootstrap_point(c):
     # a smaller offset starts on the regular side again
     if c == -2e9:
         assert P.solve_poincare(c, boundary_offset=1e-4).t0 is not None
+
+
+@pytest.mark.parametrize("c, t_min", [(1e300, 1e-3), (1e20, 1e-3), (4e4, 1e-3), (2e4, 1e-4)])
+def test_solve_rejects_c_whose_flow_overflows(c, t_min):
+    # f grows at least like t^-rho(c); the bootstrap value, the flow or f^3
+    # in Psi and W leaves float64 before t_min, without a RuntimeWarning.
+    # At c = 4e4 the lower bound on f stays in range, and the residuals
+    # overflow after the solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"c = {c!r} is too large for t_min")):
+            P.solve_poincare(c, t_min=t_min)
+        if c == 4e4:  # a little below, the flow is still solved
+            sol = P.solve_poincare(3e4, t_min=t_min)
+            assert np.all(np.isfinite(sol.f_grid)) and sol.psi_residual_max <= 1e-8
+
+
+def test_poincare_cli_huge_c_is_config_error(tmp_path, capsys):
+    from kepler_balance.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["poincare", "--c", "1e300", "--out", str(tmp_path / "f.csv")])
+    assert code == 1
+    assert "c = 1e+300" in capsys.readouterr().err
 
 
 def test_very_negative_c_still_terminates_at_cusp(tmp_path, capsys):
