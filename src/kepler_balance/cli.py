@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     DomainError,
     EstimationError,
     IntegrationError,
+    SignedDensityWarning,
 )
 from .profiles import RadialProfile, phi_v_l_series
 
@@ -272,9 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one request; each sign-changing density it uses is noted on stderr
+    (SignedDensityWarning), whatever the requests before it in this process."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", SignedDensityWarning)
+            return args.fn(args)
     except NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2

@@ -5,11 +5,19 @@ holomorphic components and c_k are the moments of the density phi against
 t^k on (0, 1).  For the phi_v germ family everything also has closed forms,
 which the series path is cross-checked against.
 
-The layer takes a ``Density`` (``phi_v_density``, ``associated_density``,
-``density_from_profile`` or ``Density(...)``); anything else raises
-CapabilityError.  ``Density.moment(k)`` reads c_k with its error bound.
-``defect_table`` is the one loop over t: it gives F and the balanced defect
-per t to ``balanced_defect`` and to the CLI's ``kernel`` subcommand.
+The layer takes a ``Density`` (``phi_v_density``, ``associated_density``
+or ``Density(...)``); anything else raises CapabilityError.
+``associated_density`` is the one factory from a profile: phi_v for the
+phi_v candidate, f itself for constant_one, and W_n[f] otherwise, with its
+exponent at t = 0 worked out from W_n[g_m] = t^(1 - n/m) (0 for the
+Poincare solution at n = 2; CapabilityError where none is known).
+``Density.moment(k)`` reads c_k with its error bound, and
+``Density.sign_changing`` says whether phi is negative at some node, read
+off the node values calibration computes.  ``defect_table`` is the one
+loop over t: it gives F and the balanced defect per t to
+``balanced_defect`` and to the CLI's ``kernel`` subcommand, and it is the
+one place that warns (SignedDensityWarning, naming the density) when the
+density is sign-changing.
 
 Moments are computed by tanh-sinh quadrature over a fixed node set shared
 across k.  Each entry carries an observed error bound: its difference from
@@ -70,7 +78,6 @@ Neither path's bound counts the rounding of the final sum (relative
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 import weakref
 from dataclasses import dataclass, replace
@@ -100,6 +107,7 @@ from .profiles import (
     monge_ampere_density,
     phi_v,
     phi_v_l_series,
+    require_dimension,
 )
 from .quadrature import MAX_LEVEL, T_FLOOR, nodes_up_to
 from .series import PowerLogSeries
@@ -183,6 +191,8 @@ class Density:
     in aligned blocks of ``_BLOCK`` at one node level from exact powers
     exp(k l) (module docstring).  ``calibrate`` picks that level once per
     density against ``_CALIBRATION_RTOL`` and keeps its probe block.
+    ``sign_changing`` is read off the same node values: phi < 0 at some
+    node, so phi is not a nonnegative volume element.
 
     ``l_series``, when given, maps an order to phi's L-expansion at t = 1
     (a log-free PowerLogSeries in integer powers of L with a nonzero constant
@@ -190,12 +200,10 @@ class Density:
     then takes the Kummer split.
     """
 
-    def __init__(self, fn, origin_exponent, label="density", sign_changing=False,
-                 l_series=None):
+    def __init__(self, fn, origin_exponent, label="density", l_series=None):
         self.fn = fn
         self.origin_exponent = origin_exponent
         self.label = label
-        self.sign_changing = sign_changing
         self.l_series = l_series
         self._kummer = None  # _KummerSplit, built on first use
         self.k_min = _k_min_from_exponent(origin_exponent)
@@ -206,6 +214,7 @@ class Density:
         self.t_floor = float(min(max(t_floor, T_FLOOR), 1e-16))
         self._level = None
         self._nodes = None  # (l, Q, W) on the floored nodes; W = [w phi, w_prev phi]
+        self._negative = None  # phi < 0 at some node
         self._c = []  # c_k for k = k_min + i
         self._err = []  # its observed error bound
 
@@ -222,6 +231,7 @@ class Density:
         if not np.any(phi):
             # every moment would be 0, and F = sum N(k)/c_k t^k undefined
             raise DomainError(f"{self.label}: the density vanishes on the node set")
+        self._negative = bool(np.any(phi < 0.0))
         weights = np.stack([w * phi, w_prev * phi], axis=1)
         # drop the last level's Q before this level's is built; the floor cut
         # is a leading slice of the table, and so of Q's columns
@@ -242,6 +252,12 @@ class Density:
             self.moments_block(self.k_min + _PROBES[-1])
             if all(self._err[i] <= _CALIBRATION_RTOL * abs(self._c[i]) for i in _PROBES):
                 return
+
+    @property
+    def sign_changing(self) -> bool:
+        """Whether phi is negative at some node of the calibrated level."""
+        self.calibrate()
+        return self._negative
 
     def moment(self, k):
         """c_k with an observed error bound; DivergenceError below k_min.
@@ -294,7 +310,7 @@ def phi_v_density(v) -> Density:
 
     For every v < 1, phi_v is negative near t = 0 (for 0 < v < 1 its leading
     coefficient there is -(1 - sqrt v)/(2 sqrt v)): such a density is
-    integrable but flagged sign-changing, with a SignedDensityWarning.
+    integrable, and its node values flag it ``sign_changing``.
     """
     key = float(v)
     if key in _PHI_V_DENSITIES:
@@ -303,53 +319,22 @@ def phi_v_density(v) -> Density:
     if v >= 0:
         p0 = (-1.0 - math.sqrt(float(v))) / 4.0
         l_series = lambda order, v=v: phi_v_l_series(Fraction(v), order)
-    dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}", sign_changing=v < 1,
-                   l_series=l_series)
-    if dens.sign_changing:
-        warnings.warn(
-            f"phi_v with v={v} < 1 changes sign: not a nonnegative volume element",
-            SignedDensityWarning,
-            stacklevel=2,
-        )
+    dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}", l_series=l_series)
     _PHI_V_DENSITIES[key] = dens
     return dens
 
 
-def _monge_ampere_exponent(p: RadialProfile):
-    kind = p.kind
-    if kind in ("sqrt_poincare", "explicit_n", "constant_one", "poincare_numeric"):
+def _monge_ampere_exponent(p: RadialProfile, n: int):
+    """p0 with W_n[f] ~ C t^p0 at t = 0: W_n[g_m] = t^(1 - n/m) for explicit_n
+    (W_n[s f] = s^(n+1) W_n[f]), and W_2 = 1 for the Poincare solution."""
+    if p.kind == "explicit_n":
+        return 1.0 - n / p.params["n"]
+    if p.kind == "poincare_numeric" and n == 2:
         return 0.0
     raise CapabilityError(
-        f"no known endpoint exponent for W[f] of kind {kind!r}; "
+        f"no known endpoint exponent for W_{n}[f] of kind {p.kind!r}; "
         "construct the Density explicitly"
     )
-
-
-def density_from_profile(p: RadialProfile, n: int = 2) -> Density:
-    """The Monge-Ampere density W[f] of a profile, as an integrable Density."""
-    if p.kind == "phi_v_candidate":
-        # quadrature nodes next to t = 1 round to 1.0, where this W is not finite
-        raise CapabilityError(
-            "W[f] of phi_v_candidate cannot be integrated on the node set; "
-            "the candidate pairs with phi_v (use phi_v_density or associated_density)"
-        )
-    p0 = _monge_ampere_exponent(p)
-    l_series = None
-    if n == 2 and p.kind in ("sqrt_poincare", "explicit_n"):
-        l_series = lambda order: _monge_ampere_l_series(p, order)
-    dens = Density(
-        lambda t: monge_ampere_density(p, n, t), p0, label=f"W[{p.kind}]",
-        l_series=l_series,
-    )
-    probe = np.linspace(0.01, 0.99, 64)
-    if np.any(np.asarray(monge_ampere_density(p, n, probe)) < -1e-12):
-        dens.sign_changing = True
-        warnings.warn(
-            f"W[f] of {p.kind} takes negative values: volume form not nonnegative",
-            SignedDensityWarning,
-            stacklevel=2,
-        )
-    return dens
 
 
 def _monge_ampere_l_series(p: RadialProfile, order: int):
@@ -359,19 +344,27 @@ def _monge_ampere_l_series(p: RadialProfile, order: int):
 
 
 def associated_density(p: RadialProfile, n: int = 2) -> Density:
-    """Density paired with the profile in the balanced identity.
+    """The density paired with the profile in the balanced identity.
 
     The phi_v candidate was built against its germ phi_v (the kernel moments
-    in its defining identity are phi_v moments); constant_one is itself the
-    density (W[1] vanishes identically); other kinds pair with their own
-    Monge-Ampere density W[f].
+    in its defining identity are phi_v moments; its own W is not finite at
+    the nodes that round to t = 1); constant_one is itself the density (W[1]
+    vanishes identically); other kinds pair with their Monge-Ampere density
+    W_n[f], whose exponent at t = 0 is worked out by
+    ``_monge_ampere_exponent`` (CapabilityError where it is not known).
+    DomainError unless n is an integer >= 2.
     """
+    require_dimension(n)
     if p.kind == "phi_v_candidate":
         return phi_v_density(p.params["v"])
     if p.kind == "constant_one":
         return Density(lambda t: p.eval(t)[0], 0.0, label="f[constant_one]",
                        l_series=p.l_series)
-    return density_from_profile(p, n)
+    l_series = None
+    if n == 2 and p.kind == "explicit_n":
+        l_series = lambda order: _monge_ampere_l_series(p, order)
+    return Density(lambda t: monge_ampere_density(p, n, t), _monge_ampere_exponent(p, n),
+                   label=f"W_{n}[{p.kind}]", l_series=l_series)
 
 
 def _require_density(obj) -> Density:
@@ -428,10 +421,7 @@ def kernel_series(dens: Density, n: int, t: float, tol: float = 1e-10) -> Kernel
     -log t < AUTO_BOUNDARY_L; the direct sum otherwise (module docstring).
     ``tol`` is an absolute truncation target on both paths.
     """
-    if not isinstance(n, numbers.Integral):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    require_dimension(n)
     if not (0.0 <= t < 1.0):
         raise DomainError("t must lie in [0, 1)")
     require_tol(tol)
@@ -591,7 +581,8 @@ def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None
     ``c`` may be "auto" (estimated by boundary extrapolation).  The default
     density is ``associated_density(p, n)``: W[f], except for the phi_v
     candidate, which pairs with its defining germ phi_v, and constant_one,
-    which is its own density; pass ``density`` to override.  ``tol`` is the
+    which is its own density; pass ``density`` to override.  A
+    SignedDensityWarning names a ``sign_changing`` density.  ``tol`` is the
     absolute truncation target for each kernel value.  At t = 0 f is the
     limit f(0+).  Returns (c, F, defect): c as given or estimated, and one
     list of floats each for F and the defect, in the order of ``ts``.
@@ -602,7 +593,8 @@ def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None
     dens = associated_density(p, n) if density is None else _require_density(density)
     if dens.sign_changing:
         warnings.warn(
-            "defect computed against a sign-changing density",
+            f"defect computed against {dens.label}, which is negative at some node: "
+            "not a nonnegative volume element",
             SignedDensityWarning,
             stacklevel=3,
         )
@@ -629,8 +621,6 @@ def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = No
 
 def _f_at_zero(p: RadialProfile):
     """Limit f(0+) for kinds bounded at the origin."""
-    if p.kind == "sqrt_poincare":
-        return 2.0 * p.scale
     if p.kind == "explicit_n":
         n = p.params["n"]
         return n / (n - 1.0) * p.scale

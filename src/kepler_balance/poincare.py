@@ -35,6 +35,7 @@ from .errors import (
     EstimationError,
     IntegrationError,
 )
+from .profiles import monge_ampere
 from .quadrature import integrate_01
 
 SQRT2 = math.sqrt(2.0)
@@ -129,11 +130,13 @@ def psi(t, f, fp):
     return float(val) if val.ndim == 0 else val
 
 
-def psi_scale(t, f):
-    """Magnitude of the dominant Psi term, for conditioning-aware residuals."""
+def psi_scale(t, f, c):
+    """max(1, |c|, t/f^3): the size of Psi's terms on a solution with Psi = c
+    (t/f^3, and x^3 + x^2/2 = c + t/f^3 in x = -t f'/f), for
+    conditioning-aware residuals."""
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
-    val = np.maximum(1.0, t / f ** 3)
+    val = np.maximum(max(1.0, abs(c)), t / f ** 3)
     return float(val) if val.ndim == 0 else val
 
 
@@ -164,7 +167,7 @@ class PoincareSolution:
 
     The stored grid carries (t, f, f', f'') at the integrator steps, f''
     reconstructed from W[f] = 1.  ``psi_residual_max`` is the conservation
-    defect |Psi - c| normalized by the local term scale max(1, t/f^3)
+    defect |Psi - c| normalized by the local term scale max(1, |c|, t/f^3)
     (near t = 1 the raw difference is dominated by float cancellation in
     quantities of size 1/(1-t)^3 and would measure nothing).
     """
@@ -214,7 +217,7 @@ class PoincareSolution:
     def psi_residuals(self):
         """Normalized conservation residuals on the stored grid."""
         vals = psi(self.t_grid, self.f_grid, self.fp_grid)
-        return np.abs(vals - self.c) / psi_scale(self.t_grid, self.f_grid)
+        return np.abs(vals - self.c) / psi_scale(self.t_grid, self.f_grid, self.c)
 
 
 def reconstruct_fpp(t, f, fp):
@@ -528,10 +531,9 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
 
         interior = fps < 0  # exclude the cusp point itself from residual checks
         res = np.abs(psi(ts[interior], fs[interior], fps[interior]) - c)
-        res = res / psi_scale(ts[interior], fs[interior])
+        res = res / psi_scale(ts[interior], fs[interior], c)
         psi_res = float(res.max()) if res.size else 0.0
-        w_vals = monge_ampere_on_grid(ts[interior], fs[interior], fps[interior],
-                                      fpps[interior])
+        w_vals = monge_ampere(2, ts[interior], fs[interior], fps[interior], fpps[interior])
         w_den = w_scale(ts[interior], fs[interior], fps[interior], fpps[interior])
         w_res = float((np.abs(w_vals - 1.0) / w_den).max()) if w_vals.size else 0.0
     if not (math.isfinite(psi_res) and math.isfinite(w_res)):
@@ -555,12 +557,6 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
         w_residual_max=w_res,
         _dense=dense,
     )
-
-
-def monge_ampere_on_grid(t, f, fp, fpp):
-    """W[f] = t f'(f f' + t f f'' - t f'^2) from a stored grid (n = 2)."""
-    t = np.asarray(t, dtype=float)
-    return t * fp * (f * fp + t * f * fpp - t * fp * fp)
 
 
 def w_scale(t, f, fp, fpp):

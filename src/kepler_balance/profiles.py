@@ -4,8 +4,8 @@ A profile is the radial part of a weight u(z) = f(|z|^2) on the unit ball of
 the Kepler manifold, normalized so that f(1) = 0 and f'(1) = -1 for the
 boundary-vanishing kinds.  The catalog manipulated here:
 
-    sqrt_poincare     f(t) = 2 - 2 sqrt(t)
-    explicit_n        g_n(t) = n/(n-1) (1 - t^((n-1)/n)),  n >= 2
+    explicit_n        g_m(t) = m/(m-1) (1 - t^((m-1)/m)), its parameter ``n`` = m an
+                      integer >= 2; ``sqrt_poincare`` spells m = 2, 2 - 2 sqrt(t)
     phi_v_candidate   the closed-form balanced candidate for parameter v >= 0
     taylor_at_one     finite L-series at t = 1 (L = log 1/t)
     poincare_numeric  numeric radial Kahler-Einstein solution (module poincare)
@@ -28,7 +28,6 @@ from .errors import CapabilityError, DomainError, NormalizationError, Truncation
 from .series import PowerLogSeries, nth_root_fraction
 
 KINDS = (
-    "sqrt_poincare",
     "explicit_n",
     "phi_v_candidate",
     "taylor_at_one",
@@ -133,7 +132,7 @@ class RadialProfile:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS and self.kind != "custom":
+        if self.kind not in KINDS:
             raise DomainError(f"unknown profile kind {self.kind!r}")
         if self.kind == "explicit_n":
             n = self.params.get("n")
@@ -153,7 +152,8 @@ class RadialProfile:
 
     @classmethod
     def sqrt_poincare(cls, scale=1.0):
-        return cls("sqrt_poincare", {}, scale)
+        """2 - 2 sqrt(t): ``explicit_n`` with n = 2."""
+        return cls.explicit_n(2, scale)
 
     @classmethod
     def explicit_n(cls, n, scale=1.0):
@@ -188,11 +188,6 @@ class RadialProfile:
     @classmethod
     def constant_one(cls, scale=1.0):
         return cls("constant_one", {}, scale)
-
-    @classmethod
-    def custom(cls, f, fp, fpp, scale=1.0):
-        """Internal/testing escape hatch: explicit callables (not in the JSON schema)."""
-        return cls("custom", {"f": f, "fp": fp, "fpp": fpp}, scale)
 
     # -- JSON interface ---------------------------------------------------
 
@@ -234,9 +229,7 @@ class RadialProfile:
         raise DomainError(f"unknown profile kind {kind!r}")
 
     def to_json(self):
-        params = {
-            k: v for k, v in self.params.items() if k not in ("solution", "f", "fp", "fpp")
-        }
+        params = {k: v for k, v in self.params.items() if k != "solution"}
         if self.kind == "poincare_numeric" and "solution" in self.params:
             params["c"] = self.params["solution"].c
         if self.scale != 1.0:
@@ -269,9 +262,6 @@ class RadialProfile:
 
     def _eval_impl(self, t):
         kind = self.kind
-        if kind == "sqrt_poincare":
-            rt = np.sqrt(t)
-            return 2.0 - 2.0 * rt, -1.0 / rt, 0.5 * t ** -1.5
         if kind == "explicit_n":
             n = self.params["n"]
             b = (n - 1.0) / n
@@ -290,13 +280,6 @@ class RadialProfile:
             one = np.ones_like(t)
             zero = np.zeros_like(t)
             return one, zero, zero
-        if kind == "custom":
-            p = self.params
-            return (
-                np.asarray(p["f"](t), dtype=float),
-                np.asarray(p["fp"](t), dtype=float),
-                np.asarray(p["fpp"](t), dtype=float),
-            )
         raise CapabilityError(f"kind {kind!r} cannot be evaluated")
 
     def _eval_candidate(self, t):
@@ -346,9 +329,7 @@ class RadialProfile:
         one = PowerLogSeries.const(Fraction(1), order)
         L = PowerLogSeries.variable(order)
         kind = self.kind
-        if kind == "sqrt_poincare":
-            ser = (one - (L * Fraction(-1, 2)).exp()) * Fraction(2)
-        elif kind == "explicit_n":
+        if kind == "explicit_n":
             n = self.params["n"]
             ser = (one - (L * Fraction(-(n - 1), n)).exp()) * Fraction(n, n - 1)
         elif kind == "phi_v_candidate":
@@ -409,23 +390,30 @@ def _fract(x):
     return x
 
 
-def monge_ampere_density(p: RadialProfile, n: int, t):
-    """W[f](t) = (-1)^n t f'^(n-1) (f f' + t f f'' - t f'^2).
+def require_dimension(n):
+    """DomainError naming n unless the dimension n is an integer >= 2."""
+    if not (isinstance(n, Integral) and n >= 2):
+        raise DomainError(f"the dimension n must be an integer >= 2, got n = {n!r}")
+
+
+def monge_ampere(n, t, f, fp, fpp):
+    """W_n = (-1)^n t f'^(n-1) (f f' + t f f'' - t f'^2) from f, f', f'' at t.
 
     This is the density of u^(n+1) wedge^n(i/2 ddbar log 1/u) against the
-    invariant measure, up to the constant (n+1)^2 factor.
+    invariant measure, up to the constant (n+1)^2 factor.  W_n[s f] =
+    s^(n+1) W_n[f], and W_n[g_m] = t^(1 - n/m) for the explicit profiles.
+    DomainError unless the dimension n is an integer >= 2.
     """
-    if int(n) < 2:
-        raise DomainError("n must be an integer >= 2")
-    n = int(n)
+    require_dimension(n)
+    t, f, fp, fpp = (np.asarray(x, dtype=float) for x in (t, f, fp, fpp))
+    return (-1.0) ** n * t * fp ** (n - 1) * (f * fp + t * f * fpp - t * fp * fp)
+
+
+def monge_ampere_density(p: RadialProfile, n: int, t):
+    """W_n[f](t) of the profile (``monge_ampere``): a float for a scalar t."""
     scalar = np.isscalar(t)
-    f, fp, fpp = p.eval(np.asarray(t, dtype=float) if not scalar else t)
-    f = np.asarray(f, dtype=float)
-    fp = np.asarray(fp, dtype=float)
-    fpp = np.asarray(fpp, dtype=float)
-    tt = np.asarray(t, dtype=float)
-    w = (-1.0) ** n * tt * fp ** (n - 1) * (f * fp + tt * f * fpp - tt * fp * fp)
-    return _maybe_scalar(w, scalar)
+    f, fp, fpp = p.eval(t if scalar else np.asarray(t, dtype=float))
+    return _maybe_scalar(monge_ampere(n, t, f, fp, fpp), scalar)
 
 
 def density_in_L(f_series: PowerLogSeries) -> PowerLogSeries:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 import kepler_balance
 from kepler_balance import kernel as kern
 from kepler_balance.cli import main, parse_grid, parse_profile
-from kepler_balance.errors import DomainError
+from kepler_balance.errors import DomainError, SignedDensityWarning
+from kepler_balance.profiles import RadialProfile
 
 
 def run_cli(args, capsys):
@@ -25,10 +27,26 @@ def test_parse_profile_inline_and_json(tmp_path):
     assert p.kind == "phi_v_candidate" and p.params["v"] == 1
     q = parse_profile('{"kind": "explicit_n", "params": {"n": 3}}')
     assert q.params["n"] == 3
+    # sqrt_poincare is a spelling of explicit_n with n = 2, inline and as JSON
     path = tmp_path / "prof.json"
     path.write_text('{"kind": "sqrt_poincare", "params": {}}')
-    r = parse_profile(str(path))
-    assert r.kind == "sqrt_poincare"
+    for spec, scale in ((str(path), 1.0), ("sqrt_poincare", 1.0),
+                        ("sqrt_poincare:scale=1.5", 1.5),
+                        ('{"kind": "sqrt_poincare", "params": {"scale": 1.5}}', 1.5)):
+        assert parse_profile(spec) == RadialProfile.explicit_n(2, scale), spec
+
+
+def test_sign_note_on_every_request(capsys):
+    # Python's default action shows a warning once per location; the CLI
+    # notes a sign-changing density on each request that uses it, once
+    argv = ["kernel", "--profile", "phi_v_candidate:v=0.5", "--t", "0.5", "--c", "4"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        outs = [run_cli(argv, capsys) for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    notes = [w for w in caught if issubclass(w.category, SignedDensityWarning)]
+    assert len(notes) == 2
+    assert all("phi_0.5" in str(w.message) for w in notes)
 
 
 def test_parse_grid():

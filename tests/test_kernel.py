@@ -13,7 +13,8 @@ from kepler_balance.errors import (
     DomainError,
     SignedDensityWarning,
 )
-from kepler_balance.profiles import RadialProfile, phi_v
+from kepler_balance.poincare import solve_poincare
+from kepler_balance.profiles import RadialProfile, monge_ampere, monge_ampere_density, phi_v
 from kepler_balance.quadrature import nodes_up_to
 from kepler_balance.series import PowerLogSeries
 
@@ -76,25 +77,79 @@ def test_moment_closed_form_values():
 
 
 def test_negative_v_density_flagged():
+    # the flag comes from the node values; building the density does not warn
     K._PHI_V_DENSITIES.pop(-4.0, None)
-    with pytest.warns(SignedDensityWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SignedDensityWarning)
         dens = K.phi_v_density(-4)
     assert dens.sign_changing
     assert all(np.isfinite(dens.moment(k)[0]) for k in range(6))
+    with pytest.warns(SignedDensityWarning, match="phi_-4"):
+        K.balanced_defect(RadialProfile.phi_v_candidate(1), 2, 4.0, 0.5, density=dens)
 
 
 @pytest.mark.parametrize("v, flagged", [(0, True), (0.25, True), (0.9, True),
                                         (1, False), (4, False)])
 def test_phi_v_below_one_flagged(v, flagged, monkeypatch):
-    # phi_v is negative near t = 0 for every v < 1: phi_0.9(1e-8) = -212.2
+    # phi_v is negative near t = 0 for every v < 1: phi_0.9(1e-8) = -212.2;
+    # the flag is read off the node values, and the defect warns once,
+    # naming the density
     assert (phi_v(v, 1e-8) < 0) == flagged
     monkeypatch.setattr(K, "_PHI_V_DENSITIES", {})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dens = K.phi_v_density(v)
-    assert dens.sign_changing == flagged
+        assert dens.sign_changing == flagged
+        assert not caught
+        K.balanced_defect(RadialProfile.phi_v_candidate(v), 2, 4.0, 0.5)
     signed = [w for w in caught if issubclass(w.category, SignedDensityWarning)]
     assert len(signed) == flagged
+    assert all(f"phi_{v}" in str(w.message) for w in signed)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 7))
+def test_monge_ampere_density_of_explicit_n(m, n):
+    # W_n[g_m] = t^(1 - n/m): its exponent p0 = 1 - n/m fixes k_min, its
+    # moments are c_k = 1/(k + 2 - n/m), and F = sum_k N_n(k) (k + n - n/m) t^k
+    p = RadialProfile.explicit_n(m)
+    grid = np.concatenate([np.geomspace(1e-12, 0.01, 40), np.linspace(0.01, 0.99, 99)])
+    w = monge_ampere_density(p, n, grid)
+    assert np.max(np.abs(w / grid ** (1 - n / m) - 1)) <= 1e-14
+    dens = K.associated_density(p, n)
+    assert dens.k_min == max(0, math.floor(F(n, m) - 2) + 1)
+    with pytest.raises(DivergenceError):
+        dens.moment(dens.k_min - 1)
+    for k in range(dens.k_min, dens.k_min + 40):
+        assert abs(dens.moment(k)[0] * (k + 2 - n / m) - 1) <= 1e-14, k
+    for t in (0.1, 0.5, 0.9):
+        ref = math.fsum(K.dimension_count(k, n) * (k + n - n / m) * t ** k for k in range(800))
+        F_t = K.kernel_series(dens, n, t, tol=1e-14).value
+        assert abs(F_t - ref) <= 1e-12 * ref, t
+    assert dens._level == K._MIN_LEVEL
+    assert not dens.sign_changing
+
+
+@pytest.mark.parametrize("n", [2.9, 3.7, 2.0, "2", 1, 0, -2])
+def test_non_integer_or_small_n_rejected(n):
+    # int(n) would truncate 2.9 to a W_2 and 3.7 to a W_3
+    p = RadialProfile.explicit_n(3)
+    with pytest.raises(DomainError, match=f"n = {n!r}"):
+        monge_ampere(n, 0.5, 1.0, -1.0, 0.5)
+    with pytest.raises(DomainError, match=f"n = {n!r}"):
+        monge_ampere_density(p, n, 0.5)
+    with pytest.raises(DomainError, match=f"n = {n!r}"):
+        K.associated_density(p, n)
+
+
+def test_density_exponent_worked_out_or_refused():
+    # W_2 of the Poincare solution is 1 (p0 = 0); no other W exponent is known
+    sol = solve_poincare(0.0, t_min=0.5)
+    assert K.associated_density(RadialProfile.poincare_numeric(sol), 2).k_min == 0
+    for p, n in ((RadialProfile.poincare_numeric(sol), 3),
+                 (RadialProfile.taylor_at_one([1.0]), 2)):
+        with pytest.raises(CapabilityError, match="exponent"):
+            K.associated_density(p, n)
 
 
 def test_kernel_layer_takes_a_density():
@@ -157,14 +212,11 @@ def test_balanced_defect_candidate_grid():
     assert K.balanced_defect(cand, 2, 4, 0.0, density=dens) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_candidate_monge_ampere_density_refused():
+def test_candidate_pairs_with_phi_v():
     # W of the candidate is not finite at the nodes that round to t = 1;
     # the candidate's density is phi_v
     for v in (1, 4, 2.5):
-        with pytest.raises(CapabilityError, match="phi_v_density"):
-            K.density_from_profile(RadialProfile.phi_v_candidate(v), 2)
-    dens = K.associated_density(RadialProfile.phi_v_candidate(4), 2)
-    assert dens is K.phi_v_density(4)
+        assert K.associated_density(RadialProfile.phi_v_candidate(v), 2) is K.phi_v_density(v)
 
 
 def test_balanced_defect_sqrt_at_zero():
@@ -186,7 +238,7 @@ def test_estimate_c_without_boundary_value_is_domain_error(n):
 
 def test_estimate_c_scaling_homogeneity():
     # holding the density fixed, f -> 2f scales f^(n+1) F by 2^(n+1)
-    base = K.density_from_profile(RadialProfile.sqrt_poincare(), 2)
+    base = K.associated_density(RadialProfile.sqrt_poincare(), 2)
     c2 = K.estimate_c(RadialProfile.sqrt_poincare(scale=2.0), 2, density=base)
     assert c2 == pytest.approx(32.0, abs=1e-3)
 
@@ -252,9 +304,9 @@ def _fresh_phi_v(v):
 
 @pytest.mark.parametrize("make", [
     *(pytest.param(lambda v=v: _fresh_phi_v(v), id=f"phi_{v}") for v in (0, 1, 4, 9, -0.5)),
-    pytest.param(lambda: K.density_from_profile(RadialProfile.sqrt_poincare(), 2),
+    pytest.param(lambda: K.associated_density(RadialProfile.sqrt_poincare(), 2),
                  id="W[sqrt_poincare]"),
-    pytest.param(lambda: K.density_from_profile(RadialProfile.explicit_n(6), 6),
+    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(6), 6),
                  id="W[explicit_n:n=6]"),
 ])
 def test_moments_match_unflushed_reference(make):
@@ -279,7 +331,7 @@ def test_moments_match_unflushed_reference(make):
 
 @pytest.mark.parametrize("make, n", [
     pytest.param(lambda: _fresh_phi_v(2.5), 2, id="phi_2.5"),
-    pytest.param(lambda: K.density_from_profile(RadialProfile.explicit_n(4), 4), 4,
+    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(4), 4), 4,
                  id="W[explicit_n:n=4]"),
 ])
 @pytest.mark.parametrize("t", [0.05, 0.5, 0.9])
@@ -311,7 +363,7 @@ def test_direct_sum_fills_stop_at_cap(monkeypatch):
     # (K ~ 276) but n = 4 needs more terms: the sum fails without filling
     # any moment past the cap, and the last block is cut there
     monkeypatch.setattr(K, "HARD_TERM_CAP", 300)
-    dens = K.density_from_profile(RadialProfile.explicit_n(4), 4)
+    dens = K.associated_density(RadialProfile.explicit_n(4), 4)
     with pytest.raises(ConvergenceBudgetError):
         K.kernel_series(dens, 4, 0.92)
     assert dens.k_min + len(dens._c) - 1 == 300
@@ -373,7 +425,7 @@ def test_moments_to_the_cap_match_closed_form(v):
 def test_level_6_moments_match_level_12(p, n):
     # W[f] settles at the coarsest level and stays within 1e-15 of a
     # level-12 math.fsum over exact powers up to the cap
-    dens = K.density_from_profile(p, n)
+    dens = K.associated_density(p, n)
     dens.moments_block(K.HARD_TERM_CAP)
     assert dens._level == K._MIN_LEVEL
     t, w, ell, _w_prev = nodes_up_to(12, t_floor=dens.t_floor)
@@ -418,7 +470,7 @@ def _oracle_one_plus_a_log2(a, t):
 
 @pytest.mark.parametrize("make, v", [
     *(pytest.param(lambda v=v: K.phi_v_density(v), v, id=f"phi_{v}") for v in (1, 4, 9, 2.5)),
-    pytest.param(lambda: K.density_from_profile(RadialProfile.sqrt_poincare(), 2), 1,
+    pytest.param(lambda: K.associated_density(RadialProfile.sqrt_poincare(), 2), 1,
                  id="W[sqrt_poincare]"),
 ])
 def test_kummer_vs_closed_form(make, v):
@@ -442,7 +494,7 @@ def test_kummer_nonzero_remainder_vs_oracle():
     pytest.param(lambda: _one_plus_a_log2(1), id="1+L^2"),
     pytest.param(lambda: _one_plus_a_log2(5), id="1+5L^2"),
     pytest.param(lambda: K.phi_v_density(2.5), id="phi_2.5"),
-    pytest.param(lambda: K.density_from_profile(RadialProfile.explicit_n(3), 2),
+    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(3), 2),
                  id="W[explicit_n:n=3]"),
 ])
 def test_direct_and_kummer_paths_agree(make):
@@ -486,14 +538,14 @@ def test_kummer_switch():
     assert K.kernel_series(phi4, 2, t_out).path == "direct"
     assert K.kernel_series(phi4, 2, 0.0).path == "direct"
     # no series: W for n = 3, and a density built without one
-    w3 = K.density_from_profile(RadialProfile.explicit_n(3), 3)
+    w3 = K.associated_density(RadialProfile.explicit_n(3), 3)
     assert w3.l_series is None
     assert K.kernel_series(w3, 3, 0.95).path == "direct"
     assert K.kernel_series(_fresh_phi_v(4), 2, 0.95).path == "direct"
 
 
 @pytest.mark.parametrize("make, factor", [
-    pytest.param(lambda: K.density_from_profile(RadialProfile.sqrt_poincare(scale=2.0), 2),
+    pytest.param(lambda: K.associated_density(RadialProfile.sqrt_poincare(scale=2.0), 2),
                  1 / 8, id="W[2 sqrt_poincare]"),
     pytest.param(lambda: K.associated_density(RadialProfile.constant_one(scale=0.5)), 2.0,
                  id="f[constant_one/2]"),

@@ -134,13 +134,23 @@ def test_rho_monotone_across_branch_switch(switch):
     assert all(x <= y for x, y in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("c", [1.8e7, 2e7, 3.2e7])
+def test_psi_residual_scale_includes_c(c):
+    # Psi = c everywhere, so its rounding alone is ~eps |c| (1.9e-8 at 2e7):
+    # the residual is normalised by max(1, |c|, t/f^3), and these solve
+    sol = P.solve_poincare(c, t_min=0.5)
+    assert sol.psi_residual_max <= 1e-14
+    assert np.max(sol.psi_residuals()) <= 1e-14
+    assert P.psi_scale(0.5, 1.0, -c) == c
+
+
 def test_psi_examples():
     ts = np.linspace(0.05, 0.95, 9)
     f = 2 - 2 * np.sqrt(ts)
     fp = -1 / np.sqrt(ts)
     # identically zero along the explicit solution, up to the term scale
     # (raw cancellation reaches ~1e3 eps near t = 1)
-    assert np.max(np.abs(P.psi(ts, f, fp)) / P.psi_scale(ts, f)) < 1e-15
+    assert np.max(np.abs(P.psi(ts, f, fp)) / P.psi_scale(ts, f, 0.0)) < 1e-15
     assert P.psi(0.25, 1.0, -2.0) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(DomainError):
         P.psi(0.5, -1.0, 0.0)
@@ -257,12 +267,17 @@ def test_radial_length_c1(sol1):
     assert rl.exponent_fit == pytest.approx(3 * P.rho(1.0), abs=0.05)
 
 
+class _OneMinusT:
+    """Bergman-type f = 1 - t: radial_length needs only ``eval``."""
+
+    @staticmethod
+    def eval(t):
+        return 1.0 - t, -np.ones_like(t), np.zeros_like(t)
+
+
 def test_radial_length_smooth_profile():
-    # Bergman-type f = 1 - t: smooth positive integrand for r < 1
-    prof = RadialProfile.custom(
-        lambda t: 1.0 - t, lambda t: -np.ones_like(t), lambda t: np.zeros_like(t)
-    )
-    rl = P.radial_length(prof, 0.6, 0.3)
+    # smooth positive integrand for r < 1
+    rl = P.radial_length(_OneMinusT(), 0.6, 0.3)
     assert math.isfinite(rl.integral) and rl.integral > 0
     assert not rl.divergent
 
