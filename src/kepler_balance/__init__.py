@@ -5,7 +5,7 @@ Modules
 profiles     radial weight profiles f, derivatives, Monge-Ampere density W[f]
 kernel       moments, weighted Bergman kernel diagonal F(t), balanced defect
 asymptotics  L-expansions, moment asymptotics, Lerch transcendent machinery
-poincare     radial Kahler-Einstein flow, cusp detection, completeness
+poincare     radial Kahler-Einstein flow in closed form, cusp, completeness
 acceptance   the named reproduction criteria (also behind ``verify`` in the CLI)
 """
 
@@ -16,7 +16,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     EstimationError,
-    IntegrationError,
     NormalizationError,
     SignedDensityWarning,
     TruncationError,

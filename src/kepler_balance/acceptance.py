@@ -26,10 +26,10 @@ GAMMA1_REFERENCE = -0.0728158454836767248605863758749
 _cache: dict = {}
 
 
-def _solution(c, t_min=1e-3, **kw):
-    key = ("sol", c, t_min, tuple(sorted(kw.items())))
+def _solution(c, t_min=1e-3):
+    key = ("sol", c, t_min)
     if key not in _cache:
-        _cache[key] = poin.solve_poincare(c, t_min=t_min, **kw)
+        _cache[key] = poin.solve_poincare(c, t_min=t_min)
     return _cache[key]
 
 
@@ -175,7 +175,7 @@ def crit_poincare_ode():
     taylor_ok = all(
         poin.taylor_at_one(c)[4] == Fraction(15 + 16 * c, 8) for c in (0, 1, -2)
     )
-    boot = _solution(0.7, t_min=0.5, boundary_offset=1e-4)
+    boot = _solution(0.7, t_min=0.5)
     boot_ok = True
     boots = []
     for h in (1e-2, 1e-3):

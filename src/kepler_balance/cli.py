@@ -33,7 +33,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     EstimationError,
-    IntegrationError,
     SignedDensityWarning,
 )
 from .profiles import RadialProfile, phi_v_l_series
@@ -43,7 +42,6 @@ NUMERICAL_ERRORS = (
     ConvergenceBudgetError,
     DivergenceError,
     EstimationError,
-    IntegrationError,
 )
 # DomainError, CapabilityError and NormalizationError are ValueErrors
 CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError)
@@ -127,7 +125,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    sol = poin.solve_poincare(args.c, t_min=args.tmin, tol=args.tol)
+    sol = poin.solve_poincare(args.c, t_min=args.tmin)
     lines = ["t,f,fp,fpp,psi_residual"]
     res = sol.psi_residuals()
     for (t, f, fp, fpp), r in zip(sol.grid, res):
@@ -246,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("poincare", help="solve the radial Poincare flow")
     pp.add_argument("--c", type=float, required=True)
     pp.add_argument("--tmin", type=float, default=1e-3)
-    pp.add_argument("--tol", type=float, default=1e-10)
     pp.add_argument("--out", default=None)
     pp.set_defaults(fn=cmd_poincare)
 
@@ -274,19 +271,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one request; each sign-changing density it uses is noted on stderr
-    (SignedDensityWarning), whatever the requests before it in this process."""
+    """Run one request.  Each sign-changing density it uses is noted on
+    stderr as ``note: <message>`` (SignedDensityWarning), whatever the
+    requests before it in this process; other warnings are shown as usual."""
     args = build_parser().parse_args(argv)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("always", SignedDensityWarning)
-            return args.fn(args)
-    except NUMERICAL_ERRORS as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 2
-    except CONFIG_ERRORS as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 1
+    failure = ""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SignedDensityWarning)
+        try:
+            code = args.fn(args)
+        except NUMERICAL_ERRORS as exc:
+            code, failure = 2, f"numerical failure: {exc}\n"
+        except CONFIG_ERRORS as exc:
+            code, failure = 1, f"configuration error: {exc}\n"
+    for w in caught:
+        if issubclass(w.category, SignedDensityWarning):
+            sys.stderr.write(f"note: {w.message}\n")
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    sys.stderr.write(failure)
+    return code
 
 
 if __name__ == "__main__":

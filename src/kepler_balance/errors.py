@@ -40,9 +40,5 @@ class AccuracyError(RuntimeError):
     """A result failed its own accuracy self-check (residual above threshold)."""
 
 
-class IntegrationError(RuntimeError):
-    """ODE integration failed (step underflow, conservation drift, ...)."""
-
-
 class SignedDensityWarning(UserWarning):
     """Density changes sign: the associated volume element is not nonnegative."""

@@ -1,21 +1,17 @@
 """Radial Poincare (Kahler-Einstein) metrics: the conserved quantity Psi,
-the cubic root rho, boundary-series bootstrap, adaptive integration with
-cusp detection, origin asymptotics, and completeness diagnostics.
-
-The flow is integrated by an in-house scalar Dormand-Prince 5(4) pair
-(``_dormand_prince``) in plain floats: local extrapolation, the standard
-step control (safety 0.9, step factors in [0.2, 10], max step 0.25 in
-tau), Shampine's free quartic dense output, and a terminal cusp event
-whose last step is taken again to end on the root.
+the cubic root rho, the flow in closed form with its cusp, origin
+asymptotics, and completeness diagnostics.
 
 The profile f solves W[f] = 1 with f(1) = 0, f'(1) = -1.  Conservation of
 
     Psi(t) = -t/f^3 + t^2 f'^2 / (2 f^2) - t^3 f'^3 / f^3
 
-reduces the problem to the first-order flow f' = -(f/t) rho(c + t/f^3),
-where rho(a) is the unique nonnegative root of x^3 + x^2/2 = a.  For c >= 0
-solutions reach the origin with f ~ A t^(-rho(c)); for c < 0 they terminate
-at an interior cusp t0 where c + t/f^3 = 0.
+reads t/f^3 = P(x) = x^3 + x^2/2 - c in x = -t f'/f, and along the flow
+d(log t) = x dx / P(x), with x = infinity at t = 1.  So log t is an
+elementary function of x (``_Flow``), and f, f', f'' follow algebraically.
+For c >= 0, x falls to rho(c), the nonnegative root of P, as t -> 0, and
+f ~ A t^(-rho(c)); for c < 0 the flow ends at an interior cusp t0, where
+x = 0 and c + t/f^3 = 0.
 """
 
 from __future__ import annotations
@@ -29,17 +25,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    DomainError,
-    EstimationError,
-    IntegrationError,
-)
+from .errors import CapabilityError, DomainError, EstimationError
 from .profiles import monge_ampere
 from .quadrature import integrate_01
 
 SQRT2 = math.sqrt(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 # rho(a) solves x^3 + x^2/2 = a; x = y - 1/6 turns it into the depressed
 # cubic y^3 - y/12 + (1/108 - a) = 0, whose discriminant changes sign at
@@ -104,8 +96,6 @@ def rho(a):
     result keeps the input's shape.  Raises DomainError for a < 0, NaN and
     +-inf, on scalars and on any array element.
     """
-    if type(a) is float:  # the flow's right-hand side: skip the dispatch
-        return _rho_scalar(a)
     if np.isscalar(a):
         return _rho_scalar(float(a))
     a = np.asarray(a, dtype=float)
@@ -157,16 +147,18 @@ def taylor_at_one(c, order: int = 4):
 
 def boundary_taylor_value(c, h):
     """f(1 - h) from the degree-4 boundary Taylor polynomial."""
-    c = float(c)
-    return h + h * h / 4.0 + h ** 3 / 8.0 + (15.0 + 16.0 * c) / 192.0 * h ** 4
+    derivs = taylor_at_one(float(c))
+    return sum(d * (-h) ** k / math.factorial(k) for k, d in enumerate(derivs))
 
 
 @dataclass
 class PoincareSolution:
-    """Dense-output solution of the radial Poincare flow.
+    """The radial Poincare flow with Psi = c, in closed form.
 
-    The stored grid carries (t, f, f', f'') at the integrator steps, f''
-    reconstructed from W[f] = 1.  ``psi_residual_max`` is the conservation
+    The stored grid carries (t, f, f', f'') at rows evenly spaced in
+    u = log(x - r) (see ``_Flow``), from t_min, or from the cusp t0, up to
+    t = 1 - 1e-3; f'' is reconstructed from W[f] = 1.  ``eval`` reads the
+    same closed form at any t.  ``psi_residual_max`` is the conservation
     defect |Psi - c| normalized by the local term scale max(1, |c|, t/f^3)
     (near t = 1 the raw difference is dominated by float cancellation in
     quantities of size 1/(1-t)^3 and would measure nothing).
@@ -178,38 +170,28 @@ class PoincareSolution:
     fp_grid: np.ndarray
     fpp_grid: np.ndarray
     t_min_reached: float
-    t_start: float
-    boundary_offset: float
     t0: Optional[float]
     psi_residual_max: float
     w_residual_max: float
-    _dense: object = field(repr=False, default=None)
+    _flow: _Flow = field(repr=False)
 
     @property
     def grid(self):
         return list(zip(self.t_grid, self.f_grid, self.fp_grid, self.fpp_grid))
 
     def eval(self, t):
-        """(f, f', f'') at t; Taylor polynomial on [1 - h0, 1), dense output
-        below, f'' from the unit-density relation."""
+        """(f, f', f'') at t in [t_min_reached, 1): log t inverted for u,
+        f'' from the unit-density relation."""
         scalar = np.isscalar(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        lo = self.t0 if self.t0 is not None else self.t_min_reached
+        lo = self.t_min_reached
         if np.any(t < lo - 1e-12) or np.any(t >= 1.0):
             raise DomainError(
                 f"solution computed on [{lo:g}, 1); requested t outside range"
             )
-        f = np.empty_like(t)
-        near = t > self.t_start
-        if np.any(near):
-            h = 1.0 - t[near]
-            f[near] = boundary_taylor_value(self.c, h)
-        if np.any(~near):
-            tau = np.log(t[~near])
-            f[~near] = self._dense(tau)
-        g = self.c + t / f ** 3
-        fp = -(f / t) * rho(np.maximum(g, 0.0))
-        fpp = reconstruct_fpp(t, f, fp)
+        lt = np.log(t)
+        u = self._flow.u_of(lt)
+        f, fp, fpp = self._flow.profile(t, u)
         if scalar:
             return float(f[0]), float(fp[0]), float(fpp[0])
         return f, fp, fpp
@@ -234,206 +216,133 @@ def reconstruct_fpp(t, f, fp):
     return out
 
 
-# Dormand-Prince 5(4): the tableau and error weights of Hairer, Norsett &
-# Wanner, Solving ODEs I, Table II.5.2 (Dormand & Prince 1980), and the
-# free quartic interpolant of Shampine (1986) with its optimal c_6, which
-# reads the seven stages of a step (FSAL: the seventh is f at the step end).
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-# _DP_P[i] = coefficients of x, x^2, x^3, x^4 that stage i adds to the
-# interpolant y(t_old + x h) = y_old + h sum_i K_i sum_j P[i][j] x^(j+1)
-_DP_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-_DP_SAFETY = 0.9
-_DP_MIN_FACTOR = 0.2
-_DP_MAX_FACTOR = 10.0
-_DP_EXPONENT = -1.0 / 5.0  # the error of the 4th-order estimate scales as h^5
-_EVENT_TOL = 4.0 * math.ulp(1.0)
+_T_END = 1.0 - 1e-3  # the last grid row
+_GRID_ROWS = 256
+_NEWTON_MAX = 100
 
 
-class _DenseOutput:
-    """The quartic interpolant of every accepted step, evaluated at tau.
+def _cusp_shift(c: float) -> float:
+    """e < 0 with e (e - 1/2)^2 = c, for c < 0: Newton's method from the
+    larger of 4c and -(-c)^(1/3), both below the root.  The cubic is
+    concave and increasing for e < 0, so the steps climb to the root
+    without overshooting it."""
+    e = max(4.0 * c, -((-c) ** _THIRD))
+    while True:
+        # (e (e - 1/2)^2 - c) / (d/de), written so that e^3 cannot overflow
+        e_new = e - e * ((e - 0.5) ** 2 - c / e) / ((e - 0.5) * (3.0 * e - 0.5))
+        if not e_new > e:
+            return e
+        e = e_new
 
-    Step i runs from tau_old[i] to tau_old[i] + h[i] and has the stages
-    K[i, 0..6]; a point belongs to the step whose span holds it (the first
-    or the last step beyond the ends).
+
+class _Flow:
+    """log t, x = -t f'/f and Q along the flow with Psi = c, in u = log w.
+
+    Psi = c reads t/f^3 = P(x) = x^3 + x^2/2 - c, and d(log t) = x dx/P(x)
+    with x = infinity at t = 1.  Let r be the largest real root of P:
+    rho(c) for c >= 0, and for c < 0 the only one, below -1/2, taken as
+    r = e - 1/2 from e (e - 1/2)^2 = c so that e = r + 1/2 keeps its digits
+    as c -> 0-.  With w = x - r > 0, P = w Q, Q = x^2 + e x + r e, and
+
+        log t = -[log(Q/w^2)/2 + (3/2) e J] / (3r + 1),
+        J = int_Z^inf dz/(z^2 + D),  Z = w + (6r + 1)/4,  D = e (3r - 1/2)/4.
+
+    Then f^3 = t/(w Q) and f' = -x f/t.  For c >= 0, t -> 0 as w -> 0; for
+    c < 0 the flow ends at the cusp x = 0 (w = -r), where Q = r e exactly.
     """
 
-    def __init__(self, tau_old, h, y_old, stages):
-        self.tau_old = np.array(tau_old)
-        self.h = np.array(h)
-        self.y_old = np.array(y_old)
-        stages = np.array(stages)
-        self.q = sum(stages[:, i, None] * np.array(_DP_P[i]) for i in range(7))
-        self._sign = math.copysign(1.0, self.h[0])  # step starts ascend in sign * tau
-
-    def __call__(self, tau):
-        """f at tau: a float for a scalar, an array for an array."""
-        i = np.searchsorted(self._sign * self.tau_old, self._sign * np.asarray(tau), side="right")
-        i = np.clip(i - 1, 0, len(self.h) - 1)
-        h = self.h[i]
-        x = (tau - self.tau_old[i]) / h
-        q = self.q[i].T
-        y = self.y_old[i] + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
-        return float(y) if np.ndim(tau) == 0 else y
-
-
-def _dp_step(fun, tau, y, f, tau_new):
-    """One Dormand-Prince step from (tau, y), f = fun(tau, y), to tau_new:
-    (y_new, the seven stages, the embedded error estimate)."""
-    a2, a3, a4, a5, a6 = _DP_A
-    b1, _b2, b3, b4, b5, b6 = _DP_B
-    e1, _e2, e3, e4, e5, e6, e7 = _DP_E
-    h = tau_new - tau
-    k1 = f
-    k2 = fun(tau + h / 5, y + h * (a2[0] * k1))
-    k3 = fun(tau + 3 * h / 10, y + h * (a3[0] * k1 + a3[1] * k2))
-    k4 = fun(tau + 4 * h / 5, y + h * (a4[0] * k1 + a4[1] * k2 + a4[2] * k3))
-    k5 = fun(tau + 8 * h / 9, y + h * (a5[0] * k1 + a5[1] * k2 + a5[2] * k3 + a5[3] * k4))
-    k6 = fun(tau_new, y + h * (a6[0] * k1 + a6[1] * k2 + a6[2] * k3 + a6[3] * k4 + a6[4] * k5))
-    y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-    k7 = fun(tau_new, y_new)
-    err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
-
-
-def _dormand_prince(fun, tau0, y0, tau_end, rtol, atol, max_step, event=None):
-    """Integrate the scalar ODE y' = fun(tau, y) from tau0 to tau_end.
-
-    Step control: the first step from the two-evaluation rule of Hairer,
-    Norsett & Wanner (Section II.4), capped by max_step; a step is accepted
-    when the embedded error estimate e satisfies |e| < atol + rtol
-    max(|y_old|, |y_new|), and the next step is h (0.9 |e|^-1/5) clipped to
-    [0.2, 10] (at most 1 right after a rejection).  The last step ends at
-    tau_end exactly.
-
-    ``event(tau, y)``, if given, is a terminal event with direction -1.
-    When an accepted step takes it from >= 0 to <= 0, the root is found
-    among steps taken again from the same start (``_event_root``), so the
-    last step ends at the root instead of crossing it: the flow is not
-    smooth there, and an interpolant across that point is the least
-    accurate part of the solution.  If the step to the root fails the error
-    test, the integration goes half way to the root and looks again.
-
-    Returns (taus, ys, dense, tau_event): the accepted points in step order
-    (ending at the event root, if one was found), a _DenseOutput, and the
-    root or None.
-    """
-    direction = 1.0 if tau_end > tau0 else -1.0
-    span = abs(tau_end - tau0)
-
-    tau, y = tau0, y0
-    f = fun(tau, y)
-    scale = atol + abs(y) * rtol
-    d0, d1 = abs(y) / scale, abs(f) / scale
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = fun(tau + direction * h0, y + direction * h0 * f)
-    d2 = abs(f1 - f) / scale / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
-    h_abs = min(100.0 * h0, h1, span, max_step)
-
-    taus, ys = [tau], [y]
-    steps = ([], [], [], [])  # tau_old, h, y_old, stages
-    g = event(tau, y) if event is not None else None
-    while direction * (tau - tau_end) < 0.0:
-        min_step = 10.0 * abs(math.nextafter(tau, direction * math.inf) - tau)
-        h_abs = min(max(h_abs, min_step), max_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # also a NaN step
-                raise IntegrationError(
-                    f"Poincare integration failed: step size below {min_step:g} at tau = {tau!r}"
-                )
-            tau_new = tau + direction * h_abs
-            if direction * (tau_new - tau_end) > 0.0:
-                tau_new = tau_end
-            h_abs = abs(tau_new - tau)
-            y_new, stages, err = _dp_step(fun, tau, y, f, tau_new)
-            error_norm = abs(err) / (atol + max(abs(y), abs(y_new)) * rtol)
-            if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = _DP_MAX_FACTOR
-                else:
-                    factor = min(_DP_MAX_FACTOR, _DP_SAFETY * error_norm ** _DP_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_DP_MIN_FACTOR, _DP_SAFETY * error_norm ** _DP_EXPONENT)
-            rejected = True
-
-        if event is not None:
-            g_new = event(tau_new, y_new)
-            if g >= 0.0 >= g_new:
-                def g_at(end):
-                    return event(end, _dp_step(fun, tau, y, f, end)[0])
-
-                root = _event_root(g_at, tau, g, tau_new, g_new)
-                y_root, stages, err = _dp_step(fun, tau, y, f, root)
-                if abs(err) < atol + max(abs(y), abs(y_root)) * rtol:
-                    for column, value in zip(steps, (tau, root - tau, y, stages)):
-                        column.append(value)
-                    taus.append(root)
-                    ys.append(y_root)
-                    return taus, ys, _DenseOutput(*steps), root
-                # the step to the root fails the error test: go half way
-                # there, and look for the root again from closer
-                h_abs = 0.5 * abs(root - tau)
-                continue
-            g = g_new
-        for column, value in zip(steps, (tau, tau_new - tau, y, stages)):
-            column.append(value)
-        tau, y, f = tau_new, y_new, stages[6]
-        taus.append(tau)
-        ys.append(y)
-    return taus, ys, _DenseOutput(*steps), None
-
-
-def _event_root(g, hi, g_hi, lo, g_lo):
-    """Root of g between hi (g_hi >= 0) and lo (g_lo <= 0) by the Illinois
-    variant of regula falsi, with a bisection step whenever the secant
-    leaves the bracket.
-
-    Stops once the bracket is within 4 eps (1 + |lo|) or g vanishes, and
-    returns the end with g <= 0.
-    """
-    last = 0
-    while g_lo != 0.0 and abs(hi - lo) > _EVENT_TOL * (1.0 + abs(lo)):
-        mid = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if not min(hi, lo) < mid < max(hi, lo):
-            mid = 0.5 * (hi + lo)
-            if mid == hi or mid == lo:
-                break
-        g_mid = g(mid)
-        if g_mid > 0.0:
-            hi, g_hi = mid, g_mid
-            if last == 1:
-                g_lo *= 0.5
-            last = 1
+    def __init__(self, c: float):
+        if c >= 0.0:
+            r = rho(c)
+            e = r + 0.5
         else:
-            lo, g_lo = mid, g_mid
-            if last == -1:
-                g_hi *= 0.5
-            last = -1
-    return lo
+            e = _cusp_shift(c)
+            r = e - 0.5
+        self.c, self.r, self.e = c, r, e
+        self.k = 3.0 * r + 1.0
+        self.z0 = (6.0 * r + 1.0) / 4.0
+        self.d = e * (3.0 * r - 0.5) / 4.0
+        # log t >= -2/x for x >= x_far, where P(x) >= x^3/2
+        self.x_far = (2.0 * max(c, 0.0)) ** _THIRD
+        if c < 0.0:
+            self.u0 = math.log(-r)
+            j0 = self._j(0.5 * e, r * e)
+            self.log_t0 = float(-(0.5 * math.log(e / r) + 1.5 * e * j0) / self.k)
+        else:
+            self.u0 = self.log_t0 = -math.inf
+
+    def _j(self, z, q):
+        """J = int_z^inf dy/(y^2 + D), where q = z^2 + D > 0."""
+        d = self.d
+        if d > 0.0:
+            s = math.sqrt(d)
+            return np.arctan2(s, z) / s
+        if d < 0.0:
+            # (1/2a) log((z + a)/(z - a)), with z - a = q/(z + a)
+            a = math.sqrt(-d)
+            return np.log1p(2.0 * a * (z + a) / q) / (2.0 * a)
+        return 1.0 / z
+
+    def at(self, u):
+        """(log t, x, Q) at u; at or below the cusp u0, the cusp itself."""
+        u = np.asarray(u, dtype=float)
+        r, e = self.r, self.e
+        w = np.exp(u)
+        x = w + r
+        q = x * (x + e) + r * e
+        # log(Q/w^2): from log1p((Q - w^2)/w^2) toward t = 1, and from
+        # log Q and u where w is small (it may underflow)
+        wb = np.maximum(w, 1.0)
+        lq = np.where(w > 1.0, np.log1p(((3.0 * r + 0.5) * wb + r * self.k) / (wb * wb)),
+                      np.log(q) - 2.0 * u)
+        lt = -(0.5 * lq + 1.5 * e * self._j(w + self.z0, q)) / self.k
+        cusp = u <= self.u0
+        if np.any(cusp):
+            lt = np.where(cusp, self.log_t0, lt)
+            x = np.where(cusp, 0.0, x)
+            q = np.where(cusp, r * e, q)
+        return lt, x, q
+
+    def u_of(self, lt):
+        """u with log t(u) = lt, for lt < 0 (raised to log t0 at a cusp).
+
+        Newton's method in u (d log t/du = x/Q) inside a bisection bracket:
+        from u0, or from u = 2 (3r + 1) lt + log(3r + 1/2) for c >= 0 (where
+        Q >= (3r + 1/2) w), up to w = x_hi - r with x_hi = max(2/-lt, x_far).
+        """
+        lt = np.maximum(np.asarray(lt, dtype=float), self.log_t0)
+        if self.c < 0.0:
+            lo = np.full_like(lt, self.u0)
+        else:
+            lo = 2.0 * self.k * lt + math.log(3.0 * self.r + 0.5)
+        hi = np.log(np.maximum(-2.0 / lt, self.x_far) - self.r)
+        # start from x = -1/lt, where log t = -1/x + O(x^-2) toward t = 1
+        u = np.clip(np.log(np.maximum(-1.0 / lt - self.r, 1e-300)), lo, hi)
+        u = np.where(lt <= self.log_t0, self.u0, u)
+        done = np.zeros(u.shape, dtype=bool)
+        for _ in range(_NEWTON_MAX):
+            g, x, q = self.at(u)
+            g = g - lt
+            lo = np.where(g <= 0.0, u, lo)
+            hi = np.where(g >= 0.0, u, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = u - g * q / x
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            # a step back to an end of the bracket: g is rounding noise there
+            converged = ((np.abs(new - u) <= 4.0 * _EPS * np.maximum(1.0, np.abs(u)))
+                         | (new == lo) | (new == hi))
+            u = np.where(done, u, new)
+            done |= converged
+            if np.all(done):
+                break
+        return u
+
+    def profile(self, t, u):
+        """(f, f', f'') at the points (t, u) of the flow."""
+        _lt, x, q = self.at(u)
+        f = np.cbrt(t / q) * np.exp(-u / 3.0)
+        fp = -x * f / t
+        return f, fp, reconstruct_fpp(t, f, fp)
 
 
 def _overflow_error(c: float, t_min: float) -> DomainError:
@@ -443,92 +352,52 @@ def _overflow_error(c: float, t_min: float) -> DomainError:
     )
 
 
-def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
-                   boundary_offset: float = 1e-3) -> PoincareSolution:
-    """Integrate the Poincare flow from the boundary down to t_min.
+def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
+    """The Poincare flow with Psi = c from t_min, or from its cusp, to 1.
 
-    Starts at t = 1 - boundary_offset with the degree-4 Taylor value (the
-    flow is singular at t = 1 itself) and integrates in tau = log t, which
-    keeps the t^(-rho(c)) growth near the origin non-stiff.  The integrator
-    is Dormand-Prince 5(4) with relative tolerance rtol = min(max(tol/100,
-    1e-13), 1e-8), absolute tolerance rtol/1000 and steps of at most 0.25
-    in tau; the last step ends at log t_min exactly.  Between grid points
-    the solution is read from each step's quartic interpolant.
+    Closed form (``_Flow``): log t is an elementary function of
+    x = -t f'/f, inverted for the grid's first and last rows and by
+    ``eval``.  The grid has 256 rows evenly spaced in u = log(x - r), from
+    t_min (or the cusp t0) to t = 1 - 1e-3; a first row above 1 - 1e-3 is
+    the only one.
 
-    For c < 0 the sign change of c + t/f^3 (direction -1) is located by
-    regula falsi on the end point of a step taken again from the last
-    accepted point, to 4 eps (1 + |tau|): the solution terminates there
-    (f' -> 0, f'' -> -inf) and cannot be continued.
+    For c < 0 the flow ends at the cusp t0 where c + t/f^3 = 0 (f' = 0,
+    f'' = -inf) and cannot be continued; when t0 < t_min it reaches t_min
+    and ``t0`` is None.
 
-    Raises DomainError unless c is finite, tol is finite and positive,
-    0 < t_min < 1 - boundary_offset and 0 < boundary_offset < 1.  It also
-    raises DomainError when the cusp lies between the bootstrap point and
-    t = 1: the Taylor model has f <= 0 or c + t/f^3 <= 0 somewhere on
-    [1 - boundary_offset, 1), checked on 256 evenly spaced points (with the
-    default offset, for c below about -1.48e9), and when c > 0 is so large
-    that f^3, which Psi and W hold, overflows float64 before t_min (f grows
-    at least like t^-rho(c); from about c = 3.8e4 at t_min = 1e-3).  Where
-    the lower bound on f already passes the cube root of the float range,
-    that is raised before the flow is integrated.
+    Raises DomainError unless c is finite and 0 < t_min < 1.  It also
+    raises DomainError when c < 0 is so negative that t0 rounds to 1, and
+    when c > 0 is so large that f^3, which Psi and W hold, overflows
+    float64 before t_min (from about c = 3.8e4 at t_min = 1e-3).
     """
     c = float(c)
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c!r}")
     if not (0.0 < t_min < 1.0):
         raise DomainError("t_min must lie in (0, 1)")
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if not (0.0 < boundary_offset < 1.0):
-        raise DomainError("boundary_offset must lie in (0, 1)")
-    h0 = boundary_offset
-    t_start = 1.0 - h0
-    if t_min >= t_start:
-        raise DomainError("t_min must be below the bootstrap point 1 - h0")
-    f_start = boundary_taylor_value(c, h0)
-    # Psi and W hold f^3, and for c > 0 log f grows by at least rho(c) per
-    # unit of -tau: past a third of float64's exponent range they overflow
-    if c > 0.0 and math.log(f_start) + rho(c) * math.log(t_start / t_min) > _LOG_FLOAT_MAX / 3.0:
+    flow = _Flow(c)
+    if math.exp(flow.log_t0) == 1.0:
+        raise DomainError(f"c = {c!r} is too negative: its cusp t0 rounds to 1")
+    if flow.log_t0 >= math.log(t_min):
+        t0 = t_first = math.exp(flow.log_t0)
+        u_first = flow.u0
+    else:
+        t0, t_first = None, t_min
+        u_first = float(flow.u_of(math.log(t_min)))
+    # Psi and W hold f^3 = t/(w Q), largest at the first row
+    if math.log(t_first) - u_first - math.log(flow.at(u_first)[2]) > _LOG_FLOAT_MAX:
         raise _overflow_error(c, t_min)
-    # the Taylor model must stay on the regular side of the cusp over the whole
-    # bootstrap interval: f > 0 and c + t/f^3 > 0 for t in [1 - h0, 1)
-    hs = h0 * np.arange(1, 257) / 256.0
-    fs = boundary_taylor_value(c, hs)
-    if not np.all(fs > 0.0) or np.any(c + (1.0 - hs) / fs ** 3 <= 0.0):
-        raise DomainError(
-            f"c = {c!r} is too negative for boundary_offset = {h0!r}: the flow "
-            "has reached its cusp before t = 1 - boundary_offset; use a smaller "
-            "boundary_offset"
-        )
-
-    def cusp_event(tau, f):
-        return c + math.exp(tau) / (f * f * f)
-
-    def rhs(tau, f):
-        g = cusp_event(tau, f)
-        return -f * rho(g if g > 0.0 else 0.0)
-
-    rtol = min(max(tol * 1e-2, 1e-13), 1e-8)
-    try:
-        taus, fs, dense, tau0 = _dormand_prince(
-            rhs, math.log(t_start), f_start, math.log(t_min), rtol, rtol * 1e-3,
-            max_step=0.25, event=cusp_event if c < 0 else None,
-        )
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise IntegrationError(f"Poincare integration failed: {exc}") from exc
-    t0 = None if tau0 is None else math.exp(tau0)
-
-    ts = np.exp(taus)
-    fs = np.array(fs)
-    order = np.argsort(ts)
-    ts, fs = ts[order], fs[order]
-    keep = fs > 0
-    ts, fs = ts[keep], fs[keep]
+    if t_first < _T_END:
+        us = np.linspace(u_first, float(flow.u_of(math.log(_T_END))), _GRID_ROWS)
+    else:
+        us = np.array([u_first])
+    ts = np.exp(flow.at(us)[0])
+    ts[0] = t_first
+    if len(ts) > 1:
+        ts[-1] = _T_END
     # an overflow here leaves a residual that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = c + ts / fs ** 3
-        fps = -(fs / ts) * rho(np.maximum(g, 0.0))
-        fpps = reconstruct_fpp(ts, fs, fps)
-
+        fs, fps, fpps = flow.profile(ts, us)
         interior = fps < 0  # exclude the cusp point itself from residual checks
         res = np.abs(psi(ts[interior], fs[interior], fps[interior]) - c)
         res = res / psi_scale(ts[interior], fs[interior], c)
@@ -538,10 +407,6 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
         w_res = float((np.abs(w_vals - 1.0) / w_den).max()) if w_vals.size else 0.0
     if not (math.isfinite(psi_res) and math.isfinite(w_res)):
         raise _overflow_error(c, t_min)
-    if psi_res > 100.0 * tol:
-        raise IntegrationError(
-            f"Psi drift {psi_res:g} exceeds 100 x tol; integration unreliable"
-        )
 
     return PoincareSolution(
         c=c,
@@ -549,13 +414,11 @@ def solve_poincare(c, t_min: float = 1e-3, tol: float = 1e-10,
         f_grid=fs,
         fp_grid=fps,
         fpp_grid=fpps,
-        t_min_reached=float(ts.min()),
-        t_start=t_start,
-        boundary_offset=h0,
+        t_min_reached=t_first,
         t0=t0,
         psi_residual_max=psi_res,
         w_residual_max=w_res,
-        _dense=dense,
+        _flow=flow,
     )
 
 
@@ -608,12 +471,11 @@ def cusp_data(sol: PoincareSolution) -> CuspData:
     if sol.t0 is None:
         raise DomainError("solution did not terminate: cusp data undefined")
     t0 = sol.t0
-    # f(t0) by continuity from the dense output at t0 itself
-    f_t0 = sol._dense(math.log(t0))
-    sigma = 2e-3 * math.sqrt(max(sol.t_start - t0, 1e-8))
+    f_t0 = sol.eval(t0)[0]
+    sigma = 2e-3 * math.sqrt(1.0 - t0)
 
     def q(sig):
-        return sol._dense(math.log(t0 + sig * sig))
+        return sol.eval(t0 + sig * sig)[0]
 
     q0 = f_t0
     q1, q2, q3 = q(sigma), q(2 * sigma), q(3 * sigma)

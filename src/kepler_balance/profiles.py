@@ -220,11 +220,7 @@ class RadialProfile:
         if kind == "poincare_numeric":
             from .poincare import solve_poincare
 
-            sol = solve_poincare(
-                params["c"],
-                t_min=params.get("t_min", 1e-4),
-                tol=params.get("tol", 1e-10),
-            )
+            sol = solve_poincare(params["c"], t_min=params.get("t_min", 1e-4))
             return cls.poincare_numeric(sol, scale)
         raise DomainError(f"unknown profile kind {kind!r}")
 

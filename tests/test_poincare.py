@@ -156,6 +156,17 @@ def test_psi_examples():
         P.psi(0.5, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_first_integral_on_g_n(n):
+    # W_n[f] = 1 has the first integral t^(n-1)/f^(n+1) = x^(n+1) + (n-1) x^n/n - c
+    # in x = -t f'/f; g_n solves W_n = 1 with c = 0
+    ts = np.linspace(0.01, 0.99, 99)
+    f, fp, _fpp = RadialProfile.explicit_n(n).eval(ts)
+    x = -ts * fp / f
+    lhs = ts ** (n - 1) / f ** (n + 1)
+    assert np.max(np.abs(lhs - x ** (n + 1) - (n - 1) * x ** n / n) / lhs) <= 1e-14
+
+
 def test_taylor_at_one():
     assert P.taylor_at_one(0) == [0, -1, F(1, 2), F(-3, 4), F(15, 8)]
     assert P.taylor_at_one(1)[4] == F(31, 8)
@@ -242,7 +253,7 @@ def test_eval_outside_range(sol0):
 
 
 def test_bootstrap_consistency():
-    sol = P.solve_poincare(0.7, t_min=0.5, boundary_offset=1e-4)
+    sol = P.solve_poincare(0.7, t_min=0.5)
     for h in (1e-2, 1e-3):
         err = abs(sol.eval(1 - h)[0] - P.boundary_taylor_value(0.7, h))
         assert err <= 5 * h ** 5
@@ -293,29 +304,44 @@ def test_poincare_numeric_profile_eval(sol1):
 def test_solve_validates_inputs():
     with pytest.raises(DomainError):
         P.solve_poincare(0.0, t_min=0.0)
-    with pytest.raises(DomainError):
-        P.solve_poincare(0.0, t_min=1e-3, tol=-1)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(c=math.nan), dict(c=math.inf), dict(c=-math.inf),
-    dict(c=0.5, tol=math.nan), dict(c=0.5, tol=math.inf), dict(c=0.5, tol=0.0),
-    dict(c=0.5, boundary_offset=math.nan), dict(c=0.5, boundary_offset=0.0),
+    dict(c=0.5, t_min=math.nan), dict(c=0.5, t_min=math.inf), dict(c=0.5, t_min=-math.inf),
+    dict(c=0.5, t_min=-1e-3), dict(c=0.5, t_min=1.0),
 ])
 def test_solve_rejects_nonfinite(kwargs):
     with pytest.raises(DomainError):
         P.solve_poincare(**kwargs)
 
 
-@pytest.mark.parametrize("c", [-1.5e9, -2e9, -1e10, -1e20])
-def test_solve_rejects_cusp_before_bootstrap_point(c):
-    # the boundary Taylor model already meets the cusp (or f <= 0) between
-    # t = 1 - boundary_offset and t = 1: no flow can start there
-    with pytest.raises(DomainError, match=r"c = .* boundary_offset = 0\.001"):
+@pytest.mark.parametrize("c", [-1e9, -1e8, -1e6, -1.0, -0.3, -0.1, -1e-2, -1e-3, -1e-4,
+                               -1e-6, -1e-9])
+def test_cusp_t0_matches_mpmath(c):
+    # log t0 = -int_0^inf x dx / (x^3 + x^2/2 - c): the flow from x = infinity
+    # at t = 1 down to the cusp x = 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        cm = mpmath.mpf(c)
+        # the integrand turns over near x ~ sqrt(-2c), or (-c)^(1/3) for large |c|
+        s = mpmath.sqrt(-2 * cm) if c > -1 else mpmath.cbrt(-cm)
+        pts = [0] + [s * mpmath.mpf(10) ** k for k in range(-3, 4)] + [mpmath.inf]
+        ref = mpmath.exp(-mpmath.quad(lambda x: x / (x ** 3 + x ** 2 / 2 - cm), pts))
+        sol = P.solve_poincare(c, t_min=1e-12)
+        assert sol.t0 is not None
+        assert abs(mpmath.mpf(sol.t0) / ref - 1) <= 1e-14
+    # the cusp row: f(t0) = (t0/-c)^(1/3), f'(t0) = 0
+    assert sol.t_grid[0] == sol.t0
+    assert sol.f_grid[0] == pytest.approx((sol.t0 / -c) ** (1 / 3), rel=1e-15)
+    assert sol.fp_grid[0] == 0.0
+
+
+@pytest.mark.parametrize("c", [-1e50, -1.7976931348623157e308])
+def test_solve_rejects_cusp_at_one(c):
+    # 1 - t0 ~ 1.21 |c|^(-1/3) is below the rounding of 1
+    with pytest.raises(DomainError, match="t0 rounds to 1"):
         P.solve_poincare(c)
-    # a smaller offset starts on the regular side again
-    if c == -2e9:
-        assert P.solve_poincare(c, boundary_offset=1e-4).t0 is not None
 
 
 @pytest.mark.parametrize("c, t_min", [(1e300, 1e-3), (1e20, 1e-3), (4e4, 1e-3), (2e4, 1e-4)])
@@ -349,10 +375,18 @@ def test_very_negative_c_still_terminates_at_cusp(tmp_path, capsys):
     sol = P.solve_poincare(-1e9)
     assert sol.t0 is not None and 1 - 1e-3 > sol.t0 > 0.998
     assert main(["poincare", "--c=-1e9", "--out", str(tmp_path / "f.csv")]) == 3
+    # past t = 1 - 1e-3 the cusp row is the only row
+    sol = P.solve_poincare(-2e9)
+    assert sol.t0 is not None and 1 > sol.t0 > 1 - 1e-3
+    assert list(sol.t_grid) == [sol.t0]
+    out = tmp_path / "g.csv"
+    assert main(["poincare", "--c=-2e9", "--out", str(out)]) == 3
+    assert len(out.read_text().splitlines()) == 2
 
 
 def _reference_solve(c, t_min, method="RK45", rtol=1e-12, atol=1e-15):
-    """The flow as solve_poincare poses it (tol = 1e-10), solved by scipy."""
+    """The flow f' = -(f/t) rho(c + t/f^3) in tau = log t, solved by scipy
+    from the boundary Taylor value at t = 1 - 1e-3."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     h0 = 1e-3
     f_start = P.boundary_taylor_value(c, h0)
@@ -380,26 +414,21 @@ def test_integrator_vs_scipy_rk45(c):
     # the end value: f(t_min), or f(t0) at the cusp
     assert sol.f_grid[0] == pytest.approx(ref.y[0][-1], rel=1e-10)
     lo = sol.t0 if c < 0 else sol.t_min_reached
-    taus = np.linspace(math.log(lo), math.log(sol.t_start), 52)[1:-1]
+    taus = np.linspace(math.log(lo), math.log(1 - 1e-3), 52)[1:-1]
     f = sol.eval(np.exp(taus))[0]
     assert np.max(np.abs(f / ref.sol(taus)[0] - 1.0)) <= 1e-9
-    # the same step control takes about as many steps
-    assert abs(len(sol.t_grid) - len(ref.t)) <= 0.1 * len(ref.t)
 
 
 def test_cusp_location_vs_rk45():
     sol = P.solve_poincare(-0.1, t_min=1e-4)
     rk45 = math.exp(_reference_solve(-0.1, 1e-4).t_events[0][0])
-    # RK45 at the same tolerances finds t0 only to ~3e-11 here, and its t0
-    # moves by 4e-11 when its rtol is scaled by 1.0001: 1e-10 is its noise
+    # RK45 at rtol 1e-12 finds t0 only to ~3e-11 here, and its t0 moves by
+    # 4e-11 when its rtol is scaled by 1.0001: 1e-10 is its noise
     assert sol.t0 == pytest.approx(rk45, rel=1e-10)
 
 
 @pytest.mark.parametrize("c", [-0.1, -0.27])
 def test_cusp_location_vs_dop853(c):
-    # the last step ends on the root (taken again when the step to the
-    # root fails the error test); locating the root on the interpolant of
-    # a step across the cusp is off by 3e-11 at c = -0.27
     sol = P.solve_poincare(c, t_min=1e-4)
     ref = _reference_solve(c, 1e-4, method="DOP853", rtol=1e-14, atol=1e-20)
     assert sol.t0 == pytest.approx(math.exp(ref.t_events[0][0]), rel=2e-11)
