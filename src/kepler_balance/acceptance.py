@@ -72,7 +72,7 @@ def crit_kernel_closed_form():
     for v in (0, 1, 9):
         dens = kern.phi_v_density(v)
         for t in (0.1, 0.5, 0.9):
-            ke = kern.kernel_series(dens, 2, t, tol=1e-12)
+            ke = kern.kernel_series(dens, 2, t)
             cf = kern.closed_form_F_phi_v(v, t)
             worst = max(worst, abs(ke.value - cf) / abs(cf))
     return worst <= 1e-9, f"max rel {worst:.2e}"
@@ -86,8 +86,8 @@ def crit_kernel_boundary_paths():
         dens = kern.phi_v_density(v)
         for t in (0.91, 0.95, 0.99):
             cf = kern.closed_form_F_phi_v(v, t)
-            direct = kern._kernel_direct(dens, 2, t, 1e-12).value
-            kummer = kern._kernel_kummer(dens, t, 1e-12).value
+            direct = kern._kernel_direct(dens, 2, t).value
+            kummer = kern._kernel_kummer(dens, t).value
             worst = max(worst, abs(direct - cf) / cf, abs(kummer - cf) / cf,
                         abs(direct - kummer) / cf)
     return worst <= 1e-12, f"max rel {worst:.2e}"

@@ -100,6 +100,8 @@ def _t_values(args):
     if args.grid:
         return parse_grid(args.grid)
     if args.t is not None:
+        if not 0.0 <= args.t < 1.0:
+            raise DomainError(f"--t must lie in [0, 1), got {args.t!r}")
         return np.asarray([args.t])
     raise DomainError("supply --grid or --t")
 
@@ -108,7 +110,7 @@ def cmd_kernel(args) -> int:
     prof = parse_profile(args.profile)
     ts = _t_values(args)
     c = "auto" if args.c == "auto" else float(args.c)
-    c, Fs, defects = kern.defect_table(prof, args.n, c, ts, tol=args.tol)
+    c, Fs, defects = kern.defect_table(prof, args.n, c, ts)
     rows = list(zip(ts, Fs, defects))
     if args.format == "json":
         payload = {
@@ -236,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernel", help="kernel diagonal F, balanced defect")
     common(pk)
-    pk.add_argument("--tol", type=float, default=1e-10)
     pk.add_argument("--format", choices=("csv", "json"), default="csv")
     pk.add_argument("--c", default="auto")
     pk.set_defaults(fn=cmd_kernel)

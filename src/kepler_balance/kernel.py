@@ -40,12 +40,13 @@ The node level is chosen once per density, as the coarsest from
 ``_MIN_LEVEL`` = 6 whose probes c_k, k = k_min + ``_PROBES``, differ from
 the level-(L-1) rule by at most ``_CALIBRATION_RTOL`` = 1e-14 relative.
 The probes come from the first block, which the cache keeps.  No caller's
-``tol`` reaches the moments, so their bits never depend on evaluation order.
+argument reaches the moments, so their bits never depend on evaluation order.
 
 ``kernel_series`` has two paths, chosen by one switch.
 
 * Direct (``_kernel_direct``): the terms are summed until the tail bound
-  drops under ``tol``.  That takes ~1/(1-t) terms, each with its own moment.
+  drops under the target below.  That takes ~1/(1-t) terms, each with its
+  own moment.
 * Kummer split (``_kernel_kummer``), taken when n = 2, the density carries
   its L-expansion at t = 1 (``Density.l_series``) and L = -log t <
   ``AUTO_BOUNDARY_L`` = 0.1, the cut ``lerch_phi(method="auto")`` uses.  The
@@ -64,15 +65,18 @@ The probes come from the first block, which the cache keeps.  No caller's
   so ``reciprocal_moments``' product check holds and every series a
   density carries is used.
 
-On both paths ``tol`` is an absolute target for the truncation of the sum
-that is computed term by term.  On the Kummer path the remainder stops at
-the first K whose tail model is under ``tol``: the omitted A_{M+1}, A_{M+2}
-terms, summed over k > K with t^k <= t^(K+1) and a safety factor of 10.
-``KernelEval.tail_bound`` reports that model plus
+Neither path takes a tolerance: each stops where its truncation falls
+below the accuracy its moments already carry, ``_CALIBRATION_RTOL`` times
+S = sum |term|, the scale of both the final sum's rounding and its moment
+error.  The direct path keeps S beside its running total.  The Kummer path
+takes S over the Lerch values w_s Phi(t, s), which it computes first, and
+its remainder stops at the first K whose tail model is under that target:
+the omitted A_{M+1}, A_{M+2} terms, summed over k > K with t^k <= t^(K+1)
+and a safety factor of 10.  ``KernelEval.tail_bound`` is absolute on both
+paths; on the Kummer path it is that model plus
 sum_{k<=K} [N(k) err_k / c_k^2 + 4 eps (N(k)/c_k + |P_M(k)|)] t^k, the
 propagated moment bounds and the rounding of each remainder coefficient.
-Neither path's bound counts the rounding of the final sum (relative
-~1e-16 of F, which near t = 1 is far above any absolute ``tol``).
+Neither path's bound counts the rounding of the final sum (~1e-16 of S).
 """
 
 from __future__ import annotations
@@ -373,12 +377,6 @@ def _require_density(obj) -> Density:
     return obj
 
 
-def require_tol(tol):
-    """Raise DomainError unless the truncation target tol is finite and > 0."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
-
-
 def moment_phi_v_closed(v, k: int):
     """Closed-form moment of phi_v: (2k+1)/((2k+2m+2delta+1)(k+1-m-delta)).
 
@@ -414,32 +412,33 @@ def closed_form_F_phi_v(v, t):
     return float(val) if scalar else val
 
 
-def kernel_series(dens: Density, n: int, t: float, tol: float = 1e-10) -> KernelEval:
+def kernel_series(dens: Density, n: int, t: float) -> KernelEval:
     """F(t) = sum_k N(k)/c_{k+n-2} t^k with a truncation bound.
 
     Takes the Kummer split when n = 2, the density has an L-series and
     -log t < AUTO_BOUNDARY_L; the direct sum otherwise (module docstring).
-    ``tol`` is an absolute truncation target on both paths.
+    Either path truncates at ``_CALIBRATION_RTOL`` times the sum of its
+    terms' magnitudes, the relative accuracy the moments carry.
     """
     require_dimension(n)
     if not (0.0 <= t < 1.0):
         raise DomainError("t must lie in [0, 1)")
-    require_tol(tol)
     _require_density(dens)
     if n == 2 and t > 0.0 and -math.log(t) < AUTO_BOUNDARY_L and _kummer_split(dens) is not None:
-        return _kernel_kummer(dens, t, tol)
-    return _kernel_direct(dens, n, t, tol)
+        return _kernel_kummer(dens, t)
+    return _kernel_direct(dens, n, t)
 
 
-def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
+def _kernel_direct(dens: Density, n: int, t: float) -> KernelEval:
     """Direct summation with a tail bound.
 
     Terms whose moment index falls below k_min contribute zero (the moment
     diverges, its reciprocal vanishes).  Truncation: terms are dominated by
     C (k+1)^n t^k; the tail is bounded with the exact generating function
     sum_k C(k+n, n) t^k = (1-t)^-(n+1) and summation stops once the bound
-    drops under ``tol``.  Each fill adds one aligned block of moments, so
-    fewer than 64 are filled past the last one read.
+    drops under ``_CALIBRATION_RTOL`` times the running sum of |term|.  Each
+    fill adds one aligned block of moments, so fewer than 64 are filled past
+    the last one read.
     ``kernel_series`` has checked n >= 2.
     """
     k_start = max(0, dens.k_min - (n - 2))
@@ -449,14 +448,15 @@ def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
             return KernelEval(t=0.0, value=dimension_count(0, n) / c0, terms_used=1, tail_bound=0.0)
         return KernelEval(t=0.0, value=0.0, terms_used=0, tail_bound=0.0)
 
-    # even ignoring the polynomial factor, t^K <= tol needs K terms:
-    k_floor = math.log(max(tol, 1e-300)) / math.log(t)
+    # even ignoring the polynomial factor, t^K <= _CALIBRATION_RTOL needs K terms:
+    k_floor = math.log(_CALIBRATION_RTOL) / math.log(t)
     if k_floor > HARD_TERM_CAP:
         raise ConvergenceBudgetError(
             f"kernel series at t={t} needs ~{k_floor:.3g} terms (cap {HARD_TERM_CAP})"
         )
     n_fact = math.factorial(n)
     total = 0.0
+    size = 0.0  # sum of |term|
     cmax = 0.0
     tk = t ** k_start
     binom_next = math.comb(k_start + 1 + n, n)
@@ -473,6 +473,7 @@ def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
         ratio = (math.comb(k + n - 1, n - 1) + math.comb(k + n - 2, n - 1)) / c[k + offset]
         term = ratio * tk
         total += term
+        size += abs(term)
         cmax = max(cmax, abs(ratio) / (k + 1) ** n)
         # tail: terms <= cmax (k+1)^n t^k <= cmax n! C(k+n, n) t^k, and for
         # k > K the binomials grow no faster than q^(k-K-1), q = (K+2+n)/(K+2)
@@ -481,7 +482,7 @@ def _kernel_direct(dens: Density, n: int, t: float, tol: float) -> KernelEval:
             tail = cmax * n_fact * binom_next * (tk * t) / (1.0 - q)
         else:
             tail = math.inf
-        if (tail <= tol or tk == 0.0) and k >= k_start + 8:
+        if (tail <= _CALIBRATION_RTOL * size or tk == 0.0) and k >= k_start + 8:
             return KernelEval(t=t, value=total, terms_used=k - k_start + 1, tail_bound=tail)
         k += 1
         tk *= t
@@ -554,11 +555,16 @@ def _kummer_split(dens: Density):
     return dens._kummer
 
 
-def _kernel_kummer(dens: Density, t: float, tol: float) -> KernelEval:
-    """Kummer split: Lerch singular part plus the remainder sum (n = 2)."""
+def _kernel_kummer(dens: Density, t: float) -> KernelEval:
+    """Kummer split: Lerch singular part plus the remainder sum (n = 2).
+
+    The Lerch values come first: their magnitudes set the remainder's target.
+    """
     split = _kummer_split(dens)
+    singular = [w * lerch_phi(t, float(s)) for s, w in split.weights]
+    target = _CALIBRATION_RTOL * sum(abs(x) for x in singular)
     K = _KUMMER_MIN_TERMS - 1
-    while (model := split.tail_model(t, K)) > tol:
+    while (model := split.tail_model(t, K)) > target:
         K += 1 + K // 8
         if K > HARD_TERM_CAP:
             raise ConvergenceBudgetError(
@@ -569,25 +575,23 @@ def _kernel_kummer(dens: Density, t: float, tol: float) -> KernelEval:
     for k in range(K, -1, -1):
         rem = rem * t + split.rem[k]
         err = err * t + split.rem_err[k]
-    singular = sum(w * lerch_phi(t, float(s)) for s, w in split.weights)
-    return KernelEval(t=t, value=singular + rem, terms_used=K + 1,
+    return KernelEval(t=t, value=sum(singular) + rem, terms_used=K + 1,
                       tail_bound=model + err, path="kummer")
 
 
-def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None,
-                 tol: float = 1e-11):
+def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None):
     """F(t) and the balanced defect F(t) - c / f(t)^(n+1) at each t of ``ts``.
 
     ``c`` may be "auto" (estimated by boundary extrapolation).  The default
     density is ``associated_density(p, n)``: W[f], except for the phi_v
     candidate, which pairs with its defining germ phi_v, and constant_one,
     which is its own density; pass ``density`` to override.  A
-    SignedDensityWarning names a ``sign_changing`` density.  ``tol`` is the
-    absolute truncation target for each kernel value.  At t = 0 f is the
-    limit f(0+).  Returns (c, F, defect): c as given or estimated, and one
-    list of floats each for F and the defect, in the order of ``ts``.
+    SignedDensityWarning names a ``sign_changing`` density.  Each F is a
+    ``kernel_series`` value, truncated at the accuracy of its moments.  At
+    t = 0 f is the limit f(0+).  Returns (c, F, defect): c as given or
+    estimated, and one list of floats each for F and the defect, in the
+    order of ``ts``.
     """
-    require_tol(tol)
     if c != "auto" and not math.isfinite(c):
         raise DomainError(f"c must be finite or 'auto', got {c!r}")
     dens = associated_density(p, n) if density is None else _require_density(density)
@@ -603,19 +607,18 @@ def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None
     Fs, defects = [], []
     for t in ts:
         t = float(t)
-        F = kernel_series(dens, n, t, tol=tol).value
+        F = kernel_series(dens, n, t).value
         f = p.eval(t)[0] if t > 0 else _f_at_zero(p)
         Fs.append(F)
         defects.append(F - c / f ** (n + 1))
     return c, Fs, defects
 
 
-def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = None,
-                    tol: float = 1e-11):
+def balanced_defect(p: RadialProfile, n: int, c, t, density: Density | None = None):
     """F(t) - c / f(t)^(n+1) at a scalar t (a float) or an array of t (an
     array), computed by ``defect_table`` with the same arguments."""
     _c, _F, defects = defect_table(p, n, c, np.atleast_1d(np.asarray(t, dtype=float)),
-                                   density, tol)
+                                   density)
     return float(defects[0]) if np.isscalar(t) else np.array(defects)
 
 
@@ -647,13 +650,8 @@ def estimate_c(p: RadialProfile, n: int, density: Density | None = None) -> floa
     """
     dens = density if density is not None else associated_density(p, n)
     levels = 6
-    g = []
-    for i in range(levels):
-        ti = 1.0 - 0.1 * 2.0 ** (-i)
-        f, _fp, _fpp = p.eval(ti)
-        scale = abs(f) ** (n + 1)
-        F = kernel_series(dens, n, ti, tol=max(1e-12, 1e-10 / scale)).value
-        g.append(f ** (n + 1) * F)
+    ts = [1.0 - 0.1 * 2.0 ** (-i) for i in range(levels)]
+    g = [p.eval(ti)[0] ** (n + 1) * kernel_series(dens, n, ti).value for ti in ts]
     R = [list(g)]
     for j in range(1, levels):
         row = []

@@ -27,13 +27,17 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NormalizationError, TruncationError
 from .series import PowerLogSeries, nth_root_fraction
 
-KINDS = (
-    "explicit_n",
-    "phi_v_candidate",
-    "taylor_at_one",
-    "poincare_numeric",
-    "constant_one",
-)
+# the parameters a profile spec may carry per kind, besides ``scale``; for
+# every kind but poincare_numeric, the arguments of its constructor
+SPEC_KEYS = {
+    "explicit_n": ("n",),
+    "phi_v_candidate": ("v",),
+    "taylor_at_one": ("coeffs",),
+    "poincare_numeric": ("c", "t_min"),
+    "constant_one": (),
+    "sqrt_poincare": (),
+}
+KINDS = tuple(k for k in SPEC_KEYS if k != "sqrt_poincare")  # it parses to explicit_n
 
 TAYLOR_VALID_L = 0.5  # taylor_at_one profiles are trusted for L <= 0.5
 
@@ -193,7 +197,10 @@ class RadialProfile:
 
     @classmethod
     def from_json(cls, payload):
-        """Build from {"kind": ..., "params": {...}} (dict, JSON text, or path)."""
+        """Build from {"kind": ..., "params": {...}} (dict, JSON text, or path).
+
+        DomainError names a parameter the kind does not read (``SPEC_KEYS``).
+        """
         if isinstance(payload, str):
             try:
                 data = json.loads(payload)
@@ -207,22 +214,17 @@ class RadialProfile:
         kind = data["kind"]
         params = dict(data.get("params", {}))
         scale = float(params.pop("scale", 1.0))
-        if kind == "sqrt_poincare":
-            return cls.sqrt_poincare(scale)
-        if kind == "explicit_n":
-            return cls.explicit_n(params["n"], scale)
-        if kind == "phi_v_candidate":
-            return cls.phi_v_candidate(params["v"], scale)
-        if kind == "taylor_at_one":
-            return cls.taylor_at_one(params["coeffs"], scale)
-        if kind == "constant_one":
-            return cls.constant_one(scale)
+        if kind not in SPEC_KEYS:
+            raise DomainError(f"unknown profile kind {kind!r}")
+        for key in params:
+            if key not in SPEC_KEYS[kind]:
+                raise DomainError(f"profile kind {kind!r} takes no parameter {key!r}")
         if kind == "poincare_numeric":
             from .poincare import solve_poincare
 
             sol = solve_poincare(params["c"], t_min=params.get("t_min", 1e-4))
             return cls.poincare_numeric(sol, scale)
-        raise DomainError(f"unknown profile kind {kind!r}")
+        return getattr(cls, kind)(*(params[key] for key in SPEC_KEYS[kind]), scale)
 
     def to_json(self):
         params = {k: v for k, v in self.params.items() if k != "solution"}
@@ -235,15 +237,16 @@ class RadialProfile:
     # -- evaluation -------------------------------------------------------
 
     def eval(self, t):
-        """Return (f, f', f'') at t in (0,1).
+        """Return (f, f', f'') at t in (0, 1].
 
         Closed-form derivatives for the catalog kinds; poincare_numeric
-        reconstructs f'' from the unit Monge-Ampere relation.
+        reconstructs f'' from the unit Monge-Ampere relation.  t = 1 is
+        valid: quadrature nodes near 1 round to it.
         """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t >= 1.0 + 1e-15):
-            raise DomainError("t must lie in (0, 1)")
+        if np.any(t <= 0.0) or np.any(t > 1.0):
+            raise DomainError("t must lie in (0, 1]")
         f, fp, fpp = self._eval_impl(t)
         s = self.scale
         if s != 1.0:

@@ -7,10 +7,10 @@ relative accuracy at both endpoints.  Near t = 0, t = s itself, down to the
 denormal range; near t = 1 the node t rounds (to 1.0 for a quarter of the
 nodes), but each node also carries l = log t, taken as log1p(-s) above
 t = 1/2 and log(s) below, so t^k = exp(k l) keeps the exact 1 - t.  Levels
-double the node density; a level-L total is half the level-(L-1) total plus
-the new odd-multiple nodes, and ``integrate_01`` accepts the integral once
-two consecutive levels agree within tolerance.  Both drop the nodes below
-T_FLOOR by default.
+double the node density: level L adds the odd multiples of h = 2^-L.
+``integrate_01`` accepts the integral once two consecutive levels agree
+within tolerance, both read off one ``nodes_up_to`` table, which drops the
+nodes below T_FLOOR by default.
 
 ``nodes_up_to`` memoises one table per level (read-only, ~1.6 MB at level
 12): the compound rule's nodes sorted by t, with t, the weights, l and the
@@ -94,25 +94,19 @@ def nodes_up_to(level: int, t_floor: float = T_FLOOR):
 def integrate_01(f, tol=1e-12):
     """Integral of ``f`` over (0, 1) to absolute tolerance ``tol``.
 
-    ``f`` must accept a numpy array of t-values.  Returns (value, err) with
-    err the final inter-level difference.  Raises ConvergenceBudgetError if
-    the level budget is exhausted before the estimate settles.
+    ``f`` must accept a numpy array of t-values.  Each level's total is the
+    compound rule of ``nodes_up_to``, and err is its difference from the
+    level-(L-1) rule on the same nodes.  Returns (value, err) at the first
+    level from 3 whose err is within ``tol``.  Raises ConvergenceBudgetError
+    if the level budget is exhausted before the estimate settles.
     """
-    total = 0.0
-    prev = None
-    err = math.inf
-    for lv in range(MAX_LEVEL + 1):
-        _u, t, _ell, w = _level_nodes(lv)
-        keep = t >= T_FLOOR
-        t, w = t[keep], w[keep]
+    for lv in range(3, MAX_LEVEL + 1):
+        t, w, _ell, w_prev = nodes_up_to(lv)
         vals = np.asarray(f(t), dtype=float)
-        contrib = float(np.dot(w, vals))
-        total = contrib if lv == 0 else 0.5 * total + contrib
-        if prev is not None:
-            err = abs(total - prev)
-            if err <= tol and lv >= 3:
-                return total, err
-        prev = total
+        total = float(np.dot(w, vals))
+        err = abs(total - float(np.dot(w_prev, vals)))
+        if err <= tol:
+            return total, err
     raise ConvergenceBudgetError(
         f"tanh-sinh did not reach tol={tol:g} by level {MAX_LEVEL} (err~{err:.3g})"
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -86,9 +87,8 @@ def test_kernel_rows_match_library(profile, c, capsys):
     # the CLI and the library share one loop over t: each printed F and
     # defect, t = 0 included, is the library's float after the 17-digit
     # round trip (constant_one has no boundary c: f^3 F grows like (1-t)^-3)
-    tol = 1e-11
     code, out, _err = run_cli(["kernel", "--profile", profile, "--grid", "0:0.95:5",
-                               "--c", c, "--tol", repr(tol)], capsys)
+                               "--c", c], capsys)
     assert code == 0
     prof = parse_profile(profile)
     dens = kern.associated_density(prof, 2)
@@ -97,8 +97,8 @@ def test_kernel_rows_match_library(profile, c, capsys):
     assert len(rows) == 5 and float(rows[0][0]) == 0.0
     for t, F, defect in rows:
         t = float(t)
-        assert float(F) == kern.kernel_series(dens, 2, t, tol=tol).value, t
-        assert float(defect) == kern.balanced_defect(prof, 2, c_lib, t, density=dens, tol=tol), t
+        assert float(F) == kern.kernel_series(dens, 2, t).value, t
+        assert float(defect) == kern.balanced_defect(prof, 2, c_lib, t, density=dens), t
 
 
 def test_kernel_constant_one_point(capsys):
@@ -246,8 +246,11 @@ def test_determinism_across_runs(capsys, tmp_path, monkeypatch):
     ["profile-eval", "--profile", "sqrt_poincare", "--t", "0.25", "--tol", "1e-9"],
     ["poincare", "--c", "0.5", "--tol", "nan"],
     ["poincare", "--c", "0.5", "--tol", "inf"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--tol", "nan"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "4", "--tol", "nan"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "4", "--tol", "inf"],
 ], ids=["defect", "profile-eval-format", "profile-eval-tol", "poincare-tol-nan",
-        "poincare-tol-inf"])
+        "poincare-tol-inf", "kernel-tol-nan-auto-c", "kernel-tol-nan", "kernel-tol-inf"])
 def test_removed_cli_surface_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -267,7 +270,7 @@ def test_numerical_failure_exit_code(capsys):
     # the hard series-term cap
     code, _o, err = run_cli(
         ["kernel", "--profile", "explicit_n:n=3", "--n", "3", "--t", "0.9999999",
-         "--c", "4", "--tol", "1e-12"],
+         "--c", "4"],
         capsys,
     )
     assert code == 2
@@ -345,14 +348,10 @@ def test_parser_shared_across_calls():
     ["poincare", "--c", "nan"],
     ["poincare", "--c", "inf"],
     ["poincare", "--c=-inf"],
-    ["kernel", "--profile", "constant_one", "--t", "0.5", "--tol", "nan"],
-    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "4", "--tol", "nan"],
-    ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "4", "--tol", "inf"],
     ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "nan"],
     ["kernel", "--profile", "constant_one", "--t", "0.5", "--c", "inf"],
-], ids=["poincare-c-nan", "poincare-c-inf",
-        "poincare-c-minus-inf", "kernel-tol-nan-auto-c", "kernel-tol-nan", "kernel-tol-inf",
-        "kernel-c-nan", "kernel-c-inf"])
+], ids=["poincare-c-nan", "poincare-c-inf", "poincare-c-minus-inf", "kernel-c-nan",
+        "kernel-c-inf"])
 def test_nonfinite_inputs_are_config_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
@@ -405,3 +404,61 @@ def test_cli_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # every documented command runs as written: exit 0, or 3 for the cusp run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI examples", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("kepler-balance ")]
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        cusp = argv[0] == "poincare" and float(argv[argv.index("--c") + 1]) < 0
+        assert run_cli(argv, capsys)[0] == (3 if cusp else 0), argv
+
+
+def test_candidate_defect_is_rounding(capsys):
+    # F is truncated at the accuracy of its moments, so the balanced
+    # candidate's defect is rounding (an absolute 1e-10 target left -4e-11)
+    code, out, _err = run_cli(["kernel", "--profile", "phi_v_candidate:v=2",
+                               "--grid", "0.1:0.5:3", "--c", "4"], capsys)
+    assert code == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    for t, F, defect in rows:
+        assert abs(defect) <= 1e-13 * F, t
+
+
+def test_constant_one_in_three_dimensions(capsys):
+    # F = sum_k N_3(k) (k + 2) t^k = sum_k (k+1)^2 (k+2) 2^-k = 64 at t = 1/2
+    code, out, _err = run_cli(["kernel", "--profile", "constant_one", "--n", "3",
+                               "--t", "0.5", "--c", "4"], capsys)
+    assert code == 0
+    F = float(out.splitlines()[1].split(",")[1])
+    assert abs(F - 64.0) <= 1e-14 * 64.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile-eval", "--profile", "phi_v_candidate:v=1", "--t", "1"],
+    ["profile-eval", "--profile", "explicit_n:n=3", "--n", "3", "--t", "1.0000000000000004"],
+], ids=["candidate-at-1", "explicit-past-1"])
+def test_t_outside_unit_interval_is_config_error(argv, capsys):
+    # at t = 1 W was NaN, and past it f was negative, both with exit 0
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "--t must lie in [0, 1)" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("poincare_numeric:c=1,tol=1e-12", "tol"),
+    ("explicit_n:n=2,m=3", "m"),
+    ('{"kind": "explicit_n", "params": {"n": 2, "m": 3}}', "m"),
+], ids=["poincare-tol", "explicit-m", "json-explicit-m"])
+def test_unknown_profile_key_is_config_error(spec, key, capsys):
+    code, out, err = run_cli(["profile-eval", "--profile", spec, "--t", "0.5"], capsys)
+    assert code == 1
+    assert f"takes no parameter {key!r}" in err
+    assert out == ""

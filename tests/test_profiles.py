@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -256,3 +257,38 @@ def test_scale_applies_after_normalization():
     p = RadialProfile.sqrt_poincare(scale=2.0)
     f, fp, fpp = p.eval(0.25)
     assert (f, fp, fpp) == (2.0, -4.0, 8.0)
+
+
+def test_eval_accepts_one_and_nothing_above():
+    # quadrature nodes round to exactly 1.0, and W densities are evaluated there
+    p = RadialProfile.explicit_n(3)
+    assert p.eval(1.0) == (0.0, -1.0, 1.0 / 3.0)
+    for t in (math.nextafter(1.0, 2.0), np.array([0.5, 1.0000000000000004])):
+        with pytest.raises(DomainError, match=r"\(0, 1\]"):
+            p.eval(t)
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("explicit_n", {"n": 2, "m": 3}, "m"),
+    ("sqrt_poincare", {"n": 2}, "n"),
+    ("phi_v_candidate", {"v": 1, "n": 2}, "n"),
+    ("taylor_at_one", {"coeffs": [1.0], "c": 1}, "c"),
+    ("poincare_numeric", {"c": 1, "tol": 1e-12}, "tol"),
+    ("constant_one", {"v": 1}, "v"),
+], ids=["explicit_n-m", "sqrt_poincare-n", "phi_v_candidate-n", "taylor_at_one-c",
+        "poincare_numeric-tol", "constant_one-v"])
+def test_from_json_rejects_unknown_keys(kind, params, key):
+    # a misspelt or removed key fails loudly, as a dict and as JSON text
+    spec = {"kind": kind, "params": params}
+    for payload in (spec, json.dumps(spec)):
+        with pytest.raises(DomainError, match=f"{kind!r} takes no parameter {key!r}"):
+            RadialProfile.from_json(payload)
+
+
+def test_from_json_accepts_every_documented_key():
+    specs = [("explicit_n", {"n": 3}), ("sqrt_poincare", {}), ("phi_v_candidate", {"v": 2}),
+             ("taylor_at_one", {"coeffs": [1.0, 0.5]}),
+             ("poincare_numeric", {"c": 0.5, "t_min": 0.5}), ("constant_one", {})]
+    for kind, params in specs:
+        p = RadialProfile.from_json({"kind": kind, "params": {**params, "scale": 2.0}})
+        assert p.scale == 2.0, kind
