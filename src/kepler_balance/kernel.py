@@ -351,11 +351,11 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
     """The density paired with the profile in the balanced identity.
 
     The phi_v candidate was built against its germ phi_v (the kernel moments
-    in its defining identity are phi_v moments; its own W is not finite at
-    the nodes that round to t = 1); constant_one is itself the density (W[1]
-    vanishes identically); other kinds pair with their Monge-Ampere density
-    W_n[f], whose exponent at t = 0 is worked out by
-    ``_monge_ampere_exponent`` (CapabilityError where it is not known).
+    in its defining identity are phi_v moments, not moments of its own W);
+    constant_one is itself the density (W[1] vanishes identically); other
+    kinds pair with their Monge-Ampere density W_n[f], whose exponent at
+    t = 0 is worked out by ``_monge_ampere_exponent`` (CapabilityError
+    where it is not known).
     DomainError unless n is an integer >= 2.
     """
     require_dimension(n)

@@ -11,7 +11,8 @@ d(log t) = x dx / P(x), with x = infinity at t = 1.  So log t is an
 elementary function of x (``_Flow``), and f, f', f'' follow algebraically.
 For c >= 0, x falls to rho(c), the nonnegative root of P, as t -> 0, and
 f ~ A t^(-rho(c)); for c < 0 the flow ends at an interior cusp t0, where
-x = 0 and c + t/f^3 = 0.
+x = 0 and c + t/f^3 = 0.  The largest root of P, for either sign of c,
+comes from one monotone Newton loop (``_monotone_newton``).
 """
 
 from __future__ import annotations
@@ -26,70 +27,63 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapabilityError, DomainError, EstimationError
-from .profiles import monge_ampere
 from .quadrature import integrate_01
 
 SQRT2 = math.sqrt(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
 
-# rho(a) solves x^3 + x^2/2 = a; x = y - 1/6 turns it into the depressed
-# cubic y^3 - y/12 + (1/108 - a) = 0, whose discriminant changes sign at
-# a = 1/54 (below it the cubic has three real roots, two of them negative)
-_RHO_BRANCH = 1.0 / 54.0
-_RHO_SQRT_START = 1e-8  # below: start from the series sqrt(2a) - 2a
-_RHO_SERIES_ONLY = 2.0 ** -120  # below: that series is the root to rounding
+_RHO_SERIES_ONLY = 2.0 ** -120  # below: sqrt(2a) - 2a is the root to rounding
 _THIRD = 1.0 / 3.0  # math.cbrt needs Python 3.11
+
+
+def _monotone_newton(step, x: float, up: bool) -> float:
+    """Newton's method ``x -> step(x)`` on a cubic whose iterates, after
+    the first step, climb (``up``) or fall monotonically to its root.
+
+    The first step is taken whatever its direction, because a start that
+    bounds the root in exact arithmetic may round to its other side.  The
+    first iterate that does not move on is returned: it is the root to
+    rounding, and at times nearer to it than the last iterate that moved.
+    """
+    x = step(x)
+    while True:
+        x_new = step(x)
+        if not (x_new > x if up else x_new < x):
+            return x_new
+        x = x_new
 
 
 def _rho_scalar(a: float) -> float:
     if not 0.0 <= a < math.inf:
         raise DomainError(f"rho requires finite a >= 0, got {a!r}")
-    if a < _RHO_SQRT_START:
-        # the trigonometric form loses x to cancellation in y - 1/6 here
+    if a < _RHO_SERIES_ONLY:
         s = math.sqrt(2.0 * a)
-        x = s - s * s
-        if a < _RHO_SERIES_ONLY:
-            return x
-    elif a < _RHO_BRANCH:
-        x = (math.cos(math.acos(108.0 * a - 1.0) / 3.0) - 0.5) / 3.0
-    else:
-        # Cardano, with sqrt(h^2 - 216^-2) written so that h^2 cannot overflow
-        h = 0.5 * a - 1.0 / 216.0
-        q = 1.0 / (216.0 * h)
-        u = (h + h * math.sqrt(1.0 - q * q)) ** _THIRD
-        x = u + 1.0 / (36.0 * u) - 1.0 / 6.0
-    # two Newton steps on (x^3 + x^2/2 - a)/8 in z = x/2: the same steps, but
-    # z^3 ~ a/8 cannot overflow
+        return s - s * s
     b = 0.125 * a
-    z = 0.5 * x
-    x -= (z * z * z + 0.25 * z * z - b) / (1.5 * z * z + 0.25 * z)
-    z = 0.5 * x
-    x -= (z * z * z + 0.25 * z * z - b) / (1.5 * z * z + 0.25 * z)
-    return x
+
+    def step(x):
+        # (x^3 + x^2/2 - a)/8 over its derivative in z = x/2: the Newton
+        # step on the cubic, written so that z^3 ~ a/8 cannot overflow
+        z = 0.5 * x
+        return x - (z * z * z + 0.25 * z * z - b) / (1.5 * z * z + 0.25 * z)
+
+    # sqrt(2a) and a^(1/3) bound the root above; the cubic is convex for x > 0
+    return _monotone_newton(step, min(math.sqrt(2.0 * a), a ** _THIRD), up=False)
 
 
 def rho(a):
     """Unique nonnegative root of x^3 + x^2/2 = a, for finite a >= 0.
 
-    Closed form, then two Newton steps.  With x = y - 1/6 the cubic is
-    y^3 - y/12 + (1/108 - a) = 0, and the branch point is a = 1/54, where
-    its discriminant vanishes:
-
-    - a >= 1/54: Cardano, x = u + 1/(36u) - 1/6 with
-      u = (h + h sqrt(1 - (216 h)^-2))^(1/3) and h = a/2 - 1/216;
-    - 1e-8 <= a < 1/54: the trigonometric form
-      x = (cos(acos(108a - 1)/3) - 1/2)/3;
-    - a < 1e-8: the series sqrt(2a) - 2a, where the trigonometric form
-      cancels; below 2^-120 that series is returned as it is, since it is
-      the root to rounding (and x^2 ~ 2a may be subnormal).
-
-    Then two Newton steps polish the root (see W. Kahan, "To solve a real
-    cubic equation", 1986, on computing it without losing accuracy).  Over
-    the whole float range, from 5e-324 to 1.8e308, the result is finite
-    and within 1 ulp of the exact root, and
+    Newton's method on (x^3 + x^2/2 - a)/8 in z = x/2, so that z^3 ~ a/8
+    cannot overflow, from min(sqrt(2a), a^(1/3)), which bounds the root
+    above; the cubic is convex for x > 0, so the iterates fall to the root
+    (``_monotone_newton``, at most 7 steps).  Below a = 2^-120 the series
+    sqrt(2a) - 2a is returned as it is, since it is the root to rounding.
+    Over the whole float range, from 5e-324 to 1.8e308, the result is
+    finite and within 1 ulp of the exact root, and
     |rho^3 + rho^2/2 - a| <= 1e-14 max(1, a).  rho does not decrease
-    across the switches between forms.
+    across the switch to the series.
 
     Scalars give a float.  Arrays are solved element by element with the same
     scalar routine, so ``rho(arr)[i] == rho(float(arr[i]))`` exactly and the
@@ -158,13 +152,16 @@ class PoincareSolution:
     The stored grid carries (t, f, f', f'') at rows evenly spaced in
     u = log(x - r) (see ``_Flow``), from t_min, or from the cusp t0, up to
     t = 1 - 1e-3; f'' is reconstructed from W[f] = 1.  ``eval`` reads the
-    same closed form at any t.  ``psi_residual_max`` is the conservation
-    defect |Psi - c| normalized by the local term scale max(1, |c|, t/f^3)
-    (near t = 1 the raw difference is dominated by float cancellation in
+    same closed form at any t.  ``t_min`` is the requested lower end, which
+    with c fixes the solution.  ``psi_residual_max`` is the largest
+    conservation defect |Psi - c| over the grid rows, the cusp row
+    included, normalized by the local term scale max(1, |c|, t/f^3) (near
+    t = 1 the raw difference is dominated by float cancellation in
     quantities of size 1/(1-t)^3 and would measure nothing).
     """
 
     c: float
+    t_min: float
     t_grid: np.ndarray
     f_grid: np.ndarray
     fp_grid: np.ndarray
@@ -172,7 +169,6 @@ class PoincareSolution:
     t_min_reached: float
     t0: Optional[float]
     psi_residual_max: float
-    w_residual_max: float
     _flow: _Flow = field(repr=False)
 
     @property
@@ -198,8 +194,12 @@ class PoincareSolution:
 
     def psi_residuals(self):
         """Normalized conservation residuals on the stored grid."""
-        vals = psi(self.t_grid, self.f_grid, self.fp_grid)
-        return np.abs(vals - self.c) / psi_scale(self.t_grid, self.f_grid, self.c)
+        return _psi_residuals(self.t_grid, self.f_grid, self.fp_grid, self.c)
+
+
+def _psi_residuals(t, f, fp, c):
+    """|Psi - c| / psi_scale at the points (t, f, f')."""
+    return np.abs(psi(t, f, fp) - c) / psi_scale(t, f, c)
 
 
 def reconstruct_fpp(t, f, fp):
@@ -226,13 +226,12 @@ def _cusp_shift(c: float) -> float:
     larger of 4c and -(-c)^(1/3), both below the root.  The cubic is
     concave and increasing for e < 0, so the steps climb to the root
     without overshooting it."""
-    e = max(4.0 * c, -((-c) ** _THIRD))
-    while True:
+
+    def step(e):
         # (e (e - 1/2)^2 - c) / (d/de), written so that e^3 cannot overflow
-        e_new = e - e * ((e - 0.5) ** 2 - c / e) / ((e - 0.5) * (3.0 * e - 0.5))
-        if not e_new > e:
-            return e
-        e = e_new
+        return e - e * ((e - 0.5) ** 2 - c / e) / ((e - 0.5) * (3.0 * e - 0.5))
+
+    return _monotone_newton(step, max(4.0 * c, -((-c) ** _THIRD)), up=True)
 
 
 class _Flow:
@@ -348,7 +347,7 @@ class _Flow:
 def _overflow_error(c: float, t_min: float) -> DomainError:
     return DomainError(
         f"c = {c!r} is too large for t_min = {t_min!r}: f grows at least like "
-        "t^-rho(c), and f^3 in Psi and W overflows float64 before t_min"
+        "t^-rho(c), and f^3 in Psi overflows float64 before t_min"
     )
 
 
@@ -367,12 +366,14 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
 
     Raises DomainError unless c is finite and 0 < t_min < 1.  It also
     raises DomainError when c < 0 is so negative that t0 rounds to 1, and
-    when c > 0 is so large that f^3, which Psi and W hold, overflows
-    float64 before t_min (from about c = 3.8e4 at t_min = 1e-3).
+    when c > 0 is so large that f^3, which Psi holds, overflows float64
+    before t_min (from about c = 3.8e4 at t_min = 1e-3): the Psi residual
+    over the grid, ``psi_residual_max``, is then not finite.
     """
     c = float(c)
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c!r}")
+    t_min = float(t_min)
     if not (0.0 < t_min < 1.0):
         raise DomainError("t_min must lie in (0, 1)")
     flow = _Flow(c)
@@ -384,7 +385,7 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
     else:
         t0, t_first = None, t_min
         u_first = float(flow.u_of(math.log(t_min)))
-    # Psi and W hold f^3 = t/(w Q), largest at the first row
+    # Psi holds f^3 = t/(w Q), largest at the first row
     if math.log(t_first) - u_first - math.log(flow.at(u_first)[2]) > _LOG_FLOAT_MAX:
         raise _overflow_error(c, t_min)
     if t_first < _T_END:
@@ -398,18 +399,13 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
     # an overflow here leaves a residual that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         fs, fps, fpps = flow.profile(ts, us)
-        interior = fps < 0  # exclude the cusp point itself from residual checks
-        res = np.abs(psi(ts[interior], fs[interior], fps[interior]) - c)
-        res = res / psi_scale(ts[interior], fs[interior], c)
-        psi_res = float(res.max()) if res.size else 0.0
-        w_vals = monge_ampere(2, ts[interior], fs[interior], fps[interior], fpps[interior])
-        w_den = w_scale(ts[interior], fs[interior], fps[interior], fpps[interior])
-        w_res = float((np.abs(w_vals - 1.0) / w_den).max()) if w_vals.size else 0.0
-    if not (math.isfinite(psi_res) and math.isfinite(w_res)):
+        psi_res = float(np.max(_psi_residuals(ts, fs, fps, c)))
+    if not math.isfinite(psi_res):
         raise _overflow_error(c, t_min)
 
     return PoincareSolution(
         c=c,
+        t_min=t_min,
         t_grid=ts,
         f_grid=fs,
         fp_grid=fps,
@@ -417,20 +413,7 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
         t_min_reached=t_first,
         t0=t0,
         psi_residual_max=psi_res,
-        w_residual_max=w_res,
         _flow=flow,
-    )
-
-
-def w_scale(t, f, fp, fpp):
-    """Term-magnitude scale of W[f]; |W - 1|/w_scale is the honest float64
-    consistency residual (raw W - 1 is ill-conditioned like t (f f')^2 for
-    profiles growing toward the origin)."""
-    t = np.asarray(t, dtype=float)
-    return np.maximum(
-        1.0,
-        np.abs(t * fp)
-        * (np.abs(f * fp) + np.abs(t * f * fpp) + np.abs(t * fp * fp)),
     )
 
 

@@ -229,7 +229,10 @@ class RadialProfile:
     def to_json(self):
         params = {k: v for k, v in self.params.items() if k != "solution"}
         if self.kind == "poincare_numeric" and "solution" in self.params:
-            params["c"] = self.params["solution"].c
+            sol = self.params["solution"]
+            # the requested t_min, not t_min_reached: re-solving at a cusp t0
+            # may round log t_min above log t0 and lose the cusp
+            params["c"], params["t_min"] = sol.c, sol.t_min
         if self.scale != 1.0:
             params["scale"] = self.scale
         return json.dumps({"kind": self.kind, "params": params}, sort_keys=True)
@@ -292,11 +295,14 @@ class RadialProfile:
         Dp = 3.0 - 4.0 * m + 2.0 * dcoef * u
         Dpp = -2.0 * dcoef
         f = 2.0 ** (2.0 / 3.0) * t ** (-m / 3.0) * u * D ** (-1.0 / 3.0)
-        # g1 = f'/f,  g1' = (f'/f)'
-        g1 = -m / (3.0 * t) - 1.0 / u - Dp / (3.0 * D)
-        g1p = m / (3.0 * t * t) - 1.0 / (u * u) - (Dpp * D - Dp * Dp) / (3.0 * D * D)
-        fp = f * g1
-        fpp = f * (g1p + g1 * g1)
+        # f = u g with h = g'/g: f' = g (u h - 1) and f'' = g (u (h' + h^2) - 2h)
+        # stay finite at u = 0, where f'/f has a pole.  f keeps its own product
+        # above: the kernel's defects and estimate_c read its bits
+        g = 2.0 ** (2.0 / 3.0) * t ** (-m / 3.0) * D ** (-1.0 / 3.0)
+        h = -m / (3.0 * t) - Dp / (3.0 * D)
+        hp = m / (3.0 * t * t) - (Dpp * D - Dp * Dp) / (3.0 * D * D)
+        fp = g * (u * h - 1.0)
+        fpp = g * (u * (hp + h * h) - 2.0 * h)
         return f, fp, fpp
 
     def _eval_taylor(self, t):

@@ -361,20 +361,25 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     return float(out[0]) if np.ndim(k) == 0 else out
 
 
-def stieltjes_euler_maclaurin(jmax: int, N: int = 400, M: int = 10, digits: int = 45):
+_STIELTJES_N = 400  # stieltjes_euler_maclaurin sums 1/j^(1+z) for j < N,
+_STIELTJES_M = 10  # adds Bernoulli terms through B_2M,
+_STIELTJES_DIGITS = 45  # and works at this many decimal digits
+
+
+def stieltjes_euler_maclaurin(jmax: int):
     """Recompute gamma_0..gamma_jmax by Euler-Maclaurin.
 
     Works on the jet of zeta(1+z) - 1/z at z = 0; the N^(-z)/z boundary term
     contributes the pole plus the analytic jet (-log N)^(k+1) z^k / (k+1)!.
     The boundary pieces cancel the partial sums through ~(log N)^(k+1)/(k+1)
     relative orders, so the evaluation runs in ``decimal`` arithmetic at
-    ``digits`` working digits (float64 would lose gamma_8..gamma_10).
+    45 working digits (float64 would lose gamma_8..gamma_10).
     """
     from decimal import Decimal, localcontext
 
-    n = jmax
+    n, N, M = jmax, _STIELTJES_N, _STIELTJES_M
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = _STIELTJES_DIGITS
 
         def jmul_dec(a, b):
             return [

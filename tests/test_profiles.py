@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from kepler_balance.errors import CapabilityError, DomainError, NormalizationError
+from kepler_balance.poincare import solve_poincare
 from kepler_balance.profiles import (
     RadialProfile,
     density_in_L,
@@ -266,6 +268,41 @@ def test_eval_accepts_one_and_nothing_above():
     for t in (math.nextafter(1.0, 2.0), np.array([0.5, 1.0000000000000004])):
         with pytest.raises(DomainError, match=r"\(0, 1\]"):
             p.eval(t)
+
+
+@pytest.mark.parametrize("v", [0, 1, 2.5, 49, 60])
+def test_candidate_eval_at_one(v):
+    # f = (1 - t) g keeps f' and f'' finite where f'/f has its pole, so a W
+    # density of the candidate has finite values at nodes that round to 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, fp, fpp = RadialProfile.phi_v_candidate(v, scale=3.0).eval(1.0)
+        fa, fpa, fppa = RadialProfile.phi_v_candidate(v).eval(np.array([0.5, 1.0]))
+    assert f == 0.0 and fp == pytest.approx(-3.0, rel=1e-15)
+    assert fpp == pytest.approx(1.5, rel=1e-15)
+    assert (fa[1], fpa[1]) == (0.0, pytest.approx(-1.0, rel=1e-15))
+    assert fppa[1] == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("c, t_min", [(0.5, 0.5), (-5.0, 1e-4)])
+def test_poincare_numeric_json_round_trip(c, t_min):
+    # t_min travels with c; at c = -5 the flow ends at its cusp t0 > t_min
+    sol = solve_poincare(c, t_min=t_min)
+    back = RadialProfile.from_json(RadialProfile.poincare_numeric(sol).to_json())
+    sol2 = back.params["solution"]
+    assert sol2.t_min_reached == sol.t_min_reached and sol2.t0 == sol.t0
+    assert (sol.t0 is None) == (c > 0)
+    assert np.array_equal(sol2.t_grid, sol.t_grid)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -0.1])
+def test_poincare_numeric_l_series_density_is_one(c):
+    # W[f] = 1: through L^3 the boundary series of W is 1, 0, 0, 0
+    p = RadialProfile.poincare_numeric(solve_poincare(c, t_min=0.5))
+    w = density_in_L(p.l_series(4))
+    assert w.order == 3
+    for j, want in enumerate([1.0, 0.0, 0.0, 0.0]):
+        assert abs(w.coeff(j, 0) - want) <= 1e-15, j
 
 
 @pytest.mark.parametrize("kind, params, key", [
