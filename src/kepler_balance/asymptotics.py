@@ -51,8 +51,11 @@ from .special import STIELTJES, gamma_derivs, zeta_deriv_over_factorial
 TWO_PI = 2.0 * math.pi
 DIRECT_SUM_CAP = 10 ** 6
 BOUNDARY_SUM_CAP = 10_000
-# method="auto" takes the boundary expansion below this L (kernel's Kummer
-# split switches at the same L)
+# method="auto" takes the boundary expansion below this L.  The kernel's
+# Kummer split switches at the same L, where the terms of its folded
+# L-series fall like (L/2 pi)^k <= 0.016^k.  A wider cut would put the
+# split's per-density set-up (the exact A_m chain, ~10 ms) on single points
+# of fresh densities at t = 0.9 (L = 0.105)
 AUTO_BOUNDARY_L = 0.1
 
 
@@ -205,7 +208,10 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
     (where the direct sum converges slowly) and direct otherwise.
 
     Accuracy: "auto" stays within a few ulp at integer s from -2 to 9 for
-    L up to 0.1 and just past it.  The boundary path loses digits to
+    L up to 0.1 and just past it.  The kernel's Kummer split, whose
+    weights sit at those s, does not call it: it folds them into closed
+    forms in 1/(1-t), L and log L (``kernel._KummerSplit``).  The boundary
+    path loses digits to
     cancellation at positive integer s and mid-range L: the singular part
     and the zeta sum nearly cancel, and the result is then scaled by e^L
     (about 7.5e-9 relative at s = 2, n = 2, L = 4.82).  The CLI's

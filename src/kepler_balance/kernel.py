@@ -55,27 +55,31 @@ argument reaches the moments, so their bits never depend on evaluation order.
   (k+1)^-m and M = ``KUMMER_M`` = 10,
       F(t) = sum_{m<=M} A_m [2 Phi(t, m-2) - Phi(t, m-1)]
              + sum_k [N(k)/c_k - P_M(k)] t^k.
-  The first part is at most 12 Lerch values (s = -2..9; zero weights are
-  skipped).  The remainder terms fall like
+  The first part is sum_s w_s Phi(t, s) over s = -2..9, which the split
+  folds once into closed forms (``_KummerSplit``): a rational part in
+  1/(1-t), one power series in L and one L^j log L polynomial, with no
+  Lerch call.  The remainder terms fall like
   (k+1)^(1-M), so its sum converges at t = 1 itself and needs only tens of
-  moments.  The A_m and the remainder coefficients are built on a
-  density's first near-boundary call and cached on it; each t then costs
-  the Lerch values and one Horner pass.  The chain from the L-series to
-  the A_m runs in exact rationals (a float coefficient converts exactly),
-  so ``reciprocal_moments``' product check holds and every series a
-  density carries is used.
+  moments.  The A_m, the folded singular part and the remainder
+  coefficients are built on a density's first near-boundary call and
+  cached on it; each t then costs three Horner passes and two logs.  The
+  chain from the L-series to the A_m runs in exact rationals (a float
+  coefficient converts exactly), so ``reciprocal_moments``' product check
+  holds and every series a density carries is used.
 
 Neither path takes a tolerance: each stops where its truncation falls
 below the accuracy its moments already carry, ``_CALIBRATION_RTOL`` times
 S = sum |term|, the scale of both the final sum's rounding and its moment
 error.  The direct path keeps S beside its running total.  The Kummer path
-takes S over the Lerch values w_s Phi(t, s), which it computes first, and
-its remainder stops at the first K whose tail model is under that target:
-the omitted A_{M+1}, A_{M+2} terms, summed over k > K with t^k <= t^(K+1)
-and a safety factor of 10.  ``KernelEval.tail_bound`` is absolute on both
-paths; on the Kummer path it is that model plus
+takes S over the folded parts of the singular sum, which it computes
+first (``_KummerSplit.singular``), and its remainder stops at the first K
+whose tail model is under that target: the omitted A_{M+1}, A_{M+2} terms,
+summed over k > K with t^k <= t^(K+1) and a safety factor of 10.
+``KernelEval.tail_bound`` is absolute on both paths; on the Kummer path it
+is that model plus
 sum_{k<=K} [N(k) err_k / c_k^2 + 4 eps (N(k)/c_k + |P_M(k)|)] t^k, the
-propagated moment bounds and the rounding of each remainder coefficient.
+propagated moment bounds and the rounding of each remainder coefficient,
+plus the truncation of the singular part's L-series.
 Neither path's bound counts the rounding of the final sum (~1e-16 of S).
 """
 
@@ -91,8 +95,8 @@ import numpy as np
 
 from .asymptotics import (
     AUTO_BOUNDARY_L,
+    TWO_PI,
     a_m_coefficients,
-    lerch_phi,
     moment_expansion,
     reciprocal_moments,
 )
@@ -115,6 +119,7 @@ from .profiles import (
 )
 from .quadrature import MAX_LEVEL, T_FLOOR, nodes_up_to
 from .series import PowerLogSeries
+from .special import zeta_at_integer
 
 HARD_TERM_CAP = 10 ** 6
 # moments are filled in aligned blocks of this many (module docstring)
@@ -133,6 +138,9 @@ _PROBES = (0, 7, 63)
 KUMMER_M = 10
 _KUMMER_MIN_TERMS = 16
 _KUMMER_SAFETY = 10.0
+# the singular part's power series in L runs through this power; its terms
+# fall like (L/2 pi)^k, below 0.016^k for L < AUTO_BOUNDARY_L
+_KUMMER_L_ORDER = 16
 _EPS = np.finfo(float).eps
 
 
@@ -490,9 +498,21 @@ def _kernel_direct(dens: Density, n: int, t: float) -> KernelEval:
 
 
 class _KummerSplit:
-    """A density's Kummer-split data (n = 2): the Lerch weights, the omitted
+    """A density's Kummer-split data (n = 2): the A_m, the weights w_s of
+    sum_s w_s Phi(t, s), s = -2..M-1, folded into closed forms, the omitted
     A_m of the tail model, and the remainder coefficients
-    r_k = N(k)/c_k - P_M(k) with their error bounds, grown on demand."""
+    r_k = N(k)/c_k - P_M(k) with their error bounds, grown on demand.
+
+    With u = 1 - t and L = -log t, the singular part is
+        sum_s w_s Phi(t, s) = R(1/u) + [P(L) + log L Q(L)] / t.
+    R is the rational part, from Phi(t, 0) = 1/u, Phi(t, -1) = 1/u^2 and
+    Phi(t, -2) = (1 + t)/u^3 = 2/u^3 - 1/u^2; u is exact for t >= 1/2.  P
+    and Q fold tPhi(t, s) = Li_s(e^-L) at s >= 1 (DLMF 25.12.12, L < 2 pi):
+        Li_s(e^-L) = (-L)^(s-1)/(s-1)! [H_(s-1) - log L]
+                     + sum_(k != s-1) zeta(s-k) (-L)^k / k!,
+    Q the L^j log L polynomial and P the power series, cut after
+    L^``_KUMMER_L_ORDER``.  zeta comes from ``special.zeta_at_integer``.
+    """
 
     def __init__(self, dens: Density):
         M = KUMMER_M
@@ -512,14 +532,55 @@ class _KummerSplit:
         A = [float(a / lead) for a in a_m_coefficients(inv, M + 2)]
         self.A = A[: M + 1]
         # N(k)(k+1) sum_m A_m (k+1)^-m = sum_m A_m [2 (k+1)^(2-m) - (k+1)^(1-m)]
-        weights = {}
+        w = [0.0] * (M + 2)  # w[s + 2]
         for m, a in enumerate(self.A):
-            weights[m - 2] = weights.get(m - 2, 0.0) + 2.0 * a
-            weights[m - 1] = weights.get(m - 1, 0.0) - a
-        self.weights = [(s, w) for s, w in sorted(weights.items()) if w != 0.0]
+            w[m] += 2.0 * a
+            w[m + 1] -= a
+        self.weights = [(i - 2, x) for i, x in enumerate(w) if x != 0.0]
+        # R = ((r3/u + r2)/u + r1)/u, and the |w_s| of its three s for S
+        self.rational = (2.0 * w[0], w[1] - w[0], w[2])
+        self.rational_size = tuple(abs(x) for x in w[:3])
+        positive = [(s, x) for s, x in self.weights if s >= 1]
+        self.log_poly = [-(-1) ** j * w[j + 3] / math.factorial(j) for j in range(M - 1)]
+        self.series = [
+            (-1) ** k / math.factorial(k) * math.fsum(
+                x * (_harmonic(k) if k == s - 1 else zeta_at_integer(s - k)) for s, x in positive
+            )
+            for k in range(_KUMMER_L_ORDER + 1)
+        ]
+        # |zeta(-n)| <= 2 zeta(2) n! / (2 pi)^(n+1), so term k > K of P is at
+        # most 2 zeta(2) |w_s| (2 pi)^(s-1) (k-s)!/k! (L/2 pi)^k, and (k-s)!/k!
+        # falls with k
+        K = _KUMMER_L_ORDER
+        self.l_tail = math.pi ** 2 / 3.0 * sum(  # 2 zeta(2)
+            abs(x) * TWO_PI ** (s - 1) * math.factorial(K + 1 - s) / math.factorial(K + 1)
+            for s, x in positive
+        )
         self.omitted = [(m, abs(A[m])) for m in (M + 1, M + 2)]
         self.rem = []
         self.rem_err = []
+
+    def singular(self, t: float):
+        """sum_s w_s Phi(t, s) for 1/2 <= t < 1 and L < 2 pi, as (value, S,
+        truncation of P).  S sums the magnitudes of the folded parts: the
+        |w_s| Phi(t, s) of the rational part's s = -2, -1, 0, then |P(L)|/t
+        and |log L Q(L)|/t."""
+        u = 1.0 - t  # exact for t >= 1/2
+        r3, r2, r1 = self.rational
+        m2, m1, m0 = self.rational_size
+        rational = ((r3 / u + r2) / u + r1) / u
+        size = ((m2 * (1.0 + t) / u + m1) / u + m0) / u
+        L = -math.log(t)
+        p = 0.0
+        for c in reversed(self.series):
+            p = p * L + c
+        q = 0.0
+        for c in reversed(self.log_poly):
+            q = q * L + c
+        q *= math.log(L)
+        x = L / TWO_PI
+        truncation = self.l_tail * x ** (_KUMMER_L_ORDER + 1) / ((1.0 - x) * t)
+        return rational + (p + q) / t, size + (abs(p) + abs(q)) / t, truncation
 
     def tail_model(self, t: float, K: int) -> float:
         """Safety factor times a bound on sum_{k>K} t^k sum_omitted 2 |A_m| (k+1)^(2-m):
@@ -548,6 +609,11 @@ class _KummerSplit:
             self.rem_err.append(err + 4.0 * _EPS * (abs(ratio) + abs(poly)))
 
 
+def _harmonic(k: int) -> float:
+    """H_k = 1 + 1/2 + ... + 1/k, rounded once."""
+    return float(sum(Fraction(1, i) for i in range(1, k + 1)))
+
+
 def _kummer_split(dens: Density):
     """The density's cached _KummerSplit, or None without an L-series."""
     if dens._kummer is None and dens.l_series is not None:
@@ -556,13 +622,13 @@ def _kummer_split(dens: Density):
 
 
 def _kernel_kummer(dens: Density, t: float) -> KernelEval:
-    """Kummer split: Lerch singular part plus the remainder sum (n = 2).
+    """Kummer split: the folded singular part plus the remainder sum (n = 2).
 
-    The Lerch values come first: their magnitudes set the remainder's target.
+    The singular part comes first: its size S sets the remainder's target.
     """
     split = _kummer_split(dens)
-    singular = [w * lerch_phi(t, float(s)) for s, w in split.weights]
-    target = _CALIBRATION_RTOL * sum(abs(x) for x in singular)
+    singular, size, truncation = split.singular(t)
+    target = _CALIBRATION_RTOL * size
     K = _KUMMER_MIN_TERMS - 1
     while (model := split.tail_model(t, K)) > target:
         K += 1 + K // 8
@@ -575,8 +641,8 @@ def _kernel_kummer(dens: Density, t: float) -> KernelEval:
     for k in range(K, -1, -1):
         rem = rem * t + split.rem[k]
         err = err * t + split.rem_err[k]
-    return KernelEval(t=t, value=sum(singular) + rem, terms_used=K + 1,
-                      tail_bound=model + err, path="kummer")
+    return KernelEval(t=t, value=singular + rem, terms_used=K + 1,
+                      tail_bound=model + err + truncation, path="kummer")
 
 
 def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None):

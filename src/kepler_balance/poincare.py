@@ -225,13 +225,27 @@ def _cusp_shift(c: float) -> float:
     """e < 0 with e (e - 1/2)^2 = c, for c < 0: Newton's method from the
     larger of 4c and -(-c)^(1/3), both below the root.  The cubic is
     concave and increasing for e < 0, so the steps climb to the root
-    without overshooting it."""
+    without overshooting it.  The float neighbour toward 0 of the last
+    iterate is taken when its residual is smaller, which leaves e within
+    1 ulp of the root."""
+
+    def residual(e):
+        # for e > -1 the cubic as (e/4 - c) + e^2 (e - 1): near the root e/4
+        # and c are within a factor 2, so their difference is exact and
+        # nothing cancels; below, the cubic over e, as e^3 could overflow
+        if e > -1.0:
+            return (0.25 * e - c) + e * e * (e - 1.0)
+        return (e - 0.5) ** 2 - c / e
 
     def step(e):
-        # (e (e - 1/2)^2 - c) / (d/de), written so that e^3 cannot overflow
-        return e - e * ((e - 0.5) ** 2 - c / e) / ((e - 0.5) * (3.0 * e - 0.5))
+        slope = (e - 0.5) * (3.0 * e - 0.5)
+        if e > -1.0:
+            return e - residual(e) / slope
+        return e - e * residual(e) / slope
 
-    return _monotone_newton(step, max(4.0 * c, -((-c) ** _THIRD)), up=True)
+    e = _monotone_newton(step, max(4.0 * c, -((-c) ** _THIRD)), up=True)
+    nearer = math.nextafter(e, 0.0)
+    return nearer if abs(residual(nearer)) < abs(residual(e)) else e
 
 
 class _Flow:

@@ -442,7 +442,7 @@ def test_level_6_moments_match_level_12(p, n):
 
 # -- Kummer split near t = 1 --------------------------------------------------
 
-KUMMER_TS = (0.95, 0.99, 0.9999, 1 - 1e-6, 1 - 1e-8)
+KUMMER_TS = (0.95, 0.99, 0.9999, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10, 1 - 1e-12)
 
 
 def _one_plus_a_log2(a):
@@ -574,9 +574,9 @@ def test_phi_60_takes_the_kummer_path():
 
 
 @pytest.mark.parametrize("v", [2.5, 3.14159, 7.3, 60])
-def test_kummer_weights_exact_for_non_square_v(v, monkeypatch):
+def test_kummer_weights_exact_for_non_square_v(v):
     # A_m = (1 - v)/2^(m+2) exactly, so the weights 2 A_(s+2) - A_(s+1),
-    # s = 1..8, vanish and one point makes 4 Lerch calls
+    # s = 1..8, vanish and the log part Q(L) is the one L^8 term of s = 9
     dens = _fresh_phi_v(v)
     dens.l_series = K.phi_v_density(v).l_series
     split = K._kummer_split(dens)
@@ -584,11 +584,61 @@ def test_kummer_weights_exact_for_non_square_v(v, monkeypatch):
     for m in range(2, K.KUMMER_M + 1):
         assert split.A[m] == float((1 - F(v)) / 2 ** (m + 2)), m
     assert [s for s, _w in split.weights] == [-2, -1, 0, 9]
-    calls = []
-    lerch = K.lerch_phi
-    monkeypatch.setattr(K, "lerch_phi", lambda *a: calls.append(a) or lerch(*a))
-    ke = K.kernel_series(dens, 2, 0.999)
-    assert ke.path == "kummer" and len(calls) == 4
+    assert [j for j, q in enumerate(split.log_poly) if q] == [8]
+    assert K.kernel_series(dens, 2, 0.999).path == "kummer"
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: K.phi_v_density(2.5), id="phi_2.5"),
+    pytest.param(lambda: K.phi_v_density(4), id="phi_4"),
+    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(2), 2),
+                 id="W[explicit_n:n=2]"),
+])
+def test_kummer_path_makes_no_lerch_calls(make, monkeypatch):
+    from kepler_balance import asymptotics, special
+
+    dens = make()
+    K._kummer_split(dens)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Kummer path reached the Lerch machinery")
+
+    monkeypatch.setattr(asymptotics, "lerch_phi", refuse)
+    monkeypatch.setattr(special, "zeta_deriv_over_factorial", refuse)
+    monkeypatch.setattr(asymptotics, "zeta_deriv_over_factorial", refuse)
+    for t in (0.95, 0.999, 1 - 1e-9, 1 - 1e-12):
+        ke = K.kernel_series(dens, 2, t)
+        assert ke.path == "kummer" and math.isfinite(ke.value), t
+    assert not hasattr(K, "lerch_phi")
+
+
+def _mp_singular(weights, t):
+    """sum_s w_s Phi(t, s) and sum_s |w_s Phi(t, s)| at 40 digits, with
+    Phi(t, s) = Li_s(t)/t at s >= 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        parts = [mpmath.mpf(w) * (mpmath.lerchphi(t, s, 1) if s <= 0 else mpmath.polylog(s, t) / t)
+                 for s, w in weights]
+        return sum(parts), sum(abs(x) for x in parts)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda v=v: K.phi_v_density(v), id=f"phi_{v}") for v in (1, 2.5, 4)),
+    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(2), 2),
+                 id="W[explicit_n:n=2]"),
+    pytest.param(lambda: _one_plus_a_log2(5), id="1+5L^2"),
+])
+def test_kummer_singular_part_vs_mpmath(make):
+    split = K._kummer_split(make())
+    ts = (0.9, 0.95, 0.99, 0.999, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9, *KUMMER_TS[-2:])
+    for t in ts:
+        value, size, truncation = split.singular(t)
+        ref, ref_size = _mp_singular(split.weights, t)
+        assert abs(value - ref) <= 4e-16 * ref_size, t
+        assert truncation <= 1e-30 * ref_size, t
+        # S bounds the sum and is no looser a target than sum |w_s Phi(t, s)|
+        assert abs(value) <= size <= 2 * ref_size, t
 
 
 @pytest.mark.parametrize("terms", [

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction as F
 
@@ -335,6 +336,23 @@ def test_cusp_t0_matches_mpmath(c):
     assert sol.t_grid[0] == sol.t0
     assert sol.f_grid[0] == pytest.approx((sol.t0 / -c) ** (1 / 3), rel=1e-15)
     assert sol.fp_grid[0] == 0.0
+
+
+def test_cusp_shift_within_one_ulp():
+    # e < 0 with e (e - 1/2)^2 = c against a 50-digit root, over the whole
+    # float range and densely where (e - 1/2)^2 - c/e would cancel (c between
+    # -510 and -1e-17, e -> 0)
+    mpmath = pytest.importorskip("mpmath")
+    grid = [*-np.logspace(-300, 308, 609), *-np.logspace(-17, math.log10(510), 1000),
+            -sys.float_info.max]
+    with mpmath.workdps(50):
+        for c in grid:
+            c = float(c)
+            e = P._cusp_shift(c)
+            ref = mpmath.mpf(e)
+            for _ in range(8):
+                ref -= (ref * (ref - 0.5) ** 2 - c) / ((ref - 0.5) * (3 * ref - 0.5))
+            assert abs(mpmath.mpf(e) - ref) <= math.ulp(e), c
 
 
 @pytest.mark.parametrize("c", [-1e50, -1.7976931348623157e308])
