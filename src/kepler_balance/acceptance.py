@@ -151,9 +151,9 @@ def crit_lerch_machinery():
 
 def crit_boundary_F_phi1():
     """F-expansion for phi = 1: exactly 4/L^3 + 3/L^2 + 1/L + smooth."""
-    inv = PowerLogSeries({(Fraction(-1), 0): Fraction(1)}, 10)
+    inv = PowerLogSeries({(-1, 0): Fraction(1)}, 10)
     ser = asym.boundary_expansion_F(inv, 2, 8)
-    c3, c2, c1 = ser.coeff(Fraction(-3)), ser.coeff(Fraction(-2)), ser.coeff(Fraction(-1))
+    c3, c2, c1 = ser.coeff(-3), ser.coeff(-2), ser.coeff(-1)
     exact = c3 == 4 and c2 == 3 and c1 == 1
     extra_sing = [
         (k, v) for k, v in ser.terms.items() if k[0] < 0 and k[0] not in (-3, -2, -1)

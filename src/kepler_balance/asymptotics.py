@@ -54,7 +54,7 @@ BOUNDARY_SUM_CAP = 10_000
 # method="auto" takes the boundary expansion below this L.  The kernel's
 # Kummer split switches at the same L, where the terms of its folded
 # L-series fall like (L/2 pi)^k <= 0.016^k.  A wider cut would put the
-# split's per-density set-up (the exact A_m chain, ~10 ms) on single points
+# split's per-density set-up (the exact A_m chain, 1-6 ms) on single points
 # of fresh densities at t = 0.9 (L = 0.105)
 AUTO_BOUNDARY_L = 0.1
 
@@ -149,8 +149,8 @@ def moment_expansion(phi_L: PowerLogSeries, order: int) -> PowerLogSeries:
         if a + 1 > out_order:
             continue
         if j == 0:
-            if isinstance(a, Fraction) and a.denominator == 1 and isinstance(b, Rational):
-                coef = b * math.factorial(int(a))
+            if isinstance(a, int) and isinstance(b, Rational):
+                coef = b * math.factorial(a)
             else:
                 coef = b * float(gamma_derivs(float(a) + 1.0, 0)[0])
             key = (a + 1, 0)
@@ -172,8 +172,13 @@ def moment_expansion(phi_L: PowerLogSeries, order: int) -> PowerLogSeries:
 def reciprocal_moments(c_exp: PowerLogSeries, order: int) -> PowerLogSeries:
     """1/c_k as (k+1) sum_m A_m /(k+1)^m with A_0 = 1, from the c_k expansion.
 
-    Requires the input to lead with exactly 1/(k+1) (unit coefficient);
-    the product c_exp * result is checked to be 1 through the common order.
+    Requires the input to lead with exactly 1/(k+1) (unit coefficient).
+    The product c_exp * result is checked to be 1 through the common order,
+    to 1e-12 absolute (AccuracyError otherwise).  That bounds the
+    reciprocal's own error, the rounding of its recurrence on float input,
+    and says nothing of the input's: a float c_exp that is off gives a
+    reciprocal of the wrong series that still passes.  On exact input the
+    residual is 0.
     """
     if not c_exp.terms or c_exp.min_power() != 1:
         raise NormalizationError("expansion must lead with 1/(k+1)")
@@ -193,7 +198,7 @@ def reciprocal_moments(c_exp: PowerLogSeries, order: int) -> PowerLogSeries:
 
 def a_m_coefficients(inv: PowerLogSeries, m_max: int):
     """A_0..A_m_max from a reciprocal-moment expansion (k+1) sum A_m x^m."""
-    return [inv.coeff(Fraction(m - 1), 0) for m in range(m_max + 1)]
+    return [inv.coeff(m - 1) for m in range(m_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +291,8 @@ def _boundary_singular_part(s: float, n: int):
     are both singular; their sum is replaced by the Gamma-Laurent/Stieltjes
     limit (the primed-sum convention at n = 0) and skip = m-1.  Elsewhere
     coeffs[j] = C(n,j) (-1)^(n-j) Gamma^(n-j)(1-s) and skip is None.
-    Integer powers, and Gamma(1-s) at integer s <= 0 with n = 0, stay exact
-    Fractions.
+    Integer powers stay exact, and so does Gamma(1-s) at integer s <= 0
+    with n = 0 (a Fraction).
     """
     s_int = int(round(s))
     if abs(s - s_int) < 1e-12 and s_int >= 1:
@@ -299,7 +304,7 @@ def _boundary_singular_part(s: float, n: int):
         coeffs = [math.comb(n, j) * c[(m, n - j)] for j in range(n + 1)]
         coeffs[0] += sigma * (-1.0) ** n * STIELTJES[n]
         coeffs.append(-sigma / (n + 1))
-        return Fraction(m - 1), coeffs, m - 1
+        return m - 1, coeffs, m - 1
     one_minus_s = 1.0 - s
     if n == 0 and abs(one_minus_s - round(one_minus_s)) < 1e-12 and round(one_minus_s) >= 1:
         gd = [Fraction(math.factorial(int(round(one_minus_s)) - 1))]
@@ -371,7 +376,7 @@ def _t_phi_boundary_series(s: float, n: int, order: int) -> PowerLogSeries:
     # (log L)^j = (-1)^j (log 1/L)^j
     terms = {(power, j): c * (-1) ** j for j, c in enumerate(coeffs)}
     for k, term in zip(*_zeta_terms(s, np.arange(order + 1), n, skip)):
-        terms[(Fraction(k), 0)] = term
+        terms[(k, 0)] = term
     return PowerLogSeries(terms, order)
 
 
@@ -408,16 +413,11 @@ def boundary_expansion_F(inv: PowerLogSeries, n: int = 2, order: int = 8) -> Pow
     if not inv.terms or inv.min_power() != -1:
         raise NormalizationError("1/c_k expansion must lead with (k+1)")
     # N(k) = 2 (k+1) - 1
-    n_series = PowerLogSeries({(Fraction(-1), 0): Fraction(2), (Fraction(0), 0): Fraction(-1)},
-                              inv.order)
+    n_series = PowerLogSeries({(-1, 0): Fraction(2), (0, 0): Fraction(-1)}, inv.order)
     g = n_series * inv
     result = PowerLogSeries.zero(order)
     for (mp, jp), coef in g.items_sorted():
-        if isinstance(mp, Fraction) and mp.denominator == 1:
-            s_val = int(mp)
-        else:
-            s_val = float(mp)
-        piece = lerch_boundary_expansion(float(s_val), jp, order)
+        piece = lerch_boundary_expansion(float(mp), jp, order)
         result = result + piece * (coef * (-1) ** jp)
     return result.truncate(order)
 
@@ -457,4 +457,4 @@ def germ_round_trip_residual(v, order: int = 2):
     f = germ_family_f(v, order + 2, allow_flat_extension=True)
     phi = density_in_L(f)
     target = phi_v_l_coefficients(v, order)
-    return [phi.coeff(Fraction(j), 0) - target[j] for j in range(order + 1)]
+    return [phi.coeff(j) - target[j] for j in range(order + 1)]

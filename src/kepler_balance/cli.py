@@ -157,14 +157,16 @@ def cmd_asymptotics(args) -> int:
         raise DomainError(f"--v must be finite, got {v!r}")
     if args.order < 0:
         raise DomainError(f"--order must be >= 0, got {args.order}")
-    # an integer v runs the exact chain; any other v the float chain
-    phiL = phi_v_l_series(int(v) if v.is_integer() else v, args.order + 3)
+    # the chain runs in exact rationals for every v: Fraction(v) keeps every
+    # bit of the float.  An integer v prints each A_m exactly, any other v
+    # its correctly rounded float
+    phiL = phi_v_l_series(Fraction(v), args.order + 3)
     cexp = asym.moment_expansion(phiL, args.order + 3)
     inv = asym.reciprocal_moments(cexp, args.order + 2)
     A = asym.a_m_coefficients(inv, args.order)
-    exact = all(isinstance(a, Fraction) for a in A)
+    exact = v.is_integer()
     payload = {
-        "A": [str(a) if isinstance(a, Fraction) else a for a in A],
+        "A": [str(a) if exact else float(a) for a in A],
         "exact": exact,
         "v": v,
     }

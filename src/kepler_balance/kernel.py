@@ -519,7 +519,7 @@ class _KummerSplit:
         phi_L = dens.l_series(M + 2)
         lead = Fraction(phi_L.coeff(0))
         if lead == 0 or not phi_L.is_log_free() or any(
-            not (isinstance(a, Fraction) and a.denominator == 1) for a, _j in phi_L.terms
+            not isinstance(a, int) for a, _j in phi_L.terms
         ):
             raise CapabilityError(
                 f"{dens.label}: the L-series must be log-free in integer powers "

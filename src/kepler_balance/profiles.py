@@ -124,7 +124,7 @@ def phi_v_l_coefficients(v, J):
 def phi_v_l_series(v, order):
     """phi_v as a PowerLogSeries in L at the boundary."""
     coeffs = phi_v_l_coefficients(v, order)
-    return PowerLogSeries({(Fraction(j), 0): c for j, c in enumerate(coeffs)}, order)
+    return PowerLogSeries({(j, 0): c for j, c in enumerate(coeffs)}, order)
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,7 @@ class RadialProfile:
             # so higher coefficients are exactly zero
             coeffs = self.params["coeffs"]
             ser = PowerLogSeries(
-                {(Fraction(i + 1), 0): _fract(c) for i, c in enumerate(coeffs)}, order
+                {(i + 1, 0): _fract(c) for i, c in enumerate(coeffs)}, order
             )
         elif kind == "constant_one":
             ser = one
@@ -449,4 +449,4 @@ def germ_residual(p: RadialProfile, v, order: int):
     if phi.order < order:
         raise TruncationError("profile series too short for requested order")
     target = phi_v_l_coefficients(v, order)
-    return [phi.coeff(Fraction(j), 0) - target[j] for j in range(order + 1)]
+    return [phi.coeff(j) - target[j] for j in range(order + 1)]

@@ -6,9 +6,15 @@ A :class:`PowerLogSeries` is a finite sum
 
 in a formal small variable ``X``, truncated at a known order: terms with
 ``a > order`` are unknown (not zero).  Powers ``a`` may be negative and
-rational (``Fraction``) or floating; log-powers ``j`` are nonnegative
-integers.  Coefficients stay ``Fraction`` as long as every input is
-rational, so chains of operations can be checked identically.
+rational or floating: an integral rational power is kept as ``int``, any
+other rational one as ``Fraction``, so the common integer keys hash, add and
+compare as ints.  Log-powers ``j`` are nonnegative integers.  Coefficients
+stay ``Fraction`` as long as every input is rational, so chains of
+operations can be checked identically.
+
+``reciprocal`` solves B = 1 - u B for 1/(1 + u) one exponent at a time, in
+O(n^2) coefficient operations for n terms; ``log`` and ``exp`` sum their
+power series through ``_power_sum``.
 
 The same type serves two variables elsewhere:
 
@@ -30,24 +36,43 @@ _INF = float("inf")
 
 
 def _as_power(a):
-    """Normalize an exponent to Fraction when it is rational."""
-    if isinstance(a, float):
+    """Normalize an exponent: int when integral, Fraction when otherwise
+    rational, float as given."""
+    if isinstance(a, (int, float)):
         return a
     if isinstance(a, Rational):
-        return Fraction(a)
+        a = Fraction(a)
+        return a.numerator if a.denominator == 1 else a
     raise TypeError(f"bad exponent type: {type(a)!r}")
 
 
+def _integer_root(n: int, q: int) -> int:
+    """floor(n^(1/q)) for an int n >= 0: math.isqrt for q = 2, otherwise
+    Newton's method in integers from a start above the root."""
+    if n < 2:
+        return n
+    if q == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // q)
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
+
+
 def nth_root_fraction(x: Fraction, q: int):
-    """Exact q-th root of a nonnegative Fraction, or None if irrational."""
+    """Exact q-th root of a nonnegative Fraction, or None if irrational.
+
+    A Fraction is in lowest terms, so its root is rational exactly when its
+    numerator and denominator are both q-th powers of integers."""
     if x < 0:
         return None
-    num = round(x.numerator ** (1.0 / q))
-    den = round(x.denominator ** (1.0 / q))
-    for n in (num - 1, num, num + 1):
-        for d in (den - 1, den, den + 1):
-            if n >= 0 and d > 0 and Fraction(n, d) ** q == x:
-                return Fraction(n, d)
+    x = Fraction(x)
+    num = _integer_root(x.numerator, q)
+    den = _integer_root(x.denominator, q)
+    if num ** q == x.numerator and den ** q == x.denominator:
+        return Fraction(num, den)
     return None
 
 
@@ -78,18 +103,18 @@ class PowerLogSeries:
 
     @classmethod
     def const(cls, c, order=DEFAULT_ORDER):
-        return cls({(Fraction(0), 0): c}, order)
+        return cls({(0, 0): c}, order)
 
     @classmethod
     def variable(cls, order=DEFAULT_ORDER):
-        return cls({(Fraction(1), 0): Fraction(1)}, order)
+        return cls({(1, 0): Fraction(1)}, order)
 
     @classmethod
     def from_power_coeffs(cls, coeffs, order=None, start=0):
         """Plain power series from a coefficient list: coeffs[i] * X^(start+i)."""
         if order is None:
             order = start + len(coeffs) - 1
-        return cls({(Fraction(start + i), 0): c for i, c in enumerate(coeffs)}, order)
+        return cls({(start + i, 0): c for i, c in enumerate(coeffs)}, order)
 
     # -- inspection ---------------------------------------------------
 
@@ -258,13 +283,39 @@ class PowerLogSeries:
         return acc
 
     def reciprocal(self):
-        """1/A for a monomial-led series (geometric expansion)."""
+        """1/A for a monomial-led series A = c0 X^a0 (1 + u), through the
+        order to which A determines it.
+
+        B = 1/(1 + u) satisfies B = 1 - u B.  Every power of u is positive,
+        so the row of B at exponent e (its coefficients over the log powers)
+        takes terms only from rows at lower exponents.  The rows are finished
+        in increasing e, each at the least pending exponent, and each finished
+        row is pushed forward onto e + a for every term of u: O(n^2)
+        coefficient operations for n terms, where the geometric sum
+        sum_n (-u)^n takes O(n^3).  Exponents are formed only as sums e + a,
+        then shifted by -a0.
+        """
         a0, c0, u = self._one_plus_u()
-        inv_c0 = Fraction(1, 1) / c0 if isinstance(c0, Rational) else 1.0 / c0
-        acc = PowerLogSeries.const(Fraction(1), u.order) + u._power_sum(
-            lambda n: Fraction(-1) ** n
-        )
-        return (acc * inv_c0)._shift(-a0)
+        inv_c0 = Fraction(1) / c0 if isinstance(c0, Rational) else 1.0 / c0
+        order = u.order
+        steps = sorted(u.terms.items(), key=lambda kv: kv[0][0])
+        pending = {0: {0: Fraction(1)}}  # exponent -> {log power: coefficient}
+        out = {}
+        while pending:
+            e = min(pending)
+            row = {j: c for j, c in pending.pop(e).items() if c != 0}
+            if not row:
+                continue
+            for j, c in row.items():
+                out[(e - a0, j)] = c * inv_c0
+            for (a, ju), cu in steps:
+                e2 = e + a
+                if e2 > order:
+                    break
+                target = pending.setdefault(e2, {})
+                for j, c in row.items():
+                    target[j + ju] = target.get(j + ju, 0) - cu * c
+        return PowerLogSeries(out, order - a0)
 
     def log(self):
         """log(A) for A = 1 + u with u small; returns log-free-constant + series."""
@@ -285,7 +336,7 @@ class PowerLogSeries:
         """A**alpha via exp(alpha log) on the unit part; exact for rational data."""
         alpha = Fraction(alpha) if not isinstance(alpha, float) else alpha
         a0, c0, u = self._one_plus_u()
-        unit = PowerLogSeries({(Fraction(0), 0): Fraction(1)}, u.order)
+        unit = PowerLogSeries.const(Fraction(1), u.order)
         body = (unit + u).log() * alpha
         powered = body.exp()
         if c0 == 1:

@@ -151,6 +151,18 @@ def test_chain_exactness_and_identities():
             assert Am[m] * F(2) ** (m - 2) == A2
 
 
+def test_reciprocal_moments_accuracy_error():
+    # a float expansion whose coefficients grow like 32^a: the rounding of
+    # its reciprocal leaves a product residual of ~1e3 at order 14
+    from kepler_balance.errors import AccuracyError
+
+    terms = {(1, 0): 1.0}
+    for a in range(2, 16):
+        terms[(a, 0)] = 0.1 * (-1) ** a * 32 ** (a - 1) + 32 ** (a - 2) / 3
+    with pytest.raises(AccuracyError, match="reciprocal product check failed"):
+        A.reciprocal_moments(S(terms, 15), 14)
+
+
 def test_product_identity_float():
     # the float chain (a float v) still satisfies c * (1/c) = 1 to 1e-13
     cexp = A.moment_expansion(phi_v_l_series(2.0, 10), 10)

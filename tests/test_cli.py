@@ -257,12 +257,31 @@ def test_removed_cli_surface_rejected(argv, capsys):
     assert exc.value.code == 2
 
 
+def _asymptotics_float_v(v, order, capsys):
+    """Run ``asymptotics`` at a non-integer v and check that every A_m is the
+    correctly rounded closed form: A_0 = 1, A_1 = 0, (1 - v)/2^(m+2) for m >= 2,
+    with v the exact value of the float."""
+    code, out, err = run_cli(["asymptotics", "--v", v, "--order", str(order)], capsys)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["exact"] is False and payload["v"] == float(v)
+    exact_v = Fraction(float(v))
+    want = [1.0, 0.0] + [float((1 - exact_v) / 2 ** (m + 2)) for m in range(2, order + 1)]
+    assert payload["A"] == want
+    assert all(type(a) is float for a in payload["A"])
+
+
 @pytest.mark.parametrize("v", ["17.3", "20.5", "30.7"])
-def test_asymptotics_accuracy_failure_exit_code(v, capsys):
-    # the float reciprocal chain misses its 1e-12 self-check at order 20
-    code, _o, err = run_cli(["asymptotics", "--v", v, "--order", "20"], capsys)
-    assert code == 2
-    assert "numerical failure" in err
+def test_asymptotics_float_v_runs_exact_chain(v, capsys):
+    # these v made the float chain miss its 1e-12 product check at order 20
+    # (exit 2); every v now runs the exact chain from Fraction(v)
+    _asymptotics_float_v(v, 20, capsys)
+
+
+@pytest.mark.parametrize("order", [10, 20])
+@pytest.mark.parametrize("v", ["0.5", "2.5", "17.3", "60.1", "1234.567", "-3.7"])
+def test_asymptotics_float_v_scan(v, order, capsys):
+    _asymptotics_float_v(v, order, capsys)
 
 
 def test_numerical_failure_exit_code(capsys):

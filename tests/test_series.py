@@ -98,3 +98,32 @@ def test_nth_root_fraction():
     assert nth_root_fraction(F(4, 9), 2) == F(2, 3)
     assert nth_root_fraction(F(8, 27), 3) == F(2, 3)
     assert nth_root_fraction(F(2), 2) is None
+
+
+def test_nth_root_fraction_beyond_float_range():
+    # the roots come from integer roots, not from a float guess
+    big = 10 ** 30 + 7
+    assert nth_root_fraction(F(big ** 2), 2) == big
+    assert nth_root_fraction(F(big ** 2 + 1), 2) is None
+    assert nth_root_fraction(F(10 ** 400), 2) == 10 ** 200
+    assert nth_root_fraction(F(7 ** 3, 5 ** 60), 3) == F(7, 5 ** 20)
+    assert nth_root_fraction(F(7 ** 3, 5 ** 60 + 1), 3) is None
+    assert nth_root_fraction(F(3 ** 35), 5) == 3 ** 7
+
+
+def test_pow_fraction_exact_with_large_leading_coefficient():
+    L = S.variable(6)
+    big = 10 ** 30 + 7
+    root = ((S.const(F(1), 6) + L) * big ** 2).pow_fraction(F(1, 2))
+    assert root.is_rational()
+    assert root.coeff(0) == big and root.coeff(1) == F(big, 2)
+
+
+def test_integral_exponents_are_int():
+    # integral rational exponents are stored as int, whatever type came in
+    ser = S({(F(2), 0): F(1), (F(1, 2), 0): F(1), (F(3, 2), 1): F(1)}, 6)
+    prod = ser * ser
+    assert {(1, 0), (2, 1), (3, 2)} <= set(prod.terms)
+    for (a, _j) in list(ser.terms) + list(prod.terms) + list(ser.reciprocal().terms):
+        assert type(a) is int or a.denominator != 1
+    assert type(S.from_power_coeffs([1, 2, 3], start=-1).min_power()) is int
