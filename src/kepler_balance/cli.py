@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kernel", help="kernel diagonal F, balanced defect")
     common(pk)
     pk.add_argument("--format", choices=("csv", "json"), default="csv")
-    pk.add_argument("--c", default="auto")
+    pk.add_argument("--c", default="auto",
+                    help="c of the defect F - c/f^(n+1), or auto: 2n (-f'(1))^(n+1) / phi(1)")
     pk.set_defaults(fn=cmd_kernel)
 
     pp = sub.add_parser("poincare", help="solve the radial Poincare flow")

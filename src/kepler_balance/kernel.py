@@ -8,12 +8,15 @@ which the series path is cross-checked against.
 The layer takes a ``Density`` (``phi_v_density``, ``associated_density``
 or ``Density(...)``); anything else raises CapabilityError.
 ``associated_density`` is the one factory from a profile: phi_v for the
-phi_v candidate, f itself for constant_one, and W_n[f] otherwise, with its
-exponent at t = 0 worked out from W_n[g_m] = t^(1 - n/m) (0 for the
-Poincare solution at n = 2; CapabilityError where none is known).
+phi_v candidate, f itself for constant_one, the constant s^3 for the
+Poincare solution at n = 2 (it solves W_2[f] = 1), and W_n[f] otherwise,
+with its exponent at t = 0 worked out from W_n[g_m] = t^(1 - n/m)
+(CapabilityError where none is known).
 ``Density.moment(k)`` reads c_k with its error bound, and
 ``Density.sign_changing`` says whether phi is negative at some node, read
-off the node values calibration computes.  ``defect_table`` is the one
+off the node values calibration computes.  ``estimate_c`` gives ``--c
+auto`` its c in closed form from boundary data, 2n (-f'(1))^(n+1) / phi(1)
+with f'(1) read off the profile's L-series.  ``defect_table`` is the one
 loop over t: it gives F and the balanced defect per t to
 ``balanced_defect`` and to the CLI's ``kernel`` subcommand, and it is the
 one place that warns (SignedDensityWarning, naming the density) when the
@@ -105,7 +108,6 @@ from .errors import (
     ConvergenceBudgetError,
     DivergenceError,
     DomainError,
-    EstimationError,
     SignedDensityWarning,
 )
 from .profiles import (
@@ -338,11 +340,9 @@ def phi_v_density(v) -> Density:
 
 def _monge_ampere_exponent(p: RadialProfile, n: int):
     """p0 with W_n[f] ~ C t^p0 at t = 0: W_n[g_m] = t^(1 - n/m) for explicit_n
-    (W_n[s f] = s^(n+1) W_n[f]), and W_2 = 1 for the Poincare solution."""
+    (W_n[s f] = s^(n+1) W_n[f])."""
     if p.kind == "explicit_n":
         return 1.0 - n / p.params["n"]
-    if p.kind == "poincare_numeric" and n == 2:
-        return 0.0
     raise CapabilityError(
         f"no known endpoint exponent for W_{n}[f] of kind {p.kind!r}; "
         "construct the Density explicitly"
@@ -360,7 +360,9 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
 
     The phi_v candidate was built against its germ phi_v (the kernel moments
     in its defining identity are phi_v moments, not moments of its own W);
-    constant_one is itself the density (W[1] vanishes identically); other
+    constant_one is itself the density (W[1] vanishes identically); the
+    Poincare solution solves W_2[f] = 1, so at n = 2 its density is the
+    constant s^3 (s the profile's scale), exactly, on all of (0, 1]; other
     kinds pair with their Monge-Ampere density W_n[f], whose exponent at
     t = 0 is worked out by ``_monge_ampere_exponent`` (CapabilityError
     where it is not known).
@@ -372,6 +374,11 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
     if p.kind == "constant_one":
         return Density(lambda t: p.eval(t)[0], 0.0, label="f[constant_one]",
                        l_series=p.l_series)
+    if p.kind == "poincare_numeric" and n == 2:
+        s3 = float(Fraction(p.scale) ** 3)
+        return Density(lambda t: np.full(np.shape(t), s3), 0.0,
+                       label="W_2[poincare_numeric]",
+                       l_series=lambda order: PowerLogSeries.const(Fraction(s3), order))
     l_series = None
     if n == 2 and p.kind == "explicit_n":
         l_series = lambda order: _monge_ampere_l_series(p, order)
@@ -648,10 +655,11 @@ def _kernel_kummer(dens: Density, t: float) -> KernelEval:
 def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None):
     """F(t) and the balanced defect F(t) - c / f(t)^(n+1) at each t of ``ts``.
 
-    ``c`` may be "auto" (estimated by boundary extrapolation).  The default
-    density is ``associated_density(p, n)``: W[f], except for the phi_v
-    candidate, which pairs with its defining germ phi_v, and constant_one,
-    which is its own density; pass ``density`` to override.  A
+    ``c`` may be "auto": ``estimate_c``, 2n (-f'(1))^(n+1) / phi(1).  The default
+    density is ``associated_density(p, n)``: W[f] (the constant s^3 for a
+    Poincare profile at n = 2), except for the phi_v candidate, which pairs
+    with its defining germ phi_v, and constant_one, which is its own
+    density; pass ``density`` to override.  A
     SignedDensityWarning names a ``sign_changing`` density.  Each F is a
     ``kernel_series`` value, truncated at the accuracy of its moments.  At
     t = 0 f is the limit f(0+).  Returns (c, F, defect): c as given or
@@ -705,38 +713,24 @@ def _f_at_zero(p: RadialProfile):
 
 
 def estimate_c(p: RadialProfile, n: int, density: Density | None = None) -> float:
-    """Boundary value of f^(n+1) F by Richardson extrapolation on t = 1 - 0.1 2^-i,
-    i = 0..5, against ``density`` (default ``associated_density(p, n)``).
+    """The boundary value c of f^(n+1) F, in closed form, against ``density``
+    (default ``associated_density(p, n)``).
 
-    Declared failed (EstimationError) if the last two extrapolants differ
-    by more than 1e-3.  If, in that case, f^(n+1) F itself moves by at
-    least as much at each of the last three halvings of 1 - t, it diverges
-    (f does not vanish like 1 - t at t = 1, say f = 1): the profile has no
-    finite boundary value, and DomainError is raised instead.
+    Near t = 1, 1/c_(k+n-2) ~ k/phi(1) and N(k) ~ 2k^(n-1)/(n-1)!, so
+    F ~ 2n/(phi(1) L^(n+1)) with L = -log t.  With f = a_0 + a_1 L + ...
+    (``p.l_series``), a_0 = f(1) and a_1 = -f'(1), the limit is
+    c = 2n a_1^(n+1)/phi(1).  DomainError when a_0 != 0 (f^(n+1) F then has
+    no finite boundary value) or when phi(1) is 0 or not finite.
     """
-    dens = density if density is not None else associated_density(p, n)
-    levels = 6
-    ts = [1.0 - 0.1 * 2.0 ** (-i) for i in range(levels)]
-    g = [p.eval(ti)[0] ** (n + 1) * kernel_series(dens, n, ti).value for ti in ts]
-    R = [list(g)]
-    for j in range(1, levels):
-        row = []
-        for i in range(levels - j):
-            prev = R[j - 1]
-            row.append(prev[i + 1] + (prev[i + 1] - prev[i]) / (2.0 ** j - 1.0))
-        R.append(row)
-    best = R[-1][0]
-    prev_best = R[-2][0]
-    if not math.isfinite(best) or abs(best - prev_best) > 1e-3:
-        steps = [b - a for a, b in zip(g, g[1:])][-3:]
-        if all(abs(later) >= abs(earlier) > 0.0 for earlier, later in zip(steps, steps[1:])):
-            raise DomainError(
-                f"profile {p.kind!r} has no finite boundary value of f^(n+1) F at n = {n}: it "
-                f"moves by {steps[0]:.6g}, {steps[1]:.6g}, {steps[2]:.6g} as 1 - t "
-                "halves; supply c"
-            )
-        raise EstimationError(
-            f"Richardson extrapolation did not settle: {best} vs {prev_best}; "
-            f"diagonal={[row[0] for row in R]}"
+    require_dimension(n)
+    dens = associated_density(p, n) if density is None else _require_density(density)
+    f_L = p.l_series(1)
+    if f_L.coeff(0) != 0:
+        raise DomainError(
+            f"profile {p.kind!r} has no finite boundary value of f^(n+1) F at n = {n}: "
+            f"f(1) = {float(f_L.coeff(0)):.6g} is not 0; supply c"
         )
-    return best
+    phi1 = float(dens.fn(1.0))
+    if phi1 == 0.0 or not math.isfinite(phi1):
+        raise DomainError(f"{dens.label} at t = 1 is {phi1!r}: no finite boundary c; supply c")
+    return 2 * n * float(f_L.coeff(1)) ** (n + 1) / phi1

@@ -297,7 +297,7 @@ class RadialProfile:
         f = 2.0 ** (2.0 / 3.0) * t ** (-m / 3.0) * u * D ** (-1.0 / 3.0)
         # f = u g with h = g'/g: f' = g (u h - 1) and f'' = g (u (h' + h^2) - 2h)
         # stay finite at u = 0, where f'/f has a pole.  f keeps its own product
-        # above: the kernel's defects and estimate_c read its bits
+        # above: the kernel's defects read its bits
         g = 2.0 ** (2.0 / 3.0) * t ** (-m / 3.0) * D ** (-1.0 / 3.0)
         h = -m / (3.0 * t) - Dp / (3.0 * D)
         hp = m / (3.0 * t * t) - (Dpp * D - Dp * Dp) / (3.0 * D * D)

@@ -120,6 +120,23 @@ def test_kernel_auto_c_without_boundary_value_is_config_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("c", ["4", "auto"])
+def test_kernel_poincare_profile(c, capsys):
+    # W_2 of the Poincare solution is 1, so F is (1 + 3t)/(1 - t)^3 and
+    # --c auto is 4; below t_min_reached the profile is not computed
+    code, out, _err = run_cli(["kernel", "--profile", "poincare_numeric:c=1", "--format", "json",
+                               "--grid", "0.001:0.999:5", "--c", c], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["c"] == 4.0
+    for row in payload["rows"]:
+        t = row["t"]
+        assert row["F"] == pytest.approx((1 + 3 * t) / (1 - t) ** 3, rel=1e-14)
+    code, out, err = run_cli(["kernel", "--profile", "poincare_numeric:c=1", "--t", "1e-5",
+                              "--c", c], capsys)
+    assert code == 1 and "outside range" in err and out == ""
+
+
 def test_kernel_empty_grid_is_config_error(capsys):
     code, _o, err = run_cli(
         ["kernel", "--profile", "constant_one", "--grid", "0.5:0.1:0", "--c", "4"],

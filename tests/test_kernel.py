@@ -145,7 +145,8 @@ def test_non_integer_or_small_n_rejected(n):
 def test_density_exponent_worked_out_or_refused():
     # W_2 of the Poincare solution is 1 (p0 = 0); no other W exponent is known
     sol = solve_poincare(0.0, t_min=0.5)
-    assert K.associated_density(RadialProfile.poincare_numeric(sol), 2).k_min == 0
+    dens = K.associated_density(RadialProfile.poincare_numeric(sol), 2)
+    assert dens.k_min == 0 and dens.label == "W_2[poincare_numeric]"
     for p, n in ((RadialProfile.poincare_numeric(sol), 3),
                  (RadialProfile.taylor_at_one([1.0]), 2)):
         with pytest.raises(CapabilityError, match="exponent"):
@@ -228,8 +229,8 @@ def test_balanced_defect_sqrt_at_zero():
 
 
 def test_estimate_c():
-    assert K.estimate_c(RadialProfile.phi_v_candidate(1), 2) == pytest.approx(4.0, abs=1e-6)
-    assert K.estimate_c(RadialProfile.sqrt_poincare(), 2) == pytest.approx(4.0, abs=1e-4)
+    assert K.estimate_c(RadialProfile.phi_v_candidate(1), 2) == pytest.approx(4.0, rel=1e-15)
+    assert K.estimate_c(RadialProfile.sqrt_poincare(), 2) == pytest.approx(4.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -244,7 +245,59 @@ def test_estimate_c_scaling_homogeneity():
     # holding the density fixed, f -> 2f scales f^(n+1) F by 2^(n+1)
     base = K.associated_density(RadialProfile.sqrt_poincare(), 2)
     c2 = K.estimate_c(RadialProfile.sqrt_poincare(scale=2.0), 2, density=base)
-    assert c2 == pytest.approx(32.0, abs=1e-3)
+    assert c2 == pytest.approx(32.0, rel=1e-15)
+
+
+def _richardson_c(p, n, dens, levels=6):
+    """A second path to c: f^(n+1) F at t = 1 - 0.1 2^-i, i < levels, with
+    F summed by ``kernel_series``, Richardson-extrapolated in 1 - t."""
+    ts = [1.0 - 0.1 * 2.0 ** -i for i in range(levels)]
+    row = [p.eval(t)[0] ** (n + 1) * K.kernel_series(dens, n, t).value for t in ts]
+    for j in range(1, levels):
+        row = [b + (b - a) / (2.0 ** j - 1.0) for a, b in zip(row, row[1:])]
+    return row[0]
+
+
+@pytest.mark.parametrize("p, n, base", [
+    *((RadialProfile.phi_v_candidate(v), 2, None) for v in (1, 2.5, 9)),
+    (RadialProfile.sqrt_poincare(scale=1.3), 2, None),
+    *((RadialProfile.explicit_n(m), m, None) for m in range(3, 7)),
+    (RadialProfile.sqrt_poincare(scale=2.0), 2, RadialProfile.sqrt_poincare()),
+    (RadialProfile.poincare_numeric(solve_poincare(1.0, t_min=0.5)), 2, None),
+], ids=["phi_v-1", "phi_v-2.5", "phi_v-9", "sqrt-1.3", "explicit-3", "explicit-4",
+        "explicit-5", "explicit-6", "sqrt-2-on-sqrt-1", "poincare-1"])
+def test_estimate_c_vs_richardson(p, n, base):
+    # the closed form against the boundary limit of f^(n+1) F taken numerically
+    dens = K.associated_density(p if base is None else base, n)
+    assert K.estimate_c(p, n, density=dens) == pytest.approx(_richardson_c(p, n, dens), rel=1e-9)
+
+
+def test_estimate_c_sums_no_kernel(monkeypatch):
+    # c comes from boundary data alone: no F value and no moment
+    def refuse(*_args):
+        raise AssertionError("estimate_c summed the kernel")
+
+    monkeypatch.setattr(K, "kernel_series", refuse)
+    monkeypatch.setattr(K.Density, "moments_block", refuse)
+    assert K.estimate_c(RadialProfile.explicit_n(6), 6) == 12.0
+    assert K.estimate_c(RadialProfile.phi_v_candidate(2.5), 2) == pytest.approx(4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -0.1, 0.5, 2.0])
+@pytest.mark.parametrize("scale", [0.7, 1.0, 1.3])
+def test_poincare_density_is_exact(c, scale):
+    # the flow solves W_2[f] = 1, so W_2[s f] = s^3: F is the phi = 1 kernel
+    # (1 + 3t)/(1 - t)^3 over s^3, on both paths, on all of [t_min_reached, 1)
+    sol = solve_poincare(c, t_min=1e-4)
+    p = RadialProfile.poincare_numeric(sol, scale)
+    ts = [sol.t_min_reached] + [t for t in (0.01, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-9)
+                                if t > sol.t_min_reached]
+    c_auto, Fs, _defects = K.defect_table(p, 2, "auto", ts)
+    assert c_auto == pytest.approx(4.0, rel=1e-15)
+    for t, F in zip(ts, Fs):
+        assert F == pytest.approx((1 + 3 * t) / ((1 - t) ** 3 * scale ** 3), rel=1e-14), t
+    with pytest.raises(DomainError, match="outside range"):
+        K.defect_table(p, 2, 4.0, [sol.t_min_reached / 2])
 
 
 def test_moment_determinism():
