@@ -108,10 +108,7 @@ def crit_asymptotic_chain_exact():
     """Exact rational chain: A_1 = 0, A_m = 2^(2-m) A_2, A_2 = (1-v)/16."""
     for w in (1, 2, 3):
         v = w * w
-        phiL = phi_v_l_series(v, 13)
-        cexp = asym.moment_expansion(phiL, 13)
-        inv = asym.reciprocal_moments(cexp, 12)
-        A = asym.a_m_coefficients(inv, 10)
+        A = asym.a_m_from_l_series(phi_v_l_series(v, 10), 10)
         A2 = Fraction(1 - v, 16)
         if A[0] != 1 or A[1] != 0 or A[2] != A2:
             return False, f"v={v}: A_0..A_2 mismatch {A[:3]}"

@@ -201,6 +201,23 @@ def a_m_coefficients(inv: PowerLogSeries, m_max: int):
     return [inv.coeff(m - 1) for m in range(m_max + 1)]
 
 
+def a_m_from_l_series(phi_L: PowerLogSeries, m_max: int):
+    """A_0..A_m_max with 1/c_k = (k+1) sum_m A_m (k+1)^-m for the moments c_k
+    of the density whose L-series is ``phi_L``, known through L^m_max at least.
+
+    The chain runs in exact rationals on phi_L / phi(1): ``Fraction(c)``
+    keeps every bit of a float coefficient, so the A_m are exact for the
+    series as given.
+    """
+    lead = Fraction(phi_L.coeff(0))
+    if lead == 0:
+        raise NormalizationError("the L-series needs a nonzero constant term")
+    unit = PowerLogSeries({k: Fraction(c) / lead for k, c in phi_L.terms.items()}, phi_L.order)
+    c_exp = moment_expansion(unit, m_max + 1)
+    inv = reciprocal_moments(c_exp, m_max - 1)
+    return [a / lead for a in a_m_coefficients(inv, m_max)]
+
+
 # ---------------------------------------------------------------------------
 # Lerch transcendent
 # ---------------------------------------------------------------------------

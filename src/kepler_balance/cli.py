@@ -160,10 +160,7 @@ def cmd_asymptotics(args) -> int:
     # the chain runs in exact rationals for every v: Fraction(v) keeps every
     # bit of the float.  An integer v prints each A_m exactly, any other v
     # its correctly rounded float
-    phiL = phi_v_l_series(Fraction(v), args.order + 3)
-    cexp = asym.moment_expansion(phiL, args.order + 3)
-    inv = asym.reciprocal_moments(cexp, args.order + 2)
-    A = asym.a_m_coefficients(inv, args.order)
+    A = asym.a_m_from_l_series(phi_v_l_series(Fraction(v), args.order), args.order)
     exact = v.is_integer()
     payload = {
         "A": [str(a) if exact else float(a) for a in A],

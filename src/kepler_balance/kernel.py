@@ -53,8 +53,8 @@ argument reaches the moments, so their bits never depend on evaluation order.
 * Kummer split (``_kernel_kummer``), taken when n = 2, the density carries
   its L-expansion at t = 1 (``Density.l_series``) and L = -log t <
   ``AUTO_BOUNDARY_L`` = 0.1, the cut ``lerch_phi(method="auto")`` uses.  The
-  expansion gives 1/c_k = (k+1) sum_m A_m (k+1)^-m (``moment_expansion`` ->
-  ``reciprocal_moments``).  With P_M(k) = (2k+1)(k+1) sum_{m<=M} A_m
+  expansion gives 1/c_k = (k+1) sum_m A_m (k+1)^-m
+  (``asymptotics.a_m_from_l_series``).  With P_M(k) = (2k+1)(k+1) sum_{m<=M} A_m
   (k+1)^-m and M = ``KUMMER_M`` = 10,
       F(t) = sum_{m<=M} A_m [2 Phi(t, m-2) - Phi(t, m-1)]
              + sum_k [N(k)/c_k - P_M(k)] t^k.
@@ -99,9 +99,7 @@ import numpy as np
 from .asymptotics import (
     AUTO_BOUNDARY_L,
     TWO_PI,
-    a_m_coefficients,
-    moment_expansion,
-    reciprocal_moments,
+    a_m_from_l_series,
 )
 from .errors import (
     CapabilityError,
@@ -524,19 +522,14 @@ class _KummerSplit:
     def __init__(self, dens: Density):
         M = KUMMER_M
         phi_L = dens.l_series(M + 2)
-        lead = Fraction(phi_L.coeff(0))
-        if lead == 0 or not phi_L.is_log_free() or any(
+        if phi_L.coeff(0) == 0 or not phi_L.is_log_free() or any(
             not isinstance(a, int) for a, _j in phi_L.terms
         ):
             raise CapabilityError(
                 f"{dens.label}: the L-series must be log-free in integer powers "
                 "with a nonzero constant term"
             )
-        # exact: Fraction(c) keeps every bit of a float coefficient
-        unit = PowerLogSeries({k: Fraction(c) / lead for k, c in phi_L.terms.items()}, phi_L.order)
-        cexp = moment_expansion(unit, M + 3)
-        inv = reciprocal_moments(cexp, M + 2)
-        A = [float(a / lead) for a in a_m_coefficients(inv, M + 2)]
+        A = [float(a) for a in a_m_from_l_series(phi_L, M + 2)]
         self.A = A[: M + 1]
         # N(k)(k+1) sum_m A_m (k+1)^-m = sum_m A_m [2 (k+1)^(2-m) - (k+1)^(1-m)]
         w = [0.0] * (M + 2)  # w[s + 2]

@@ -12,9 +12,14 @@ compare as ints.  Log-powers ``j`` are nonnegative integers.  Coefficients
 stay ``Fraction`` as long as every input is rational, so chains of
 operations can be checked identically.
 
-``reciprocal`` solves B = 1 - u B for 1/(1 + u) one exponent at a time, in
-O(n^2) coefficient operations for n terms; ``log`` and ``exp`` sum their
-power series through ``_power_sum``.
+One push-forward loop (``_push_forward``) solves every nonlinear operation
+one exponent at a time, in O(n^2) coefficient operations for n terms.
+``reciprocal`` solves B = 1 - u B.  ``exp`` and ``log`` use the derivation
+D = X d/dX taken at fixed log(1/X), which multiplies each term by its
+exponent: exp(A) solves D B = (D A) B, log(1 + u) is D^-1 of
+(D u)/(1 + u), and ``pow_fraction`` is exp(alpha log).  D^-1 is a division
+by the exponent, so a row with log powers is never solved by back
+substitution.
 
 The same type serves two variables elsewhere:
 
@@ -76,6 +81,39 @@ def nth_root_fraction(x: Fraction, q: int):
     return None
 
 
+def _push_forward(step, order, integrate=False):
+    """Terms {(e, j): c} through X^order of B = 1 + S B, or with
+    ``integrate`` of D B = S B and B = 1 at X^0, for the series S with the
+    terms ((a, j), c) in ``step``, every a > 0.
+
+    The row of B at exponent e (its coefficients over the log powers) takes
+    terms only from rows at lower exponents.  The rows are finished in
+    increasing e (divided by e to undo D if asked), and each is pushed
+    forward onto e + a for every term of S: O(n^2) coefficient operations
+    for n terms (Brent and Kung, J. ACM 25, 1978).  Rows hold Fraction or
+    float coefficients from the seed on, so dividing by an int e is exact.
+    """
+    steps = sorted(step, key=lambda kv: kv[0][0])
+    pending = {0: {0: Fraction(1)}}  # exponent -> {log power: coefficient}
+    out = {}
+    while pending:
+        e = min(pending)
+        row = pending.pop(e)
+        row = {j: c / e if integrate and e != 0 else c for j, c in row.items() if c != 0}
+        if not row:
+            continue
+        for j, c in row.items():
+            out[(e, j)] = c
+        for (a, js), cs in steps:
+            e2 = e + a
+            if e2 > order:
+                break
+            target = pending.setdefault(e2, {})
+            for j, c in row.items():
+                target[j + js] = target.get(j + js, 0) + cs * c
+    return out
+
+
 class PowerLogSeries:
     """Finite expansion sum c[a,j] X^a (log 1/X)^j, truncated past ``order``."""
 
@@ -126,11 +164,8 @@ class PowerLogSeries:
             return _INF
         return min(a for (a, _j) in self.terms)
 
-    def max_log_power(self):
-        return max((j for (_a, j) in self.terms), default=0)
-
     def is_log_free(self):
-        return self.max_log_power() == 0
+        return all(j == 0 for (_a, j) in self.terms)
 
     def is_rational(self):
         return all(isinstance(c, Rational) for c in self.terms.values()) and all(
@@ -200,18 +235,11 @@ class PowerLogSeries:
             )
         if not isinstance(other, PowerLogSeries):
             return NotImplemented
-        # first unknown power of the product
-        a0 = self.min_power()
-        b0 = other.min_power()
-        if a0 is _INF and b0 is _INF:
+        a0, b0 = self.min_power(), other.min_power()
+        if a0 is _INF or b0 is _INF:
             return PowerLogSeries.zero(min(self.order, other.order))
-        ua = self.order + 1 if a0 is not _INF else _INF
-        ub = other.order + 1 if b0 is not _INF else _INF
-        unknown = min(
-            (ua + b0) if ua is not _INF else _INF,
-            (ub + a0) if ub is not _INF else _INF,
-        )
-        order = unknown - 1 if unknown is not _INF else min(self.order, other.order)
+        # the first unknown power of the product, less one
+        order = min(self.order + 1 + b0, other.order + 1 + a0) - 1
         out = {}
         for (a1, j1), c1 in self.terms.items():
             for (a2, j2), c2 in other.terms.items():
@@ -237,29 +265,19 @@ class PowerLogSeries:
 
     # -- leading-term helpers ------------------------------------------
 
-    def _leading_monomial(self):
-        """(a0, c0) of the unique minimal-power term; requires log-free leading slice."""
+    def _one_plus_u(self):
+        """Split A = c0 X^a0 (1 + u) and return (a0, c0, u) with min_power(u) > 0;
+        the leading slice must be a single log-free monomial."""
         if not self.terms:
             raise NormalizationError("cannot invert the zero series")
         a0 = self.min_power()
         lead = [(j, c) for (a, j), c in self.terms.items() if a == a0]
         if len(lead) != 1 or lead[0][0] != 0:
-            raise NormalizationError(
-                "leading slice must be a single log-free monomial"
-            )
-        return a0, lead[0][1]
-
-    def _one_plus_u(self):
-        """Split A = c0 X^a0 (1 + u) and return (a0, c0, u) with min_power(u) > 0."""
-        a0, c0 = self._leading_monomial()
-        shifted = {}
-        for (a, j), c in self.terms.items():
-            if (a, j) == (a0, 0):
-                continue
-            shifted[(a - a0, j)] = c / c0
-        u = PowerLogSeries(shifted, self.order - a0)
-        if u.terms and u.min_power() <= 0:
-            raise NormalizationError("series is not monomial-led")
+            raise NormalizationError("leading slice must be a single log-free monomial")
+        c0 = lead[0][1]
+        u = PowerLogSeries(
+            {(a - a0, j): c / c0 for (a, j), c in self.terms.items() if a != a0}, self.order - a0
+        )
         return a0, c0, u
 
     def _shift(self, da):
@@ -267,87 +285,66 @@ class PowerLogSeries:
             {(a + da, j): c for (a, j), c in self.terms.items()}, self.order + da
         )
 
-    def _power_sum(self, coeff):
-        """sum_{n>=1} coeff(n) A^n for A with positive minimal power, through
-        this order (the powers stop once A^n has no known term left)."""
-        acc = PowerLogSeries.zero(self.order)
-        if not self.terms:
-            return acc
-        nmax = int(math.floor(float(self.order) / float(self.min_power()))) + 1
-        term = PowerLogSeries.const(Fraction(1), self.order)
-        for n in range(1, nmax + 1):
-            term = (term * self).truncate(self.order)
-            if not term.terms:
-                break
-            acc = acc + term * coeff(n)
-        return acc
-
     def reciprocal(self):
         """1/A for a monomial-led series A = c0 X^a0 (1 + u), through the
-        order to which A determines it.
-
-        B = 1/(1 + u) satisfies B = 1 - u B.  Every power of u is positive,
-        so the row of B at exponent e (its coefficients over the log powers)
-        takes terms only from rows at lower exponents.  The rows are finished
-        in increasing e, each at the least pending exponent, and each finished
-        row is pushed forward onto e + a for every term of u: O(n^2)
-        coefficient operations for n terms, where the geometric sum
-        sum_n (-u)^n takes O(n^3).  Exponents are formed only as sums e + a,
-        then shifted by -a0.
-        """
+        order to which A determines it: B = 1/(1 + u) solves B = 1 - u B."""
         a0, c0, u = self._one_plus_u()
         inv_c0 = Fraction(1) / c0 if isinstance(c0, Rational) else 1.0 / c0
-        order = u.order
-        steps = sorted(u.terms.items(), key=lambda kv: kv[0][0])
-        pending = {0: {0: Fraction(1)}}  # exponent -> {log power: coefficient}
-        out = {}
-        while pending:
-            e = min(pending)
-            row = {j: c for j, c in pending.pop(e).items() if c != 0}
-            if not row:
-                continue
-            for j, c in row.items():
-                out[(e - a0, j)] = c * inv_c0
-            for (a, ju), cu in steps:
-                e2 = e + a
-                if e2 > order:
-                    break
-                target = pending.setdefault(e2, {})
-                for j, c in row.items():
-                    target[j + ju] = target.get(j + ju, 0) - cu * c
-        return PowerLogSeries(out, order - a0)
+        rows = _push_forward(((k, -c) for k, c in u.terms.items()), u.order)
+        return PowerLogSeries(
+            {(e - a0, j): c * inv_c0 for (e, j), c in rows.items()}, u.order - a0
+        )
+
+    def _times_power(self):
+        """D A: each term c X^a log(1/X)^j times its exponent a."""
+        return PowerLogSeries({(a, j): c * a for (a, j), c in self.terms.items()}, self.order)
 
     def log(self):
-        """log(A) for A = 1 + u with u small; returns log-free-constant + series."""
+        """log(A) for A = 1 + u with u small: D^-1 of (D u)/(1 + u)."""
         a0, c0, u = self._one_plus_u()
         if a0 != 0 or c0 != 1:
             raise NormalizationError("log requires unit leading coefficient")
-        return u._power_sum(lambda n: Fraction(-1) ** (n + 1) / Fraction(n))
+        rate = u._times_power() * self.reciprocal()
+        return PowerLogSeries(
+            {(e, j): c / e for (e, j), c in rate.terms.items()}, rate.order
+        )
 
     def exp(self):
-        """exp(A) for A with strictly positive minimal power."""
+        """exp(A) for A with strictly positive minimal power: B = exp(A)
+        solves D B = (D A) B with B = 1 at X^0."""
         if self.terms and self.min_power() <= 0:
             raise NormalizationError("exp requires a series vanishing at X=0")
-        return PowerLogSeries.const(Fraction(1), self.order) + self._power_sum(
-            lambda n: Fraction(1, math.factorial(n))
+        rate = self._times_power()
+        return PowerLogSeries(
+            _push_forward(rate.terms.items(), rate.order, integrate=True), rate.order
         )
 
     def pow_fraction(self, alpha):
-        """A**alpha via exp(alpha log) on the unit part; exact for rational data."""
+        """A**alpha via exp(alpha log) on the unit part; exact for rational data.
+
+        A negative leading coefficient c0 takes the real root when alpha =
+        p/q has an odd q (a float alpha only when integral) and raises
+        NormalizationError otherwise.
+        """
         alpha = Fraction(alpha) if not isinstance(alpha, float) else alpha
         a0, c0, u = self._one_plus_u()
-        unit = PowerLogSeries.const(Fraction(1), u.order)
-        body = (unit + u).log() * alpha
-        powered = body.exp()
+        p, q = Fraction(alpha).as_integer_ratio()
+        sign = 1
+        if c0 < 0:
+            if q % 2 == 0:
+                raise NormalizationError(
+                    f"no real power {alpha} of the negative leading coefficient {c0}"
+                )
+            c0, sign = -c0, -1 if p % 2 else 1
         if c0 == 1:
             c_pow = Fraction(1)
         elif isinstance(c0, Rational) and isinstance(alpha, Fraction):
-            root = nth_root_fraction(Fraction(c0), alpha.denominator)
-            c_pow = root ** alpha.numerator if root is not None else float(c0) ** float(alpha)
+            root = nth_root_fraction(Fraction(c0), q)
+            c_pow = root ** p if root is not None else float(c0) ** float(alpha)
         else:
             c_pow = float(c0) ** float(alpha)
-        new_a0 = a0 * alpha
-        return (powered * c_pow)._shift(new_a0)
+        powered = ((PowerLogSeries.const(Fraction(1), u.order) + u).log() * alpha).exp()
+        return (powered * (sign * c_pow))._shift(a0 * alpha)
 
     # -- evaluation ----------------------------------------------------
 

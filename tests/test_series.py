@@ -127,3 +127,25 @@ def test_integral_exponents_are_int():
     for (a, _j) in list(ser.terms) + list(prod.terms) + list(ser.reciprocal().terms):
         assert type(a) is int or a.denominator != 1
     assert type(S.from_power_coeffs([1, 2, 3], start=-1).min_power()) is int
+
+
+def test_pow_fraction_negative_lead_odd_root():
+    # (-8 + L)^(1/3) = -2 (1 - L/8)^(1/3): the real cube root, exact
+    L = S.variable(6)
+    root = (S.const(F(-8), 6) + L).pow_fraction(F(1, 3))
+    assert root.is_rational()
+    assert root.coeff(0) == -2 and root.coeff(1) == F(1, 12)
+    assert ((root * root * root) - (S.const(F(-8), 6) + L)).terms == {}
+    # (-8 + L)^(-2/3) is positive; a float lead takes the real root too
+    assert (S.const(F(-8), 6) + L).pow_fraction(F(-2, 3)).coeff(0) == F(1, 4)
+    assert (S.const(-8.0, 6) + L).pow_fraction(F(1, 3)).coeff(0) == -2.0
+    # no rational cube root: the real float root
+    assert (S.const(F(-2), 6) + L).pow_fraction(F(1, 3)).coeff(0) == -(2.0 ** (1 / 3))
+
+
+@pytest.mark.parametrize("lead", [F(-2), -2.0])
+@pytest.mark.parametrize("alpha", [F(1, 2), 0.5, F(3, 4)])
+def test_pow_fraction_negative_lead_even_root_raises(lead, alpha):
+    L = S.variable(6)
+    with pytest.raises(NormalizationError):
+        (S.const(lead, 6) + L).pow_fraction(alpha)
