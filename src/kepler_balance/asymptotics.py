@@ -44,7 +44,6 @@ from .errors import (
     NormalizationError,
     TruncationError,
 )
-from .profiles import phi_v_l_coefficients
 from .series import PowerLogSeries
 from .special import STIELTJES, gamma_derivs, zeta_deriv_over_factorial
 
@@ -197,7 +196,10 @@ def reciprocal_moments(c_exp: PowerLogSeries, order: int) -> PowerLogSeries:
 
 
 def a_m_coefficients(inv: PowerLogSeries, m_max: int):
-    """A_0..A_m_max from a reciprocal-moment expansion (k+1) sum A_m x^m."""
+    """A_0..A_m_max from a reciprocal-moment expansion (k+1) sum A_m x^m;
+    TruncationError past the A_m that the series' order fixes."""
+    if m_max > inv.order + 1:
+        raise TruncationError(f"1/c_k known through x^{inv.order}: no A_{m_max}")
     return [inv.coeff(m - 1) for m in range(m_max + 1)]
 
 
@@ -400,12 +402,14 @@ def _t_phi_boundary_series(s: float, n: int, order: int) -> PowerLogSeries:
 def lerch_boundary_expansion(s: float, n_deriv: int, order: int) -> PowerLogSeries:
     """L-series of (d/ds)^n Phi(t, s, 1) near t = 1, valid for |L| < 2 pi.
 
-    Built from the k >= 1 series by the exact re-indexing factor e^L.
+    Built from the k >= 1 series by the exact re-indexing factor e^L,
+    taken through L^(order + ceil(1 - s)) so that the product, which starts
+    at L^(s-1), is known through L^order.
     At positive integer s the coefficients carry (log L)^j terms up to
     j = n_deriv + 1; elsewhere the singular part is L^(s-1) (log L)^j.
     """
     base = _t_phi_boundary_series(s, n_deriv, order)
-    eL = PowerLogSeries.variable(order).exp()
+    eL = PowerLogSeries.variable(order + max(0, math.ceil(1 - s))).exp()
     return (eL * base).truncate(order)
 
 
@@ -466,12 +470,3 @@ def germ_family_f(v, order: int = 3, allow_flat_extension: bool = False) -> Powe
     f = L * body.pow_fraction(Fraction(-1, 3))
     return f.truncate(order)
 
-
-def germ_round_trip_residual(v, order: int = 2):
-    """Coefficient residuals of density(germ_family_f(v)) - phi_v through ``order``."""
-    from .profiles import density_in_L
-
-    f = germ_family_f(v, order + 2, allow_flat_extension=True)
-    phi = density_in_L(f)
-    target = phi_v_l_coefficients(v, order)
-    return [phi.coeff(j) - target[j] for j in range(order + 1)]

@@ -52,7 +52,10 @@ argument reaches the moments, so their bits never depend on evaluation order.
   own moment.
 * Kummer split (``_kernel_kummer``), taken when n = 2, the density carries
   its L-expansion at t = 1 (``Density.l_series``) and L = -log t <
-  ``AUTO_BOUNDARY_L`` = 0.1, the cut ``lerch_phi(method="auto")`` uses.  The
+  ``AUTO_BOUNDARY_L`` = 0.1.  Below that cut the terms of the folded
+  L-series fall like (L/2 pi)^k <= 0.016^k; a wider one would put the
+  split's set-up on single points of fresh densities at t = 0.9
+  (L = 0.105), where the direct sum is cheaper.  The
   expansion gives 1/c_k = (k+1) sum_m A_m (k+1)^-m
   (``asymptotics.a_m_from_l_series``).  With P_M(k) = (2k+1)(k+1) sum_{m<=M} A_m
   (k+1)^-m and M = ``KUMMER_M`` = 10,
@@ -91,7 +94,7 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -347,12 +350,6 @@ def _monge_ampere_exponent(p: RadialProfile, n: int):
     )
 
 
-def _monge_ampere_l_series(p: RadialProfile, order: int):
-    """L-series of W[f] (n = 2): W is cubic in f, so W[s g] = s^3 W[g]."""
-    base = density_in_L(replace(p, scale=1.0).l_series(order + 1))
-    return (base * Fraction(p.scale) ** 3).truncate(order)
-
-
 def associated_density(p: RadialProfile, n: int = 2) -> Density:
     """The density paired with the profile in the balanced identity.
 
@@ -363,7 +360,8 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
     constant s^3 (s the profile's scale), exactly, on all of (0, 1]; other
     kinds pair with their Monge-Ampere density W_n[f], whose exponent at
     t = 0 is worked out by ``_monge_ampere_exponent`` (CapabilityError
-    where it is not known).
+    where it is not known), and whose L-series at t = 1 is
+    ``density_in_L`` of the profile's.
     DomainError unless n is an integer >= 2.
     """
     require_dimension(n)
@@ -378,8 +376,8 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
                        label="W_2[poincare_numeric]",
                        l_series=lambda order: PowerLogSeries.const(Fraction(s3), order))
     l_series = None
-    if n == 2 and p.kind == "explicit_n":
-        l_series = lambda order: _monge_ampere_l_series(p, order)
+    if p.kind == "explicit_n":
+        l_series = lambda order: density_in_L(p.l_series(order + 1), n)
     return Density(lambda t: monge_ampere_density(p, n, t), _monge_ampere_exponent(p, n),
                    label=f"W_{n}[{p.kind}]", l_series=l_series)
 

@@ -138,6 +138,8 @@ class RadialProfile:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown profile kind {self.kind!r}")
+        if not math.isfinite(self.scale):  # l_series scales by Fraction(scale)
+            raise DomainError(f"profile scale must be finite, got {self.scale!r}")
         if self.kind == "explicit_n":
             n = self.params.get("n")
             if not (isinstance(n, Integral) and n >= 2):
@@ -174,7 +176,7 @@ class RadialProfile:
     def taylor_at_one(cls, coeffs, scale=1.0):
         """Coefficients of L^1, L^2, ... ; rescaled so the leading one is 1."""
         if not (isinstance(coeffs, (list, tuple)) and coeffs
-                and all(isinstance(c, Real) for c in coeffs)):
+                and all(isinstance(c, Real) and math.isfinite(c) for c in coeffs)):
             raise DomainError(
                 "taylor_at_one needs coeffs, a nonempty list of numbers "
                 "(inline, one coefficient is written coeffs=1;0)"
@@ -344,7 +346,7 @@ class RadialProfile:
             # so higher coefficients are exactly zero
             coeffs = self.params["coeffs"]
             ser = PowerLogSeries(
-                {(i + 1, 0): _fract(c) for i, c in enumerate(coeffs)}, order
+                {(i + 1, 0): Fraction(c) for i, c in enumerate(coeffs)}, order
             )
         elif kind == "constant_one":
             ser = one
@@ -355,7 +357,9 @@ class RadialProfile:
                 )
             from .poincare import taylor_at_one as poincare_taylor
 
-            derivs = poincare_taylor(self.params["solution"].c, order=4)
+            # Fraction(c) is the float's exact value: the series then holds
+            # exact rationals, and W's boundary series is exactly 1, 0, 0, 0
+            derivs = poincare_taylor(Fraction(self.params["solution"].c), order=4)
             tm1 = (L * Fraction(-1)).exp() - one  # t - 1 as a series in L
             ser = PowerLogSeries.zero(order)
             pw = one
@@ -366,7 +370,7 @@ class RadialProfile:
         else:
             raise CapabilityError(f"kind {kind!r} has no boundary series")
         if self.scale != 1.0:
-            ser = ser * _fract(self.scale)
+            ser = ser * Fraction(self.scale)
         return ser.truncate(order)
 
     def _candidate_l_series(self, order):
@@ -384,15 +388,6 @@ class RadialProfile:
         body = (D * Fraction(1, 4)).pow_fraction(Fraction(-1, 3))
         exp_part = (L * Fraction(m, 3)).exp() if m else one
         return (exp_part * u * body).truncate(order)
-
-
-def _fract(x):
-    """Integral floats become exact Fractions; everything else passes through."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if float(x).is_integer():
-        return Fraction(int(x))
-    return x
 
 
 def require_dimension(n):
@@ -421,32 +416,33 @@ def monge_ampere_density(p: RadialProfile, n: int, t):
     return _maybe_scalar(monge_ampere(n, t, f, fp, fpp), scalar)
 
 
-def density_in_L(f_series: PowerLogSeries) -> PowerLogSeries:
-    """L-series of the density W[f] from the L-series of f (n = 2).
+def density_in_L(f_series: PowerLogSeries, n: int) -> PowerLogSeries:
+    """L-series of the density W_n[f] from the L-series of f.
 
-    In the boundary variable L the density is exp(L) f'(f'^2 - f f'') with
-    primes denoting d/dL; for the normalized germ (f = L + ...) the constant
-    term is 1.
+    With t = e^-L and subscripts for d/dL, t f' = -f_L and t^2 f'' = f_LL +
+    f_L turn ``monge_ampere`` into
+        W_n = e^((n-1) L) f_L^(n-1) (f_L^2 - f f_LL),
+    for any f: W_n[s f] = s^(n+1) W_n[f], and W_n[const] = 0.  Exact
+    coefficients give exact coefficients.  DomainError unless the dimension
+    n is an integer >= 2.
     """
-    if not f_series.terms or f_series.min_power() != 1:
-        raise NormalizationError("f-series must have leading term L")
-    if f_series.coeff(1, 0) != 1:
-        raise NormalizationError("f-series must be normalized to f'(1) = -1 (unit L-coefficient)")
-    order = f_series.order
+    require_dimension(n)
     fL = f_series.deriv()
     fLL = fL.deriv()
-    eL = PowerLogSeries.variable(order).exp()
-    return eL * fL * (fL * fL - f_series * fLL)
+    w = (PowerLogSeries.variable(f_series.order) * (n - 1)).exp()
+    for _ in range(n - 1):
+        w = w * fL
+    return w * (fL * fL - f_series * fLL)
 
 
-def germ_residual(p: RadialProfile, v, order: int):
-    """Taylor coefficients (in L) of W[f] - phi_v at t = 1 up to ``order``.
+def germ_residual(f_series: PowerLogSeries, v, order: int):
+    """Taylor coefficients (in L) of W_2[f] - phi_v at t = 1 through ``order``,
+    from the L-series of f (known through L^(order + 2) at least).
 
     All-zero output means f matches the balanced germ family at that order.
     """
-    f_ser = p.l_series(order + 2)
-    phi = density_in_L(f_ser)
+    phi = density_in_L(f_series, 2)
     if phi.order < order:
-        raise TruncationError("profile series too short for requested order")
+        raise TruncationError("f-series too short for requested order")
     target = phi_v_l_coefficients(v, order)
     return [phi.coeff(j) - target[j] for j in range(order + 1)]

@@ -191,6 +191,8 @@ class PowerLogSeries:
     # -- ring operations ----------------------------------------------
 
     def truncate(self, order):
+        """The terms through X^order, never past the series' own order."""
+        order = min(order, self.order)
         return PowerLogSeries(
             {k: c for k, c in self.terms.items() if k[0] <= order}, order
         )
@@ -274,7 +276,7 @@ class PowerLogSeries:
         lead = [(j, c) for (a, j), c in self.terms.items() if a == a0]
         if len(lead) != 1 or lead[0][0] != 0:
             raise NormalizationError("leading slice must be a single log-free monomial")
-        c0 = lead[0][1]
+        c0 = Fraction(lead[0][1]) if isinstance(lead[0][1], Rational) else lead[0][1]
         u = PowerLogSeries(
             {(a - a0, j): c / c0 for (a, j), c in self.terms.items() if a != a0}, self.order - a0
         )

@@ -6,7 +6,12 @@ import pytest
 
 from kepler_balance import asymptotics as A
 from kepler_balance import kernel as K
-from kepler_balance.errors import CapabilityError, ConvergenceBudgetError, NormalizationError
+from kepler_balance.errors import (
+    CapabilityError,
+    ConvergenceBudgetError,
+    NormalizationError,
+    TruncationError,
+)
 from kepler_balance.profiles import phi_v_l_coefficients, phi_v_l_series
 from kepler_balance.series import PowerLogSeries as S
 from kepler_balance.special import STIELTJES, gamma_derivs, stieltjes_euler_maclaurin
@@ -161,6 +166,18 @@ def test_reciprocal_moments_accuracy_error():
         terms[(a, 0)] = 0.1 * (-1) ** a * 32 ** (a - 1) + 32 ** (a - 2) / 3
     with pytest.raises(AccuracyError, match="reciprocal product check failed"):
         A.reciprocal_moments(S(terms, 15), 14)
+
+
+def test_reciprocal_moments_claims_only_known_orders():
+    # a density series through L^5 fixes 1/c_k through x^4, so A_0..A_5
+    cexp = A.moment_expansion(phi_v_l_series(4, 5), 6)
+    inv = A.reciprocal_moments(cexp, 9)
+    assert inv.order == 4
+    with pytest.raises(TruncationError):
+        A.a_m_coefficients(inv, 10)
+    full = A.a_m_from_l_series(phi_v_l_series(4, 12), 10)
+    assert A.a_m_coefficients(inv, 5) == full[:6]
+    assert full[6] == F(-3, 256)
 
 
 def test_product_identity_float():
@@ -334,6 +351,22 @@ def test_boundary_expansion_s0_bernoulli():
     assert float(ser.coeff(3)) == pytest.approx(-1 / 720, abs=1e-14)
 
 
+def test_boundary_expansion_s_minus_2_knows_its_order():
+    # Phi(t, -2) = (1+t)/(1-t)^3: its Laurent series in L, exact, from
+    # 1 - t = L (1 - L/2 + ...) and t = e^-L
+    ser = A.lerch_boundary_expansion(-2, 0, 8)
+    assert ser.order == 8
+    t = (S.variable(16) * -1).exp()
+    one_minus_t_over_L = S({(a - 1, j): c for (a, j), c in (1 - t).terms.items()}, 15)
+    r = one_minus_t_over_L.reciprocal()
+    laurent = (1 + t) * r * r * r  # times L^3
+    for k in range(-3, 9):
+        want = laurent.coeff(k + 3)
+        assert float(ser.coeff(k)) == pytest.approx(float(want), rel=1e-12, abs=1e-18), k
+    assert [float(laurent.coeff(k + 3)) for k in (6, 7, 8)] == pytest.approx(
+        [1.157e-5, 6.76e-7, -3.76e-7], rel=1e-3)
+
+
 def test_boundary_expansion_s2_n1_log_powers():
     # integer s with n_deriv = 1 carries (log L)^2 terms at L^(s-1)
     ser = A.lerch_boundary_expansion(2, 1, 30)
@@ -410,8 +443,11 @@ def test_germ_order_guard():
 
 
 def test_germ_round_trip():
+    from kepler_balance.profiles import germ_residual
+
     for v in (1, 4, 9, F(1, 4)):
-        assert A.germ_round_trip_residual(v, 2) == [0, 0, 0]
+        f = A.germ_family_f(v, 4, allow_flat_extension=True)
+        assert germ_residual(f, v, 2) == [0, 0, 0]
 
 
 def test_germ_matches_candidate_through_L3():

@@ -586,15 +586,35 @@ def test_kummer_remainder_is_short():
     assert len(dens._c) <= 64
 
 
+@pytest.mark.parametrize("v", [1, 2.5, 4, 9])
+def test_kummer_singular_part_matches_boundary_expansion(v):
+    # two routes to sum_s w_s Phi(t, s): the split's harmonic numbers, zeta
+    # at the integers and rational part in 1/(1-t), against
+    # boundary_expansion_F's Gamma-Laurent table, zeta jets and factor e^L.
+    # The split's own A_0..A_10, exact, known through x^11 so that A_11 = 0
+    # as in the split (order 9 would drop the s = 9 weight, -A_10)
+    from kepler_balance.asymptotics import boundary_expansion_F
+
+    split = K._kummer_split(K.phi_v_density(v))
+    inv = PowerLogSeries({(m - 1, 0): F(a) for m, a in enumerate(split.A)}, 11)
+    ser = boundary_expansion_F(inv, 2)
+    for t in (0.95, 0.99, 0.999, 1 - 1e-6):
+        value, size, _truncation = split.singular(t)
+        L = -math.log(t)
+        other = ser.evaluate(L, log_inv_x=-math.log(L))
+        assert abs(other - value) <= 1e-15 * size, (t, other, value)
+
+
 def test_kummer_switch():
     t_in, t_out = math.exp(-0.0999), math.exp(-0.1001)
     phi4 = K.phi_v_density(4)
     assert K.kernel_series(phi4, 2, t_in).path == "kummer"
     assert K.kernel_series(phi4, 2, t_out).path == "direct"
     assert K.kernel_series(phi4, 2, 0.0).path == "direct"
-    # no series: W for n = 3, and a density built without one
+    # n = 3 sums directly, though W_3 carries its L-series; so does a
+    # density built without one
     w3 = K.associated_density(RadialProfile.explicit_n(3), 3)
-    assert w3.l_series is None
+    assert w3.l_series is not None
     assert K.kernel_series(w3, 3, 0.95).path == "direct"
     assert K.kernel_series(_fresh_phi_v(4), 2, 0.95).path == "direct"
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kepler_balance.errors import CapabilityError, DomainError, NormalizationError
+from kepler_balance.errors import CapabilityError, DomainError, NormalizationError, TruncationError
 from kepler_balance.poincare import solve_poincare
 from kepler_balance.profiles import (
     RadialProfile,
@@ -138,7 +138,7 @@ def test_phi_v_l_coefficients():
 
 
 def test_density_in_L_of_plain_L():
-    phi = density_in_L(S.variable(10))
+    phi = density_in_L(S.variable(10), 2)
     # e^L: constant term 1
     assert phi.coeff(0) == 1
     assert phi.coeff(1) == 1
@@ -152,48 +152,80 @@ def test_density_in_L_germ_chain():
     f = S({(F(1), 0): F(1),
            (F(2), 0): -(2 * A1 + 3) / 12,
            (F(3), 0): (4 * A1 ** 2 + 6 * A1 + 3 - 12 * A2) / 72}, 3)
-    phi = density_in_L(f)
+    phi = density_in_L(f, 2)
     assert phi.coeff(0) == 1
     assert phi.coeff(1) == -2 * A1 / 3
     assert phi.coeff(2) == (4 * A1 ** 2 + A1 - 6 * A2) / 12
 
 
-def test_density_in_L_checks_normalization():
-    with pytest.raises(NormalizationError):
-        density_in_L(S.from_power_coeffs([F(1)]))  # constant lead
-    with pytest.raises(NormalizationError):
-        density_in_L(S({(F(1), 0): F(2)}, 6))  # non-unit L coefficient
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 7))
+def test_density_in_L_of_explicit_n(m, n):
+    # W_n[g_m] = t^(1 - n/m) = exp(-(1 - n/m) L), exactly in rationals
+    w = density_in_L(RadialProfile.explicit_n(m).l_series(14), n)
+    want = (S.variable(w.order) * F(n - m, m)).exp()
+    assert w.is_rational() and w.order == want.order == 13
+    assert w.terms == want.terms
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_density_in_L_homogeneity(n):
+    # W_n[s f] = s^(n+1) W_n[f] for a non-integral float s, exactly
+    s = 1.3
+    f = RadialProfile.phi_v_candidate(F(1, 4)).l_series(10)
+    w, ws = density_in_L(f, n), density_in_L(f * F(s), n)
+    assert ws.order == w.order and ws.terms == (w * F(s) ** (n + 1)).terms
+    # and on the profile's own scale
+    p, ps = RadialProfile.explicit_n(3), RadialProfile.explicit_n(3, scale=s)
+    assert density_in_L(ps.l_series(10), n).terms == (
+        density_in_L(p.l_series(10), n) * F(s) ** (n + 1)).terms
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_density_in_L_of_constant_is_zero(n):
+    for f in (S.const(F(3), 8), RadialProfile.constant_one().l_series(8)):
+        w = density_in_L(f, n)
+        assert not w.terms and w.order >= 6
+
+
+@pytest.mark.parametrize("n", [1, 0, -2, 2.5, 3.0, F(5, 2), "3", None])
+def test_density_in_L_rejects_dimension(n):
+    with pytest.raises(DomainError, match="dimension n"):
+        density_in_L(S.variable(6), n)
 
 
 def test_density_in_L_matches_numeric_density_near_one():
-    # coefficient extraction vs numeric W[f] at small L, catalog profiles
+    # coefficient extraction vs numeric W_n[f] at small L, catalog profiles
     for p in (RadialProfile.sqrt_poincare(), RadialProfile.explicit_n(3),
-              RadialProfile.phi_v_candidate(1)):
-        ser = density_in_L(p.l_series(12))
-        for L in (1e-3, 1e-2):
-            t = math.exp(-L)
-            assert ser.evaluate(L) == pytest.approx(
-                monge_ampere_density(p, 2, t), abs=1e-8)
+              RadialProfile.phi_v_candidate(1),
+              RadialProfile.explicit_n(4, scale=1.3)):
+        for n in range(2, 7):
+            ser = density_in_L(p.l_series(12), n)
+            for L in (1e-3, 1e-2):
+                t = math.exp(-L)
+                assert ser.evaluate(L) == pytest.approx(
+                    monge_ampere_density(p, n, t), abs=1e-8), (p, n, L)
 
 
 def test_sqrt_poincare_l_series_vs_density():
     # re-expanding 2 - 2 sqrt(t) at t = 1 gives density identically 1
-    ser = density_in_L(RadialProfile.sqrt_poincare().l_series(12))
+    ser = density_in_L(RadialProfile.sqrt_poincare().l_series(12), 2)
     assert ser.coeff(0) == 1
     assert all(ser.coeff(j) == 0 for j in range(1, ser.order + 1))
 
 
 def test_germ_residuals():
-    assert germ_residual(RadialProfile.sqrt_poincare(), 1, 8) == [0] * 9
+    assert germ_residual(RadialProfile.sqrt_poincare().l_series(10), 1, 8) == [0] * 9
     # f = L against v = 0: nonzero at some order <= 1
     taylor = RadialProfile.taylor_at_one([1.0])
-    res = germ_residual(taylor, 0, 1)
+    res = germ_residual(taylor.l_series(3), 0, 1)
     assert any(abs(float(r)) > 0 for r in res)
     # balanced candidate matches its germ through order 3, deviates at 4
-    res3 = germ_residual(RadialProfile.phi_v_candidate(1), 1, 3)
-    assert res3 == [0, 0, 0, 0]
-    res4 = germ_residual(RadialProfile.phi_v_candidate(1), 1, 4)
-    assert res4[4] != 0
+    cand = RadialProfile.phi_v_candidate(1)
+    assert germ_residual(cand.l_series(5), 1, 3) == [0, 0, 0, 0]
+    assert germ_residual(cand.l_series(6), 1, 4)[4] != 0
+    with pytest.raises(TruncationError):
+        germ_residual(cand.l_series(5), 1, 5)
 
 
 def test_taylor_profile_validity_window():
@@ -297,12 +329,12 @@ def test_poincare_numeric_json_round_trip(c, t_min):
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -0.1])
 def test_poincare_numeric_l_series_density_is_one(c):
-    # W[f] = 1: through L^3 the boundary series of W is 1, 0, 0, 0
+    # W[f] = 1: through L^3 the boundary series of W is exactly 1, 0, 0, 0
     p = RadialProfile.poincare_numeric(solve_poincare(c, t_min=0.5))
-    w = density_in_L(p.l_series(4))
+    assert p.l_series(4).is_rational()
+    w = density_in_L(p.l_series(4), 2)
     assert w.order == 3
-    for j, want in enumerate([1.0, 0.0, 0.0, 0.0]):
-        assert abs(w.coeff(j, 0) - want) <= 1e-15, j
+    assert w.terms == {(0, 0): 1}
 
 
 @pytest.mark.parametrize("kind, params, key", [
@@ -329,3 +361,23 @@ def test_from_json_accepts_every_documented_key():
     for kind, params in specs:
         p = RadialProfile.from_json({"kind": kind, "params": {**params, "scale": 2.0}})
         assert p.scale == 2.0, kind
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RadialProfile.explicit_n(2, scale=math.nan),
+    lambda: RadialProfile.phi_v_candidate(2, scale=math.inf),
+    lambda: RadialProfile.from_json({"kind": "constant_one", "params": {"scale": "-inf"}}),
+    lambda: RadialProfile.taylor_at_one([1.0, math.nan]),
+    lambda: RadialProfile.taylor_at_one([1.0, -math.inf]),
+], ids=["scale-nan", "scale-inf", "json-scale-minus-inf", "coeff-nan", "coeff-inf"])
+def test_profile_rejects_non_finite_numbers(make):
+    # the boundary series holds the exact Fraction of every scale and coefficient
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_taylor_l_series_is_exact():
+    p = RadialProfile.taylor_at_one([2.0, -0.5, 0.1], scale=0.3)
+    ser = p.l_series(5)
+    assert ser.is_rational()
+    assert ser.terms == {(1, 0): F(0.3), (2, 0): -F(0.3) / 4, (3, 0): F(0.1 / 2.0) * F(0.3)}

@@ -149,3 +149,27 @@ def test_pow_fraction_negative_lead_even_root_raises(lead, alpha):
     L = S.variable(6)
     with pytest.raises(NormalizationError):
         (S.const(lead, 6) + L).pow_fraction(alpha)
+
+
+def test_truncate_keeps_the_order_it_knows():
+    a = S.from_power_coeffs([F(1), F(2), F(3)], order=2)
+    assert a.truncate(9).order == 2 and a.truncate(9).terms == a.terms
+    assert a.truncate(1).order == 1 and a.truncate(1).coeff(2) == 0
+
+
+def test_integer_series_stay_exact():
+    one_plus_x = S.from_power_coeffs([1, 1], order=4)
+    inv = one_plus_x.reciprocal()
+    assert inv.is_rational()
+    assert [inv.coeff(i) for i in range(5)] == [1, -1, 1, -1, 1]
+    assert all(type(c) is F for c in inv.terms.values())
+    log = one_plus_x.log()
+    assert log.is_rational() and log.coeff(4) == F(-1, 4)
+    e = S.from_power_coeffs([0, 1, 3], order=5).exp()
+    assert e.is_rational() and e.coeff(2) == F(1, 2) + 3
+    # 2 + X = 2 (1 + X/2): the unit part is exact, the lead sqrt(2) is not
+    _a0, _c0, u = S.from_power_coeffs([2, 1], order=4)._one_plus_u()
+    assert u.terms == {(1, 0): F(1, 2)} and type(u.coeff(1)) is F
+    root = S.from_power_coeffs([4, 1], order=4).pow_fraction(F(1, 2))
+    assert root.is_rational()
+    assert [root.coeff(i) for i in range(3)] == [2, F(1, 4), F(-1, 64)]

@@ -127,6 +127,40 @@ def test_pow_fraction_matches_exp_log_sums(u, alpha):
 
 
 @st.composite
+def known_lower(draw, base):
+    """(A, B): A from ``base`` and B = A known through a lower order,
+    cut on the half-integers between A's lowest exponent and its order."""
+    A = draw(base)
+    a0 = A.min_power() if A.terms else 0
+    cut = a0 + F(draw(st.integers(0, int(2 * (A.order - a0)))), 2)
+    return A, A.truncate(cut)
+
+
+def claims_only_what_it_knows(op, case):
+    """op(B) claims no term that op(A) disagrees with: op(A) is known at
+    least as far, and agrees with op(B) term for term through op(B)'s order."""
+    A, B = case
+    hi, lo = op(A), op(B)
+    assert hi.order >= lo.order
+    assert same(hi.truncate(lo.order), lo)
+
+
+@SETTINGS
+@given(known_lower(monomial_led()), st.sampled_from([
+    S.reciprocal, S.deriv, lambda A: A * A, lambda A: A.pow_fraction(F(-2, 3)),
+    lambda A: A.truncate(A.order + 3),
+]))
+def test_results_claim_only_known_terms(case, op):
+    claims_only_what_it_knows(op, case)
+
+
+@SETTINGS
+@given(known_lower(small()), st.sampled_from([S.exp, lambda u: (1 + u).log()]))
+def test_exp_and_log_claim_only_known_terms(case, op):
+    claims_only_what_it_knows(op, case)
+
+
+@st.composite
 def root_and_power(draw):
     """(A, p, q) with c0 a q-th power (negative only for odd q), so that
     A^(p/q) is exact."""
