@@ -246,10 +246,15 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
     sum overflowed float64 (large negative s, say).  Where (k+1)^-s alone
     would overflow, the direct sum forms the term as
     exp(k log t - s log(k+1)), so it fails only where a term or Phi itself
-    passes the float range.
+    passes the float range.  Raises DomainError for a non-finite s, and
+    ConvergenceBudgetError where the direct sum has not met its stopping
+    rule within DIRECT_SUM_CAP terms (t very close to 1) or the boundary sum
+    within BOUNDARY_SUM_CAP (L very close to 2 pi).
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
+    if not math.isfinite(s):
+        raise DomainError("s must be finite")
     if n_deriv < 0:
         raise DomainError("n_deriv must be >= 0")
     L = -math.log(t)
@@ -293,12 +298,17 @@ def _lerch_direct(t: float, s: float, n: int) -> float:
         if n:
             terms = terms * (-np.log(kp1)) ** n
         total += float(terms.sum())
+        if not math.isfinite(total):
+            return total  # lerch_phi reports the overflow
         tail_scale = float(np.abs(terms[-8:]).max())
         if tail_scale < 1e-17 * max(abs(total), 1e-300):
             return total
         k0 += block
         block = min(2 * block, 1 << 16)
-    return total
+    raise ConvergenceBudgetError(
+        f"direct sum at t={t!r}, s={s:g}, n_deriv={n} still above its stopping "
+        f"rule after {DIRECT_SUM_CAP} terms (t too close to 1)"
+    )
 
 
 def _boundary_singular_part(s: float, n: int):
@@ -336,12 +346,12 @@ def _boundary_singular_part(s: float, n: int):
 
 def _zeta_terms(s: float, ks, n: int, skip, log_L: float = 0.0):
     """The regular terms zeta^(n)(s-k) (-L)^k / k! for the int array ``ks``
-    without ``skip``, as lists (k, term)."""
+    without ``skip``, as arrays (k, term)."""
     if skip is not None:
         ks = ks[ks != skip]
     terms = zeta_deriv_over_factorial(s, ks, n, log_L=log_L)
     terms[ks % 2 == 1] *= -1.0
-    return ks.tolist(), terms.tolist()
+    return ks, terms
 
 
 def t_phi_boundary_value(s: float, n: int, L: float) -> float:
@@ -354,6 +364,8 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     raises ConvergenceBudgetError if they have not met the stopping rule by
     k = BOUNDARY_SUM_CAP.
     """
+    if not math.isfinite(s):
+        raise DomainError("s must be finite")
     if not (0.0 < L < TWO_PI):
         raise CapabilityError("boundary formula needs 0 < L < 2*pi")
     logL = math.log(L)
@@ -366,19 +378,27 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
             f"singular part at s={s:g}, n_deriv={n}, L={L:.6g} overflows float64"
         ) from None
     # regular terms in blocks of k, added in order until five consecutive
-    # terms fall below 1e-18 of the running total
+    # terms fall below 1e-18 of the running total.  The terms fall like
+    # (L/2pi)^k, and the first block reaches 1.6 times the k where that
+    # is 1e-18: the stop comes at 1.0-1.6 times it for s in {1, 2, 1/2,
+    # -1.5}, n in {0, 2} and L in [0.05, 6.2], so one block is the rule
     small_run = 0
-    k0, block = 0, 64
+    k0 = 0
+    block = max(64, math.floor(1.6 * math.log(1e-18) / math.log(L / TWO_PI)) + 16)
     while k0 <= BOUNDARY_SUM_CAP:
-        ks = np.arange(k0, min(k0 + block, BOUNDARY_SUM_CAP + 1))
-        for k, term in zip(*_zeta_terms(s, ks, n, skip, logL)):
-            total += term
-            if abs(term) < 1e-18 * max(abs(total), 1e-30):
-                small_run += 1
-                if small_run >= 5 and k > 8:
-                    return total
-            else:
-                small_run = 0
+        ks, terms = _zeta_terms(s, np.arange(k0, min(k0 + block, BOUNDARY_SUM_CAP + 1)),
+                                n, skip, logL)
+        # the running total as the sequential loop forms it, then the length
+        # of the run of small terms ending at each term
+        sums = np.add.accumulate(np.concatenate(([total], terms)))[1:]
+        small = np.abs(terms) < 1e-18 * np.maximum(np.abs(sums), 1e-30)
+        at = np.arange(len(terms))
+        last_big = np.maximum.accumulate(np.where(small, -1, at))
+        run = at - last_big + np.where(last_big < 0, small_run, 0)
+        stop = np.flatnonzero((run >= 5) & (ks > 8))
+        if stop.size:
+            return float(sums[stop[0]])
+        total, small_run = float(sums[-1]), int(run[-1])
         k0 += block
         block *= 2
     raise ConvergenceBudgetError(
@@ -394,7 +414,8 @@ def _t_phi_boundary_series(s: float, n: int, order: int) -> PowerLogSeries:
     power, coeffs, skip = _boundary_singular_part(s, n)
     # (log L)^j = (-1)^j (log 1/L)^j
     terms = {(power, j): c * (-1) ** j for j, c in enumerate(coeffs)}
-    for k, term in zip(*_zeta_terms(s, np.arange(order + 1), n, skip)):
+    ks, values = _zeta_terms(s, np.arange(order + 1), n, skip)
+    for k, term in zip(ks.tolist(), values.tolist()):
         terms[(k, 0)] = term
     return PowerLogSeries(terms, order)
 

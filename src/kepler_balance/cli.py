@@ -176,21 +176,22 @@ def cmd_lerch(args) -> int:
     if not 0.0 < t < 1.0:
         raise DomainError(f"--t must lie in (0, 1), got {t!r}")
     L = -math.log(t)
-    direct = asym.lerch_phi(t, args.s, args.n_deriv, method="direct")
-    boundary = None
-    if L < 2 * math.pi:
-        # near 2 pi the boundary sum can run out of terms; the direct value stands
+    values = {"direct": None, "boundary": None}
+    # near t = 1 the direct sum, and near 2 pi the boundary sum, can run out
+    # of terms; the other path's value stands
+    for method in ("direct", "boundary") if L < 2 * math.pi else ("direct",):
         try:
-            boundary = asym.lerch_phi(t, args.s, args.n_deriv, method="boundary")
+            values[method] = asym.lerch_phi(t, args.s, args.n_deriv, method=method)
         except ConvergenceBudgetError as exc:
-            sys.stderr.write(f"boundary: {exc}\n")
+            sys.stderr.write(f"{method}: {exc}\n")
+    direct, boundary = values["direct"], values["boundary"]
     payload = {
         "t": t,
         "s": args.s,
         "n_deriv": args.n_deriv,
         "direct": direct,
         "boundary": boundary,
-        "diff": None if boundary is None else abs(direct - boundary),
+        "diff": None if direct is None or boundary is None else abs(direct - boundary),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

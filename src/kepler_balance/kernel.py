@@ -655,7 +655,7 @@ def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None
     ``kernel_series`` value, truncated at the accuracy of its moments.  At
     t = 0 f is the limit f(0+).  Returns (c, F, defect): c as given or
     estimated, and one list of floats each for F and the defect, in the
-    order of ``ts``.
+    order of ``ts``.  Raises DomainError where f(t)^(n+1) is 0.
     """
     if c != "auto" and not math.isfinite(c):
         raise DomainError(f"c must be finite or 'auto', got {c!r}")
@@ -674,8 +674,11 @@ def defect_table(p: RadialProfile, n: int, c, ts, density: Density | None = None
         t = float(t)
         F = kernel_series(dens, n, t).value
         f = p.eval(t)[0] if t > 0 else _f_at_zero(p)
+        f_power = f ** (n + 1)
+        if f_power == 0:
+            raise DomainError(f"f(t) = {f!r} at t = {t!r}: c / f(t)^{n + 1} is undefined")
         Fs.append(F)
-        defects.append(F - c / f ** (n + 1))
+        defects.append(F - c / f_power)
     return c, Fs, defects
 
 

@@ -16,6 +16,17 @@ k, so a value does not depend on the batch it came in.
   ~k log k cancel.  sin(pi (s-k)/2) is sin or cos of pi s / 2 turned by
   k quarter turns, exact zeros included.
 
+Only L^k depends on L.  Everything else in a term is kept in one table per
+(s, n) (``_zeta_rows``): zeta^(n)(s - k) and lgamma(k + 1) for the direct
+rows; the bracket, the exponent's jet columns 1..n and the sin-zeta jet for
+the reflected ones.  A table covers k = 0..K-1 and grows by whole blocks of
+64 rows, all new rows in one Euler-Maclaurin pass; the pole row s - k = 1
+is never computed.  A call then forms exp(k log L - lgamma(k + 1)) for its
+direct rows, and the exponential's jet and one column of the jet product
+for its reflected rows, with the operations the rows would take alone, so a
+value depends neither on its batch nor on the calls made before.  Tables
+are kept least-recently-used: the ones not in use hold at most 8 MB.
+
 ``zeta_at_integer`` gives zeta(j) at single integers, cached: the
 Bernoulli table for j <= 0, and the same Euler-Maclaurin rule for j >= 2.
 
@@ -31,9 +42,12 @@ Stieltjes constants are embedded as a validated table;
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,21 +97,29 @@ def bernoulli_even(i: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# jet arithmetic over rows: a jet array a[r, 0..n] is sum_m a[r, m] eps^m
+# jet arithmetic over rows: a jet array a[r, 0..n] is sum_m a[r, m] eps^m.
+# The arrays are column-major, so that each column a[:, m] is contiguous:
+# the column operations below then run several times faster on long arrays,
+# and the layout does not change a bit of any element
 # ---------------------------------------------------------------------------
 
+def _jet_zeros(rows: int, n: int):
+    return np.zeros((rows, n + 1), order="F")
+
+
 def _jet_mul(a, b):
+    """The product jet, each column summed in order of the first factor's
+    index: column m of the result is a[:, 0] b[:, m] + ... + a[:, m] b[:, 0]."""
     n = a.shape[1] - 1
-    out = np.zeros(a.shape)
-    for m in range(n + 1):
-        for i in range(m + 1):
-            out[:, m] += a[:, i] * b[:, m - i]
+    out = np.zeros_like(a)
+    for i in range(n + 1):
+        out[:, i:] += a[:, i:i + 1] * b[:, :n + 1 - i]
     return out
 
 
 def _jet_exp(a):
     n = a.shape[1] - 1
-    out = np.zeros(a.shape)
+    out = np.zeros_like(a)
     out[:, 0] = np.exp(a[:, 0])
     for m in range(1, n + 1):
         for j in range(1, m + 1):
@@ -108,8 +130,7 @@ def _jet_exp(a):
 
 def _mul_linear(a, c):
     """In place: a <- a * (c + eps), c one value per row."""
-    for m in range(a.shape[1] - 1, 0, -1):
-        a[:, m] = a[:, m] * c + a[:, m - 1]
+    a[:, 1:] = a[:, 1:] * c[:, None] + a[:, :-1]
     a[:, 0] *= c
 
 
@@ -244,12 +265,29 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_2PI_LO = 1.4447872176368647e-16
 
 
+@functools.cache
 def _log_power_jets(n: int):
-    """Row j - 1 is the jet of j^(-eps), [(-log j)^m / m!], for j = 1..N."""
-    return np.array([
+    """Row j - 1 is the jet of j^(-eps), [(-log j)^m / m!], for j = 1..N;
+    built once per n, read-only."""
+    jets = np.array([
         [(-math.log(j)) ** m / math.factorial(m) for m in range(n + 1)]
         for j in range(1, _EM_N + 1)
     ])
+    jets.setflags(write=False)
+    return jets
+
+
+def _power_down(j: int, x):
+    """j^-x for an array x: np.power where the value is at least 2^-1100,
+    and 0.0 below, which is what np.power rounds it to there.  np.power
+    takes ~10 times as long on results that underflow (x ~ 10^3 and up in
+    the reflected rows of a long table)."""
+    live = x * math.log2(j) < 1100.0
+    if live.all():
+        return np.power(float(j), -x)
+    out = np.zeros(len(x))
+    out[live] = np.power(float(j), -x[live])
+    return out
 
 
 def _zeta_em(x, n: int):
@@ -260,21 +298,23 @@ def _zeta_em(x, n: int):
               + sum_i B_2i/(2i)! x(x+1)...(x+2i-2) N^(1-2i-x).
     """
     jets = _log_power_jets(n)
-    total = np.zeros((len(x), n + 1))
+    total = _jet_zeros(len(x), n)
+    term = _jet_zeros(len(x), n)
     for j in range(1, _EM_N):
-        total += np.power(float(j), -x)[:, None] * jets[j - 1]
-    decay = np.power(float(_EM_N), -x)[:, None] * jets[_EM_N - 1]  # N^(-x-eps)
-    recip = np.empty((len(x), n + 1))
+        total += np.multiply(_power_down(j, x)[:, None], jets[j - 1], out=term)
+    decay = np.multiply(_power_down(_EM_N, x)[:, None], jets[_EM_N - 1],
+                        out=_jet_zeros(len(x), n))  # N^(-x-eps)
+    recip = _jet_zeros(len(x), n)
     recip[:, 0] = 1.0 / (x - 1.0)
     for m in range(1, n + 1):
         recip[:, m] = -recip[:, m - 1] / (x - 1.0)  # jet of 1/(x - 1 + eps)
     total += _EM_N * _jet_mul(decay, recip)
     total += 0.5 * decay
-    poch = np.zeros((len(x), n + 1))
+    poch = _jet_zeros(len(x), n)
     poch[:, 0] = x
     if n >= 1:
         poch[:, 1] = 1.0
-    bern = np.zeros((len(x), n + 1))
+    bern = _jet_zeros(len(x), n)
     for i, weight in enumerate(_EM_WEIGHTS, start=1):
         bern += weight * poch
         if i < _EM_M:
@@ -294,72 +334,169 @@ def _sin_cos_half_pi(s: float):
     return math.sin(0.5 * math.pi * s), math.cos(0.5 * math.pi * s)
 
 
-def _reflected(s: float, k, n: int, log_L: float):
-    """Jets of zeta(s - k + eps) L^k / k! for s - k < -0.5 by
-    zeta(z) = 2^z pi^(z-1) sin(pi z / 2) Gamma(1-z) zeta(1-z).
+class _ZetaRows(NamedTuple):
+    """The L-free parts of zeta^(n)(s - k) L^k / k! for k = 0..size-1, for
+    one (s, n); every array read-only.
 
-    The log of 2^z pi^(z-1) Gamma(1-z) L^k / k! at z = s - k is
-    s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)],
-    with the bracket summed upward from the first reflected k as
-    log1p(-s/j) steps; its parts never exceed O(|s| log k), where the
-    plain sum of logs cancels from ~k log k.  The prefix sum always starts
-    at the same k, so a term does not depend on which other k it came with.
+    Direct rows k < k_r (s - k >= -1/2) keep zeta^(n)(s - k) in ``zeta``
+    (NaN at the pole row s - k = 1, which is never computed) and
+    lgamma(k + 1) in ``log_fact``.  Reflected rows k >= k_r keep, at index
+    k - k_r, the bracket lgamma(k+1-s) - lgamma(k+1), the exponent's jet
+    columns 1..n in ``expo`` and the jet of sin(pi z / 2) zeta(1 - z) at
+    z = s - k in ``prod`` (see ``zeta_deriv_over_factorial``).
     """
-    x = 1.0 - s + k  # the argument of zeta(1 - z)
-    k_r = max(0, math.floor(s + 0.5) + 1)  # the first k with s - k < -0.5
-    steps = np.empty(int(k.max()) - k_r + 1)  # the bracket at k_r, then its increments
-    steps[0] = math.lgamma(k_r + 1.0 - s) - math.lgamma(k_r + 1.0)
-    steps[1:] = np.log1p(-s / np.arange(k_r + 1.0, k.max() + 1.0))
-    bracket = np.cumsum(steps)[k - k_r]
 
-    expo = np.empty((len(k), n + 1))
-    log_ratio = (log_L - _LOG_2PI) - _LOG_2PI_LO  # log(L / 2pi)
-    expo[:, 0] = (s * _LOG_2PI - _LOG_PI) + k * log_ratio + bracket
+    size: int
+    k_r: int
+    zeta: np.ndarray
+    log_fact: np.ndarray
+    bracket: np.ndarray
+    expo: np.ndarray
+    prod: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.zeta, self.log_fact, self.bracket, self.expo, self.prod))
+
+
+_ROW_BLOCK = 64  # a table grows by whole blocks of this many rows
+_TABLE_BUDGET = 8 * 2 ** 20  # bytes the tables not in use may hold
+_tables: collections.OrderedDict = collections.OrderedDict()  # (s, n) -> _ZetaRows, LRU order
+_tables_lock = threading.Lock()
+
+
+def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
+    """``rows`` grown to ``size`` rows (a fresh table for None).  Each row is
+    computed as it would be alone: one ``_zeta_em`` pass over the new direct
+    and reflected rows, and the bracket's running sum carried on from the
+    last row kept."""
+    if rows is None:
+        k_r = max(0, math.floor(s + 0.5) + 1)  # the first k with s - k < -1/2
+        empty = np.empty(0)
+        rows = _ZetaRows(0, k_r, empty, empty, empty, np.empty((0, n)), np.empty((0, n + 1)))
+    k_r = rows.k_r
+    ks = np.arange(rows.size, size)
+    kd, kr = ks[ks < k_r], ks[ks >= k_r]
+    z = s - kd
+    live = z != 1.0  # the pole row is never computed
+    x = 1.0 - s + kr  # the argument of zeta(1 - z)
+    jets = _zeta_em(np.concatenate((z[live], x)), n)
+    zeta = np.full(len(kd), np.nan)
+    zeta[live] = jets[:np.count_nonzero(live), n]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in kd.tolist()])
+
+    # the bracket, summed upward from k_r in log1p(-s/j) steps: its parts
+    # never exceed O(|s| log k), where the plain sum of logs cancels from
+    # ~k log k.  A grown table carries the running sum on from its last row
+    if len(rows.bracket):
+        first, tail = rows.bracket[-1], kr
+    else:
+        first, tail = math.lgamma(k_r + 1.0 - s) - math.lgamma(k_r + 1.0), kr[1:]
+    steps = np.empty(len(tail) + 1)
+    steps[0] = first
+    steps[1:] = np.log1p(-s / tail.astype(float))
+    bracket = np.cumsum(steps)[len(steps) - len(kr):]
+
+    expo = np.empty((len(kr), n))
     for j in range(1, n + 1):
         # (d/deps)^j logGamma(x - eps) = (-1)^j psi_{j-1}(x)
-        expo[:, j] = (-1.0) ** j * _polygamma(j - 1, x) / math.factorial(j)
+        expo[:, j - 1] = (-1.0) ** j * _polygamma(j - 1, x) / math.factorial(j)
     if n >= 1:
-        expo[:, 1] += _LOG_2PI
+        expo[:, 0] += _LOG_2PI
 
     # sin(pi (s - k + eps) / 2): pi s / 2 turned back by k quarter turns,
     # then the Taylor coefficients (pi/2)^m sin(theta + m pi/2) / m!
     sin0, cos0 = _sin_cos_half_pi(s)
-    quarter = k % 4
+    quarter = kr % 4
     sin_k = np.array([sin0, -cos0, -sin0, cos0])[quarter]
     cos_k = np.array([cos0, sin0, -cos0, -sin0])[quarter]
     cycle = (sin_k, cos_k, -sin_k, -cos_k)
-    sin_jet = np.empty((len(k), n + 1))
+    sin_jet = _jet_zeros(len(kr), n)
     for m in range(n + 1):
         sin_jet[:, m] = (0.5 * math.pi) ** m / math.factorial(m) * cycle[m % 4]
+    zr = jets[np.count_nonzero(live):]
+    zr[:, 1::2] *= -1.0  # zeta(x - eps)
+    prod = _jet_mul(sin_jet, zr)
 
-    z = _zeta_em(x, n)
-    z[:, 1::2] *= -1.0  # zeta(x - eps)
-    return _jet_mul(_jet_exp(expo), _jet_mul(sin_jet, z))
+    arrays = []
+    for kept, new in zip(rows[2:], (zeta, log_fact, bracket, expo, prod)):
+        grown = np.concatenate((kept, new))
+        grown.setflags(write=False)
+        arrays.append(grown)
+    return _ZetaRows(size, k_r, *arrays)
+
+
+def _zeta_rows(s: float, n: int, size: int) -> _ZetaRows:
+    """The table of (s, n), grown to at least ``size`` rows.
+
+    Tables are kept least-recently-used: once a table is stored, the
+    oldest others go until they hold at most _TABLE_BUDGET bytes.  So all
+    tables together never hold more than 8 MB plus the table in use, which
+    keeps 2n + 2 floats per reflected row and 2 per direct row, for every k
+    below the largest asked rounded up to a whole block: at worst 0.64 MB
+    at n = 3 for the 10,048 rows a boundary sum reaching its 10,000-term
+    cap asks for.
+    """
+    key = (s, n)
+    with _tables_lock:
+        rows = _tables.get(key)
+        if rows is not None:
+            _tables.move_to_end(key)
+    if rows is not None and rows.size >= size:
+        return rows
+    rows = _new_rows(s, n, rows, -(-size // _ROW_BLOCK) * _ROW_BLOCK)
+    with _tables_lock:
+        _tables[key] = rows
+        _tables.move_to_end(key)
+        held = sum(r.nbytes for r in _tables.values()) - rows.nbytes
+        while held > _TABLE_BUDGET:
+            _key, old = _tables.popitem(last=False)
+            held -= old.nbytes
+    return rows
 
 
 def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     """zeta^(n)(s - k) L^k / k! with L = exp(log_L), overflow-safe for large k.
 
-    ``k`` is an int (returns a float) or an int array (returns an array of
-    the same length); each entry does not depend on the others.
+    ``k`` is an int >= 0 (returns a float) or an int array (returns an array
+    of the same length); each entry does not depend on the others, nor on
+    the calls made before.  Only L^k is computed per call; the rest of each
+    term comes from the (s, n) table (``_zeta_rows``).
+
     s - k >= -0.5 uses Euler-Maclaurin directly.  Below that the reflection
-    formula maps to 1 - s + k, away from the pole that the sin factor
-    cancels at s - k = 0.
+    formula zeta(z) = 2^z pi^(z-1) sin(pi z / 2) Gamma(1-z) zeta(1-z) maps to
+    1 - s + k, away from the pole that the sin factor cancels at s - k = 0.
+    The log of 2^z pi^(z-1) Gamma(1-z) L^k / k! at z = s - k is
+    s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)];
+    its exponential's jet times the tabled sin-zeta jet gives the term.
     """
     s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    z = s - ks
-    if np.any(z == 1.0):
+    if ks.size and ks.min() < 0:
+        raise DomainError("k must be >= 0")
+    if np.any(s - ks == 1.0):
         raise DomainError("zeta has a pole at s = 1")
+    rows = _zeta_rows(s, n, int(ks.max()) + 1 if ks.size else 0)
     out = np.empty(len(ks))
-    direct = z >= -0.5
+    direct = ks < rows.k_r
     if direct.any():
         kd = ks[direct]
-        log_fact = np.array([math.lgamma(k + 1.0) for k in kd.tolist()])
-        scale = np.exp(kd * log_L - log_fact)
-        out[direct] = _zeta_em(z[direct], n)[:, n] * scale
+        out[direct] = rows.zeta[kd] * np.exp(kd * log_L - rows.log_fact[kd])
     if not direct.all():
-        out[~direct] = _reflected(s, ks[~direct], n, log_L)[:, n]
+        kr = ks[~direct]
+        i = kr - rows.k_r
+        log_ratio = (log_L - _LOG_2PI) - _LOG_2PI_LO  # log(L / 2pi)
+        expo = _jet_zeros(len(kr), n)
+        expo[:, 0] = (s * _LOG_2PI - _LOG_PI) + kr * log_ratio + rows.bracket[i]
+        expo[:, 1:] = rows.expo[i]
+        e = _jet_exp(expo)
+        prod = rows.prod[i]
+        term = np.zeros(len(kr))
+        for j in range(n + 1):  # column n of the jet product e * prod
+            term += e[:, j] * prod[:, n - j]
+        out[~direct] = term
     out *= math.factorial(n)
     return float(out[0]) if np.ndim(k) == 0 else out
 

@@ -6,9 +6,11 @@ import pytest
 
 from kepler_balance import asymptotics as A
 from kepler_balance import kernel as K
+from kepler_balance import special
 from kepler_balance.errors import (
     CapabilityError,
     ConvergenceBudgetError,
+    DomainError,
     NormalizationError,
     TruncationError,
 )
@@ -332,6 +334,45 @@ def test_lerch_direct_large_negative_s_matches_mpmath(s, n):
     value = A.lerch_phi(0.5, s, n, method="direct")
     assert math.isfinite(value)
     assert value == pytest.approx(float(ref), rel=1e-13)
+
+
+@pytest.mark.parametrize("t, s", [(0.9999999, 2.0), (0.999999, -30.0)])
+def test_lerch_direct_sum_past_its_cap_is_budget_error(t, s):
+    # the direct sum needs ~10^7 terms here; it raises rather than return
+    # its partial sum at DIRECT_SUM_CAP (4e-7 relative low at s = 2)
+    with pytest.raises(ConvergenceBudgetError, match="direct sum"):
+        A.lerch_phi(t, s, 0, method="direct")
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_lerch_nonfinite_s_is_domain_error(s):
+    for method in ("direct", "boundary", "auto"):
+        with pytest.raises(DomainError, match="s must be finite"):
+            A.lerch_phi(0.5, s, 0, method=method)
+    with pytest.raises(DomainError, match="s must be finite"):
+        A.t_phi_boundary_value(s, 0, 0.5)
+
+
+def _boundary_bits(s, n):
+    """lerch_phi's boundary value at L = 2 and lerch_boundary_expansion at
+    order 8, as exact text."""
+    value = A.lerch_phi(math.exp(-2.0), s, n, method="boundary")
+    series = A.lerch_boundary_expansion(s, n, 8)
+    return value.hex(), [(key, repr(c)) for key, c in series.items_sorted()]
+
+
+@pytest.mark.parametrize("s", [-2.0, -1.5, 0.0, 0.5, 1.0, 2.0, 3.0, 7.3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_zeta_tables_never_show_in_boundary_values(s, n, monkeypatch):
+    # the same bits from an emptied (s, n) table, after a larger-L call grew
+    # it, and after a smaller-L call
+    monkeypatch.setattr(special, "_tables", type(special._tables)())
+    fresh = _boundary_bits(s, n)
+    A.lerch_phi(math.exp(-6.2), s, n, method="boundary")
+    assert special._tables[(s, n)].size > 1000
+    assert _boundary_bits(s, n) == fresh
+    A.lerch_phi(math.exp(-0.05), s, n, method="boundary")
+    assert _boundary_bits(s, n) == fresh
 
 
 def test_boundary_expansion_s1():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shlex
@@ -325,8 +326,13 @@ def test_numerical_failure_exit_code(capsys):
     (["kernel", "--profile", "taylor_at_one:coeffs=1", "--t", "0.9", "--c", "4"],
      "coeffs, a nonempty list of numbers"),
     (["poincare", "--c=-1e50"], "c = -1e+50 is too negative: its cusp t0 rounds to 1"),
+    (["kernel", "--profile", "phi_v_candidate:v=2,scale=0", "--t", "0.5"],
+     "f(t) = 0.0 at t = 0.5"),
+    (["lerch", "--t", "0.5", "--s", "inf"], "s must be finite"),
+    (["lerch", "--t", "0.5", "--s", "nan"], "s must be finite"),
 ], ids=["kernel-zero-density", "lerch-t-0", "asymptotics-v-nan", "explicit_n-n-2.5",
-        "explicit_n-json-n-3.7", "taylor_at_one-one-coeff", "poincare-past-cusp"])
+        "explicit_n-json-n-3.7", "taylor_at_one-one-coeff", "poincare-past-cusp",
+        "kernel-zero-profile", "lerch-s-inf", "lerch-s-nan"])
 def test_bad_input_named_in_configuration_error(argv, names, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
@@ -345,6 +351,47 @@ def test_lerch_boundary_budget_exit_code(capsys):
     assert payload["boundary"] is None and payload["diff"] is None
     assert payload["direct"] == lerch_phi(t, -1.5, 2, method="direct")
     assert "stopping rule" in err
+
+
+@pytest.mark.parametrize("t, s, oracle", [
+    ("0.9999999", "2", 1.64493251953183096514),
+    ("0.999999", "-30", 2.65249013435578039347e218),
+], ids=["s2", "s-30"])
+def test_lerch_direct_budget_keeps_boundary(t, s, oracle, capsys):
+    # the direct sum would need ~10^7 terms: the request keeps its boundary
+    # value and reports no direct value, as the boundary path does near 2 pi
+    from kepler_balance.asymptotics import lerch_phi
+
+    code, out, err = run_cli(["lerch", "--t", t, "--s", s], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["direct"] is None and payload["diff"] is None
+    assert payload["boundary"] == lerch_phi(float(t), float(s), 0, method="boundary")
+    assert payload["boundary"] == pytest.approx(oracle, rel=1e-14)  # mpmath, 30 digits
+    assert err.startswith("direct: ") and "stopping rule" in err
+
+
+def _perfbench_requests(name, seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [request.argv for request in workloads.build(name, seed)]
+
+
+def test_lerch_asymptotics_requests_print_the_same_in_any_order(capsys, monkeypatch):
+    # the (s, n) zeta tables one request leaves behind do not change what a
+    # later one prints: the benchmark's requests, forward and then reversed
+    # in one process, from emptied tables
+    from kepler_balance import special
+
+    monkeypatch.setattr(special, "_tables", type(special._tables)())
+    argvs = _perfbench_requests("lerch-asymptotics", 1)
+    forward = [run_cli(argv, capsys) for argv in argvs]
+    backward = [run_cli(argv, capsys) for argv in reversed(argvs)]
+    assert all(code == 0 for code, _out, _err in forward)
+    assert backward[::-1] == forward
 
 
 def test_kernel_json_format(capsys):

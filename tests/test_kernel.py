@@ -224,6 +224,15 @@ def test_candidate_pairs_with_phi_v():
         assert K.associated_density(RadialProfile.phi_v_candidate(v), 2) is K.phi_v_density(v)
 
 
+def test_balanced_defect_at_zero_profile_is_domain_error():
+    # scale 0 makes f vanish: c / f^(n+1) has no value, and the error names f(t) = 0
+    zero = RadialProfile.from_json({"kind": "phi_v_candidate", "params": {"v": 2, "scale": 0}})
+    with pytest.raises(DomainError, match=r"f\(t\) = 0\.0 at t = 0\.5"):
+        K.defect_table(zero, 2, 4.0, [0.5])
+    with pytest.raises(DomainError, match=r"f\(t\) = 0\.0"):
+        K.balanced_defect(zero, 2, 4.0, 0.5)
+
+
 def test_balanced_defect_sqrt_at_zero():
     assert K.balanced_defect(RadialProfile.sqrt_poincare(), 2, 4, 0.0) == pytest.approx(0.5, abs=1e-10)
 

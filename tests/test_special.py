@@ -128,3 +128,59 @@ def test_stieltjes_vs_mpmath():
     em = stieltjes_euler_maclaurin(10)
     for j in range(11):
         assert em[j] == pytest.approx(float(mpmath.stieltjes(j)), abs=2e-13)
+
+
+def test_zeta_tables_respect_their_budget(monkeypatch):
+    # least-recently-used: once a table is stored, the others hold at most
+    # the budget, and an evicted (s, n) comes back with the same bits
+    from kepler_balance import special
+
+    monkeypatch.setattr(special, "_TABLE_BUDGET", 200_000)
+    monkeypatch.setattr(special, "_tables", type(special._tables)())
+    log_L = math.log(6.2)
+    ks = np.arange(0, 2000, 13)
+    first = zeta_deriv_over_factorial(-2.5, ks, 0, log_L=log_L)
+    for s in (-2.5, -1.5, 0.5, 2.5, 3.5, 7.3):
+        for n in range(4):
+            zeta_deriv_over_factorial(s, ks, n, log_L=log_L)
+            newest_key, newest = next(reversed(special._tables.items()))
+            held = sum(rows.nbytes for rows in special._tables.values()) - newest.nbytes
+            assert newest_key == (s, n) and newest.size >= 2000
+            assert held <= special._TABLE_BUDGET
+    assert (-2.5, 0) not in special._tables
+    assert np.array_equal(zeta_deriv_over_factorial(-2.5, ks, 0, log_L=log_L), first)
+
+
+def test_zeta_tables_grow_by_whole_blocks_and_stay_read_only(monkeypatch):
+    from kepler_balance import special
+
+    monkeypatch.setattr(special, "_tables", type(special._tables)())
+    rows = special._zeta_rows(0.5, 2, 100)
+    # s - k >= -1/2 for k = 0, 1: two direct rows, then reflected ones
+    assert rows.size == 128 and rows.k_r == 2
+    assert len(rows.zeta) == 2 and len(rows.bracket) == 126
+    for a in (rows.zeta, rows.log_fact, rows.bracket, rows.expo, rows.prod):
+        assert not a.flags.writeable
+    assert special._zeta_rows(0.5, 2, 50) is rows
+    # the pole row s - k = 1 is kept as NaN, never computed
+    assert math.isnan(special._zeta_rows(3.0, 0, 64).zeta[2])
+
+
+@pytest.mark.parametrize("s, k", [(math.inf, 0), (-math.inf, 3), (math.nan, 0), (2.0, -1)])
+def test_zeta_terms_reject_bad_input(s, k):
+    from kepler_balance.errors import DomainError
+
+    with pytest.raises(DomainError):
+        zeta_deriv_over_factorial(s, k)
+
+
+def test_power_down_matches_np_power_bitwise():
+    # 0.0 past 2^-1100 is what np.power gives there, including across the
+    # underflow threshold 2^-1075 and through the subnormals
+    from kepler_balance.special import _power_down
+
+    rng = np.random.default_rng(0)
+    for j in range(1, 9):
+        x = np.concatenate([rng.uniform(-0.5, 5000.0, 4000), 0.5 + np.arange(3000.0),
+                            rng.uniform(1000.0, 1200.0, 4000) / math.log2(max(j, 2))])
+        assert np.array_equal(_power_down(j, x), np.power(float(j), -x)), j
