@@ -35,7 +35,7 @@ from .errors import (
     EstimationError,
     SignedDensityWarning,
 )
-from .profiles import RadialProfile, phi_v_l_series
+from .profiles import SPEC_KEYS, RadialProfile, phi_v_l_series
 
 NUMERICAL_ERRORS = (
     AccuracyError,
@@ -52,26 +52,26 @@ def fmt(x: float) -> str:
 
 
 def parse_profile(spec: str) -> RadialProfile:
-    """Inline ``kind:key=value,...``, JSON text, or a JSON file path."""
+    """Inline ``kind:key=value,...``, JSON text, or a JSON file path.
+
+    A spec whose kind (the text before ``:``, or all of it) is a known kind
+    is inline, whatever files the working directory holds."""
     spec = spec.strip()
-    if spec.startswith("{") or os.path.exists(spec):
+    kind, _, rest = spec.partition(":")
+    if kind not in SPEC_KEYS and (spec.startswith("{") or os.path.exists(spec)):
         return RadialProfile.from_json(spec)
-    if ":" in spec:
-        kind, _, rest = spec.partition(":")
-        params = {}
-        for piece in rest.split(","):
-            if not piece:
-                continue
-            key, _, val = piece.partition("=")
-            if ";" in val:
-                params[key] = [float(x) for x in val.split(";")]
-            else:
-                try:
-                    params[key] = int(val)
-                except ValueError:
-                    params[key] = float(val)
-    else:
-        kind, params = spec, {}
+    params = {}
+    for piece in rest.split(","):
+        if not piece:
+            continue
+        key, _, val = piece.partition("=")
+        if ";" in val:
+            params[key] = [float(x) for x in val.split(";")]
+        else:
+            try:
+                params[key] = int(val)
+            except ValueError:
+                params[key] = float(val)
     return RadialProfile.from_json({"kind": kind, "params": params})
 
 
@@ -221,8 +221,9 @@ def cmd_verify(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
+def build_parser():
+    """The top-level parser and each subcommand's own parser by name, built
+    once per process (parsing leaves them unchanged)."""
     ap = argparse.ArgumentParser(
         prog="kepler-balance",
         description="Balanced-metric diagnostics on the Kepler-manifold ball",
@@ -269,14 +270,29 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the acceptance criteria")
     pv.add_argument("--only", default=None, help="substring filter")
     pv.set_defaults(fn=cmd_verify)
-    return ap
+    return ap, {"kernel": pk, "poincare": pp, "asymptotics": pa, "lerch": pl,
+                "profile-eval": pe, "verify": pv}
 
 
 def main(argv=None) -> int:
     """Run one request.  Each sign-changing density it uses is noted on
     stderr as ``note: <message>`` (SignedDensityWarning), whatever the
-    requests before it in this process; other warnings are shown as usual."""
-    args = build_parser().parse_args(argv)
+    requests before it in this process; other warnings are shown as usual.
+
+    argv (default ``sys.argv[1:]``) that starts with a subcommand is parsed
+    by that subcommand's parser alone, which is what the top-level parser
+    would hand it; the top-level parser reports what it leaves over, and
+    parses any other argv itself."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     failure = ""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SignedDensityWarning)

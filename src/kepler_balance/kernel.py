@@ -33,11 +33,13 @@ fills its cache, a contiguous prefix k_min..k_min+len-1 held as two lists
 k0 = k_min + 64 j through k0 + 63 and is the product
 (Q * exp(k0 l)) @ W, with Q = exp(outer(0..63, l)) memoised per level and W
 the two weighted-density columns (one product up to level 9, a sum over
-chunks of ``_COLUMNS`` nodes above).  Nodes whose exp(k0 l) is below
-1e-300 are a leading slice of the sorted table and are left out.  Every fill
-computes whole blocks of that shape (the last is cut at ``HARD_TERM_CAP``):
-BLAS can round a row differently in a product of another shape, and whole
-aligned blocks keep each c_k's bits a function of k and the level only.
+chunks of ``_COLUMNS`` nodes above).  exp(0 l) is exactly 1, so the block
+at k0 = 0 is Q @ W, with the same bits and no scaling pass.  Nodes whose
+exp(k0 l) is below 1e-300 are a leading slice of the sorted table and are
+left out.  Every fill computes whole blocks of that shape (the last is cut
+at ``HARD_TERM_CAP``): BLAS can round a row differently in a product of
+another shape, and whole aligned blocks keep each c_k's bits a function of
+k and the level only.
 
 The node level is chosen once per density, as the coarsest from
 ``_MIN_LEVEL`` = 6 whose probes c_k, k = k_min + ``_PROBES``, differ from
@@ -49,7 +51,8 @@ argument reaches the moments, so their bits never depend on evaluation order.
 
 * Direct (``_kernel_direct``): the terms are summed until the tail bound
   drops under the target below.  That takes ~1/(1-t) terms, each with its
-  own moment.
+  own moment; N(k) = C(k+n-1, n-1) + C(k+n-2, n-1) is carried from term to
+  term as two exact ints.
 * Kummer split (``_kernel_kummer``), taken when n = 2, the density carries
   its L-expansion at t = 1 (``Density.l_series``) and L = -log t <
   ``AUTO_BOUNDARY_L`` = 0.1.  Below that cut the terms of the folded
@@ -241,12 +244,12 @@ class Density:
     def _setup(self, level):
         t, w, ell, w_prev = nodes_up_to(level, t_floor=self.t_floor)
         phi = np.asarray(self.fn(t), dtype=float)
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise DomainError(f"{self.label}: non-finite density values on the node set")
-        if not np.any(phi):
+        if not phi.any():
             # every moment would be 0, and F = sum N(k)/c_k t^k undefined
             raise DomainError(f"{self.label}: the density vanishes on the node set")
-        self._negative = bool(np.any(phi < 0.0))
+        self._negative = bool((phi < 0.0).any())
         weights = np.stack([w * phi, w_prev * phi], axis=1)
         # drop the last level's Q before this level's is built; the floor cut
         # is a leading slice of the table, and so of Q's columns
@@ -311,7 +314,9 @@ class Density:
             block = np.zeros((_BLOCK, 2))
             for c0 in range(lo, len(ell), _COLUMNS):
                 cols = slice(c0, c0 + _COLUMNS)
-                block += (q[:, cols] * np.exp(k0 * ell[cols])) @ weights[cols]
+                # exp(0 l) is exactly 1: block 0 is Q @ W (module docstring)
+                scaled = q[:, cols] * np.exp(k0 * ell[cols]) if k0 else q[:, cols]
+                block += scaled @ weights[cols]
             block = block[: HARD_TERM_CAP - k0 + 1]
             self._c.extend(block[:, 0].tolist())
             self._err.extend(np.abs(block[:, 0] - block[:, 1]).tolist())
@@ -449,7 +454,9 @@ def _kernel_direct(dens: Density, n: int, t: float) -> KernelEval:
     sum_k C(k+n, n) t^k = (1-t)^-(n+1) and summation stops once the bound
     drops under ``_CALIBRATION_RTOL`` times the running sum of |term|.  Each
     fill adds one aligned block of moments, so fewer than 64 are filled past
-    the last one read.
+    the last one read.  ConvergenceBudgetError, naming n, where an integer
+    of a term, N(k), (k+1)^n or n! C(k+1+n, n), passes float range (from
+    n = 102 at t = 0.5).
     ``kernel_series`` has checked n >= 2.
     """
     k_start = max(0, dens.k_min - (n - 2))
@@ -472,32 +479,43 @@ def _kernel_direct(dens: Density, n: int, t: float) -> KernelEval:
     tk = t ** k_start
     binom_next = math.comb(k_start + 1 + n, n)
     k = k_start
+    # N(k) = a + b, a = C(k+n-1, n-1) and b = C(k+n-2, n-1), carried as exact
+    # ints: dimension_count without its per-call checks
+    a, b = math.comb(k + n - 1, n - 1), math.comb(k + n - 2, n - 1)
     # term k reads c_{k+n-2}, at index k + offset of the cache; a fill past
     # c_HARD_TERM_CAP raises ConvergenceBudgetError
     dens.moments_block(k_start + n - 2)
     c = dens._c
     offset = n - 2 - dens.k_min
-    while True:
-        if k + offset >= len(c):
-            dens.moments_block(k + n - 2)
-        # N(k) as in dimension_count, without its per-call checks
-        ratio = (math.comb(k + n - 1, n - 1) + math.comb(k + n - 2, n - 1)) / c[k + offset]
-        term = ratio * tk
-        total += term
-        size += abs(term)
-        cmax = max(cmax, abs(ratio) / (k + 1) ** n)
-        # tail: terms <= cmax (k+1)^n t^k <= cmax n! C(k+n, n) t^k, and for
-        # k > K the binomials grow no faster than q^(k-K-1), q = (K+2+n)/(K+2)
-        q = t * (k + 2 + n) / (k + 2)
-        if q < 1.0:
-            tail = cmax * n_fact * binom_next * (tk * t) / (1.0 - q)
-        else:
-            tail = math.inf
-        if (tail <= _CALIBRATION_RTOL * size or tk == 0.0) and k >= k_start + 8:
-            return KernelEval(t=t, value=total, terms_used=k - k_start + 1, tail_bound=tail)
-        k += 1
-        tk *= t
-        binom_next = binom_next * (k + 1 + n) // (k + 1)
+    try:
+        while True:
+            if k + offset >= len(c):
+                dens.moments_block(k + n - 2)
+            ratio = (a + b) / c[k + offset]
+            term = ratio * tk
+            total += term
+            size += abs(term)
+            x = abs(ratio) / (k + 1) ** n
+            if x > cmax:
+                cmax = x
+            # tail: terms <= cmax (k+1)^n t^k <= cmax n! C(k+n, n) t^k, and for
+            # k > K the binomials grow no faster than q^(k-K-1), q = (K+2+n)/(K+2)
+            q = t * (k + 2 + n) / (k + 2)
+            if q < 1.0:
+                tail = cmax * n_fact * binom_next * (tk * t) / (1.0 - q)
+            else:
+                tail = math.inf
+            if (tail <= _CALIBRATION_RTOL * size or tk == 0.0) and k >= k_start + 8:
+                return KernelEval(t=t, value=total, terms_used=k - k_start + 1, tail_bound=tail)
+            k += 1
+            tk *= t
+            binom_next = binom_next * (k + 1 + n) // (k + 1)
+            a, b = a * (k + n - 1) // k, a
+    except OverflowError:
+        # N(k), (k+1)^n or n! C(k+1+n, n) met a float past its range
+        raise ConvergenceBudgetError(
+            f"kernel series at n={n}, t={t}: the integers of term k={k} pass float range"
+        ) from None
 
 
 class _KummerSplit:

@@ -82,7 +82,7 @@ def phi_v(v, t):
     """
     scalar = np.isscalar(t)
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0) or np.any(t > 1):
+    if (t <= 0).any() or (t > 1).any():
         raise DomainError("t must lie in (0, 1]")
     v = float(v)
     if abs(v) <= 1e-6:
@@ -250,7 +250,7 @@ class RadialProfile:
         """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t > 1.0):
+        if (t <= 0.0).any() or (t > 1.0).any():
             raise DomainError("t must lie in (0, 1]")
         f, fp, fpp = self._eval_impl(t)
         s = self.scale

@@ -13,7 +13,7 @@ import pytest
 
 import kepler_balance
 from kepler_balance import kernel as kern
-from kepler_balance.cli import main, parse_grid, parse_profile
+from kepler_balance.cli import build_parser, main, parse_grid, parse_profile
 from kepler_balance.errors import DomainError
 from kepler_balance.profiles import RadialProfile
 
@@ -545,3 +545,84 @@ def test_unknown_profile_key_is_config_error(spec, key, capsys):
     assert code == 1
     assert f"takes no parameter {key!r}" in err
     assert out == ""
+
+
+def test_inline_profile_not_shadowed_by_a_file(capsys, tmp_path, monkeypatch):
+    # a spec whose kind is known is inline, whatever files share its name
+    argvs = [["kernel", "--profile", spec, "--n", n, "--t", "0.5", "--c", "4"]
+             for spec, n in (("sqrt_poincare", "2"), ("explicit_n:n=3", "3"))]
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    monkeypatch.chdir(clean)
+    want = [run_cli(argv, capsys) for argv in argvs]
+    assert all(code == 0 for code, _o, _e in want)
+    for name in ("sqrt_poincare", "explicit_n:n=3"):
+        (tmp_path / name).write_text("not a profile")
+    monkeypatch.chdir(tmp_path)
+    assert [run_cli(argv, capsys) for argv in argvs] == want
+    # a file path and an unknown kind behave as before
+    (tmp_path / "prof.json").write_text('{"kind": "sqrt_poincare", "params": {}}')
+    assert run_cli(["kernel", "--profile", "prof.json", "--t", "0.5", "--c", "4"],
+                   capsys) == want[0]
+    code, _o, err = run_cli(["kernel", "--profile", "nosuch:n=3", "--t", "0.5"], capsys)
+    assert code == 1 and err == "configuration error: unknown profile kind 'nosuch'\n"
+
+
+@pytest.mark.parametrize("n", ["102", "200"])
+def test_kernel_past_float_range_is_numerical_failure(n, capsys):
+    code, out, err = run_cli(["kernel", "--profile", "constant_one", "--n", n, "--t", "0.5",
+                              "--c", "4"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"numerical failure: kernel series at n={n}, t=0.5")
+
+
+def _top_level_alone(argv, capsys):
+    """Exit code, stdout and stderr of the top-level parser parsing argv."""
+    parser, _commands = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["-h"],
+    ["--bogus", "kernel"],
+    ["kernel", "-h"],
+    ["kernel", "--t", "0.5"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--format", "xml"],
+    ["kernel", "--profile", "constant_one", "--t", "0.5", "--bogus"],
+    ["kernel", "--profile", "constant_one", "--bogus", "1", "extra"],
+    ["poincare", "--c", "0", "--bogus"],
+    ["asymptotics", "--v", "1", "--bogus"],
+    ["lerch", "--t", "0.5", "--s", "1", "--bogus"],
+    ["profile-eval", "--profile", "constant_one", "--t", "0.5", "--bogus"],
+    ["verify", "--bogus"],
+], ids=["empty", "unknown-subcommand", "help", "option-first", "kernel-help",
+        "missing-profile", "format-xml", "kernel-unknown", "kernel-unknown-positionals",
+        "poincare-unknown", "asymptotics-unknown", "lerch-unknown", "profile-eval-unknown",
+        "verify-unknown"])
+def test_argv_errors_as_the_top_level_parser_reports_them(argv, capsys):
+    # main hands a subcommand's argv to that subcommand's parser alone; what it
+    # prints and its exit code are those of the top-level parser's two passes
+    want = _top_level_alone(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == want
+    assert want[0] in (0, 2)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the installed kepler-balance script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["kepler-balance", "kernel", "--profile", "constant_one",
+                                      "--t", "0.5", "--c", "4"])
+    code, out, err = run_cli(None, capsys)
+    assert code == 0 and err == ""
+    assert abs(float(out.splitlines()[1].split(",")[1]) - 20.0) <= 1e-12
+    monkeypatch.setattr(sys, "argv", ["kepler-balance", "kernel", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2

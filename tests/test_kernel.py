@@ -751,3 +751,94 @@ def test_removed_tol_argument_rejected(tol):
 def test_nonfinite_c_rejected(c):
     with pytest.raises(DomainError):
         K.balanced_defect(RadialProfile.sqrt_poincare(), 2, c, 0.5)
+
+
+def _comb_direct_reference(dens, n, t):
+    """The direct sum with N(k) from two ``math.comb`` per term and ``max``
+    for the running bound: ``_kernel_direct`` before it carried N(k) as ints."""
+    k_start = max(0, dens.k_min - (n - 2))
+    if t == 0.0:
+        if k_start == 0:
+            c0, _e = dens.moment(n - 2)
+            return K.KernelEval(t=0.0, value=K.dimension_count(0, n) / c0, terms_used=1,
+                                tail_bound=0.0)
+        return K.KernelEval(t=0.0, value=0.0, terms_used=0, tail_bound=0.0)
+    n_fact = math.factorial(n)
+    total = size = cmax = 0.0
+    tk = t ** k_start
+    binom_next = math.comb(k_start + 1 + n, n)
+    k = k_start
+    while True:
+        c, _e = dens.moment(k + n - 2)
+        ratio = (math.comb(k + n - 1, n - 1) + math.comb(k + n - 2, n - 1)) / c
+        term = ratio * tk
+        total += term
+        size += abs(term)
+        cmax = max(cmax, abs(ratio) / (k + 1) ** n)
+        q = t * (k + 2 + n) / (k + 2)
+        if q < 1.0:
+            tail = cmax * n_fact * binom_next * (tk * t) / (1.0 - q)
+        else:
+            tail = math.inf
+        if (tail <= K._CALIBRATION_RTOL * size or tk == 0.0) and k >= k_start + 8:
+            return K.KernelEval(t=t, value=total, terms_used=k - k_start + 1, tail_bound=tail)
+        k += 1
+        tk *= t
+        binom_next = binom_next * (k + 1 + n) // (k + 1)
+
+
+_DIRECT_DENSITIES = {
+    **{f"phi_{v}": (lambda n, v=v: K.phi_v_density(v)) for v in (0.3, 2.5, 7.4)},
+    "W_n[explicit_n]": lambda n: K.associated_density(RadialProfile.explicit_n(n), n),
+    "constant_one": lambda n: K.associated_density(RadialProfile.constant_one(), n),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("name", list(_DIRECT_DENSITIES))
+def test_direct_sum_bitwise_against_comb_reference(name, n):
+    # N(k) carried as exact ints, and the running bound by comparison, give
+    # the value, term count and tail bound of the per-term comb loop bit for bit
+    dens = _DIRECT_DENSITIES[name](n)
+    for t in (0.0, 1e-3, 0.05, 0.5, 0.9, 0.99):
+        got, want = K._kernel_direct(dens, n, t), _comb_direct_reference(dens, n, t)
+        assert (got.value, got.terms_used, got.tail_bound) == (
+            want.value, want.terms_used, want.tail_bound), t
+
+
+def test_direct_sum_bitwise_at_the_largest_n_in_float_range():
+    # n = 101 at t = 0.5 sums 952 terms, the last with (k+1)^n ~ 1e301
+    dens = K.associated_density(RadialProfile.constant_one(), 101)
+    got, want = K._kernel_direct(dens, 101, 0.5), _comb_direct_reference(dens, 101, 0.5)
+    assert (got.value, got.terms_used, got.tail_bound) == (
+        want.value, want.terms_used, want.tail_bound)
+    assert math.isfinite(got.value) and got.terms_used > 900
+
+
+@pytest.mark.parametrize("n", [102, 170, 171, 200])
+def test_direct_sum_integers_past_float_range_are_named(n):
+    # (k+1)^n (from n = 102 at t = 0.5), n! C(k+1+n, n) (from n = 171) or
+    # N(k) past float range is a typed error naming n, not an OverflowError
+    dens = K.associated_density(RadialProfile.constant_one(), n)
+    with pytest.raises(ConvergenceBudgetError, match=f"n={n}, t=0.5"):
+        K.kernel_series(dens, n, 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _fresh_phi_v(0.3), id="phi_0.3"),
+    pytest.param(lambda: K.associated_density(RadialProfile.constant_one(scale=1.7)),
+                 id="constant_one"),
+    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(3), 3),
+                 id="W_3[explicit_n:n=3]"),
+])
+def test_first_block_is_the_unscaled_product(make):
+    # block k0 = 0 is Q @ W: exp(0 l) is exactly 1, so it is the scaled
+    # product (Q * exp(0 l)) @ W bit for bit
+    dens = make()
+    dens.calibrate()
+    assert dens.k_min == 0
+    ell, q, weights = dens._nodes
+    block = np.zeros((K._BLOCK, 2))
+    block += (q * np.exp(0 * ell)) @ weights
+    assert dens._c[: K._BLOCK] == block[:, 0].tolist()
+    assert dens._err[: K._BLOCK] == np.abs(block[:, 0] - block[:, 1]).tolist()
