@@ -14,8 +14,9 @@ Conventions
   Project I, 1.11) writes (d/ds)^n [t Phi(t, s, 1)] as a singular part
   L^(s-1) sum_j b_j (log L)^j plus sum_k zeta^(n)(s-k) (-L)^k / k!.
   ``_boundary_singular_part`` computes the singular part once; the value
-  (``t_phi_boundary_value``) and the series (``_t_phi_boundary_series``)
-  both use it, and both take their zeta terms as whole arrays of k from
+  (``t_phi_boundary_value``) and the series (``t_phi_boundary_series``,
+  which the kernel's Kummer split also folds) both use it, and both take
+  their zeta terms as whole arrays of k from
   ``special.zeta_deriv_over_factorial``.  At positive integer s the
   singular k = s-1 term is replaced by its limit, built from the cached
   read-only Gamma-Laurent table (``gamma_laurent_table``) and the
@@ -233,8 +234,9 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
 
     Accuracy: "auto" stays within a few ulp at integer s from -2 to 9 for
     L up to 0.1 and just past it.  The kernel's Kummer split, whose
-    weights sit at those s, does not call it: it folds them into closed
-    forms in 1/(1-t), L and log L (``kernel._KummerSplit``).  The boundary
+    weights sit at those s, does not call it: it folds them once, from
+    ``t_phi_boundary_series``, into closed forms in 1/(1-t), L and log L
+    (``kernel._KummerSplit``).  The boundary
     path loses digits to
     cancellation at positive integer s and mid-range L: the singular part
     and the zeta sum nearly cancel, and the result is then scaled by e^L
@@ -249,7 +251,9 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
     passes the float range.  Raises DomainError for a non-finite s, and
     ConvergenceBudgetError where the direct sum has not met its stopping
     rule within DIRECT_SUM_CAP terms (t very close to 1) or the boundary sum
-    within BOUNDARY_SUM_CAP (L very close to 2 pi).
+    within BOUNDARY_SUM_CAP (L very close to 2 pi).  The boundary path
+    raises CapabilityError at L >= 2 pi, and at integer s >= 1 where s or
+    n_deriv passes the Gamma-Laurent table (MAX_M, MAX_J).
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -407,7 +411,7 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     )
 
 
-def _t_phi_boundary_series(s: float, n: int, order: int) -> PowerLogSeries:
+def t_phi_boundary_series(s: float, n: int, order: int) -> PowerLogSeries:
     """Series in L of (d/ds)^n [t Phi(t, s, 1)] (the k >= 1 sum), |L| < 2 pi:
     the singular part of ``_boundary_singular_part`` plus the zeta terms
     through L^order, in the log(1/L) grading."""
@@ -429,7 +433,7 @@ def lerch_boundary_expansion(s: float, n_deriv: int, order: int) -> PowerLogSeri
     At positive integer s the coefficients carry (log L)^j terms up to
     j = n_deriv + 1; elsewhere the singular part is L^(s-1) (log L)^j.
     """
-    base = _t_phi_boundary_series(s, n_deriv, order)
+    base = t_phi_boundary_series(s, n_deriv, order)
     eL = PowerLogSeries.variable(order + max(0, math.ceil(1 - s))).exp()
     return (eL * base).truncate(order)
 

@@ -29,6 +29,7 @@ from . import kernel as kern
 from . import poincare as poin
 from .errors import (
     AccuracyError,
+    CapabilityError,
     ConvergenceBudgetError,
     DivergenceError,
     DomainError,
@@ -76,13 +77,16 @@ def parse_profile(spec: str) -> RadialProfile:
 
 
 def parse_grid(spec: str):
-    """start:stop:count, inclusive linear grid."""
+    """start:stop:count, inclusive linear grid; a one-point grid has
+    start = stop."""
     bits = spec.split(":")
     if len(bits) != 3:
         raise DomainError("grid must be start:stop:count")
     start, stop, count = float(bits[0]), float(bits[1]), int(bits[2])
     if count < 1:
         raise DomainError("grid count must be >= 1")
+    if count == 1 and start != stop:
+        raise DomainError(f"a one-point grid needs start = stop, got {spec!r}")
     if not (0.0 <= start <= stop < 1.0):
         raise DomainError("grid must lie within [0, 1)")
     return np.linspace(start, stop, count)
@@ -98,6 +102,8 @@ def _emit(text: str, out: str | None):
 
 def _t_values(args):
     if args.grid:
+        if args.t is not None:
+            raise DomainError("supply --grid or --t, not both")
         return parse_grid(args.grid)
     if args.t is not None:
         if not 0.0 <= args.t < 1.0:
@@ -175,14 +181,13 @@ def cmd_lerch(args) -> int:
     t = args.t
     if not 0.0 < t < 1.0:
         raise DomainError(f"--t must lie in (0, 1), got {t!r}")
-    L = -math.log(t)
     values = {"direct": None, "boundary": None}
-    # near t = 1 the direct sum, and near 2 pi the boundary sum, can run out
-    # of terms; the other path's value stands
-    for method in ("direct", "boundary") if L < 2 * math.pi else ("direct",):
+    # a path whose sum runs out of terms, or whose formula does not hold
+    # here, prints null; the other path's value stands
+    for method in values:
         try:
             values[method] = asym.lerch_phi(t, args.s, args.n_deriv, method=method)
-        except ConvergenceBudgetError as exc:
+        except (CapabilityError, ConvergenceBudgetError) as exc:
             sys.stderr.write(f"{method}: {exc}\n")
     direct, boundary = values["direct"], values["boundary"]
     payload = {

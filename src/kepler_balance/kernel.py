@@ -66,8 +66,10 @@ argument reaches the moments, so their bits never depend on evaluation order.
              + sum_k [N(k)/c_k - P_M(k)] t^k.
   The first part is sum_s w_s Phi(t, s) over s = -2..9, which the split
   folds once into closed forms (``_KummerSplit``): a rational part in
-  1/(1-t), one power series in L and one L^j log L polynomial, with no
-  Lerch call.  The remainder terms fall like
+  1/(1-t), and one power series in L and one L^j log L polynomial summed
+  from the Lerch layer's boundary series at s >= 1
+  (``asymptotics.t_phi_boundary_series``).  A point makes no Lerch call.
+  The remainder terms fall like
   (k+1)^(1-M), so its sum converges at t = 1 itself and needs only tens of
   moments.  The A_m, the folded singular part and the remainder
   coefficients are built on a density's first near-boundary call and
@@ -106,6 +108,7 @@ from .asymptotics import (
     AUTO_BOUNDARY_L,
     TWO_PI,
     a_m_from_l_series,
+    t_phi_boundary_series,
 )
 from .errors import (
     CapabilityError,
@@ -125,7 +128,6 @@ from .profiles import (
 )
 from .quadrature import MAX_LEVEL, T_FLOOR, nodes_up_to
 from .series import PowerLogSeries
-from .special import zeta_at_integer
 
 HARD_TERM_CAP = 10 ** 6
 # moments are filled in aligned blocks of this many (module docstring)
@@ -528,11 +530,10 @@ class _KummerSplit:
         sum_s w_s Phi(t, s) = R(1/u) + [P(L) + log L Q(L)] / t.
     R is the rational part, from Phi(t, 0) = 1/u, Phi(t, -1) = 1/u^2 and
     Phi(t, -2) = (1 + t)/u^3 = 2/u^3 - 1/u^2; u is exact for t >= 1/2.  P
-    and Q fold tPhi(t, s) = Li_s(e^-L) at s >= 1 (DLMF 25.12.12, L < 2 pi):
-        Li_s(e^-L) = (-L)^(s-1)/(s-1)! [H_(s-1) - log L]
-                     + sum_(k != s-1) zeta(s-k) (-L)^k / k!,
-    Q the L^j log L polynomial and P the power series, cut after
-    L^``_KUMMER_L_ORDER``.  zeta comes from ``special.zeta_at_integer``.
+    and Q fold tPhi(t, s) = Li_s(e^-L) at s >= 1: the sum of w_s times the
+    Lerch layer's boundary series (``asymptotics.t_phi_boundary_series``,
+    L < 2 pi), with Q the L^j log L polynomial and P the power series, cut
+    after L^``_KUMMER_L_ORDER``.
     """
 
     def __init__(self, dens: Density):
@@ -557,13 +558,13 @@ class _KummerSplit:
         self.rational = (2.0 * w[0], w[1] - w[0], w[2])
         self.rational_size = tuple(abs(x) for x in w[:3])
         positive = [(s, x) for s, x in self.weights if s >= 1]
-        self.log_poly = [-(-1) ** j * w[j + 3] / math.factorial(j) for j in range(M - 1)]
-        self.series = [
-            (-1) ** k / math.factorial(k) * math.fsum(
-                x * (_harmonic(k) if k == s - 1 else zeta_at_integer(s - k)) for s, x in positive
-            )
-            for k in range(_KUMMER_L_ORDER + 1)
-        ]
+        fold = sum(
+            (t_phi_boundary_series(float(s), 0, _KUMMER_L_ORDER) * x for s, x in positive),
+            PowerLogSeries.zero(_KUMMER_L_ORDER),
+        )
+        self.series = [float(fold.coeff(k)) for k in range(_KUMMER_L_ORDER + 1)]
+        # the series is graded in log(1/L) = -log L
+        self.log_poly = [-float(fold.coeff(j, 1)) for j in range(M - 1)]
         # |zeta(-n)| <= 2 zeta(2) n! / (2 pi)^(n+1), so term k > K of P is at
         # most 2 zeta(2) |w_s| (2 pi)^(s-1) (k-s)!/k! (L/2 pi)^k, and (k-s)!/k!
         # falls with k
@@ -623,11 +624,6 @@ class _KummerSplit:
                 err = abs(ratio) * ek / abs(ck)
             self.rem.append(ratio - poly)
             self.rem_err.append(err + 4.0 * _EPS * (abs(ratio) + abs(poly)))
-
-
-def _harmonic(k: int) -> float:
-    """H_k = 1 + 1/2 + ... + 1/k, rounded once."""
-    return float(sum(Fraction(1, i) for i in range(1, k + 1)))
 
 
 def _kummer_split(dens: Density):

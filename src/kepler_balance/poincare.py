@@ -153,11 +153,11 @@ class PoincareSolution:
     u = log(x - r) (see ``_Flow``), from t_min, or from the cusp t0, up to
     t = 1 - 1e-3; f'' is reconstructed from W[f] = 1.  ``eval`` reads the
     same closed form at any t.  ``t_min`` is the requested lower end, which
-    with c fixes the solution.  ``psi_residual_max`` is the largest
-    conservation defect |Psi - c| over the grid rows, the cusp row
-    included, normalized by the local term scale max(1, |c|, t/f^3) (near
-    t = 1 the raw difference is dominated by float cancellation in
-    quantities of size 1/(1-t)^3 and would measure nothing).
+    with c fixes the solution.  ``psi_residuals()`` is the conservation
+    defect |Psi - c| at each grid row, the cusp row included, normalized by
+    the local term scale max(1, |c|, t/f^3) (near t = 1 the raw difference
+    is dominated by float cancellation in quantities of size 1/(1-t)^3 and
+    would measure nothing); ``psi_residual_max`` is its largest entry.
     """
 
     c: float
@@ -168,7 +168,7 @@ class PoincareSolution:
     fpp_grid: np.ndarray
     t_min_reached: float
     t0: Optional[float]
-    psi_residual_max: float
+    _psi_rows: np.ndarray = field(repr=False)
     _flow: _Flow = field(repr=False)
 
     @property
@@ -192,9 +192,13 @@ class PoincareSolution:
             return float(f[0]), float(fp[0]), float(fpp[0])
         return f, fp, fpp
 
+    @property
+    def psi_residual_max(self) -> float:
+        return float(np.max(self._psi_rows))
+
     def psi_residuals(self):
-        """Normalized conservation residuals on the stored grid."""
-        return _psi_residuals(self.t_grid, self.f_grid, self.fp_grid, self.c)
+        """Normalized conservation residuals on the stored grid, per row."""
+        return self._psi_rows
 
 
 def _psi_residuals(t, f, fp, c):
@@ -413,8 +417,8 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
     # an overflow here leaves a residual that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         fs, fps, fpps = flow.profile(ts, us)
-        psi_res = float(np.max(_psi_residuals(ts, fs, fps, c)))
-    if not math.isfinite(psi_res):
+        psi_res = _psi_residuals(ts, fs, fps, c)
+    if not np.all(np.isfinite(psi_res)):
         raise _overflow_error(c, t_min)
 
     return PoincareSolution(
@@ -426,7 +430,7 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
         fpp_grid=fpps,
         t_min_reached=t_first,
         t0=t0,
-        psi_residual_max=psi_res,
+        _psi_rows=psi_res,
         _flow=flow,
     )
 

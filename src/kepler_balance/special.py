@@ -27,8 +27,9 @@ for its reflected rows, with the operations the rows would take alone, so a
 value depends neither on its batch nor on the calls made before.  Tables
 are kept least-recently-used: the ones not in use hold at most 8 MB.
 
-``zeta_at_integer`` gives zeta(j) at single integers, cached: the
-Bernoulli table for j <= 0, and the same Euler-Maclaurin rule for j >= 2.
+zeta at the integers has no routine of its own: the kernel's Kummer split
+reads zeta(s - k), s = 1..9, from the (s, 0) tables through the Lerch
+layer's boundary series.
 
 Gamma derivatives come from the Leibniz/polygamma recursion on
 Gamma' = Gamma psi_0.  The polygamma functions psi_n are computed
@@ -499,20 +500,6 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
         out[~direct] = term
     out *= math.factorial(n)
     return float(out[0]) if np.ndim(k) == 0 else out
-
-
-@functools.cache
-def zeta_at_integer(j: int) -> float:
-    """zeta(j) at an integer j != 1, from -29 up: -1/2 at 0, -B_(1-j)/(1-j)
-    below 0 (the Bernoulli table), and Euler-Maclaurin (``_zeta_em``) from
-    2, computed on first use."""
-    if j == 1 or j < 1 - 2 * len(_BERNOULLI_EVEN):
-        raise DomainError(f"zeta({j}) is a pole or below the Bernoulli table")
-    if j == 0:
-        return -0.5
-    if j < 0:
-        return 0.0 if j % 2 == 0 else float(-bernoulli_even((1 - j) // 2) / (1 - j))
-    return float(_zeta_em(np.array([float(j)]), 0)[0, 0])
 
 
 _STIELTJES_N = 400  # stieltjes_euler_maclaurin sums 1/j^(1+z) for j < N,

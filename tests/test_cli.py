@@ -153,6 +153,26 @@ def test_kernel_requires_t_or_grid(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["kernel", "profile-eval"])
+@pytest.mark.parametrize("flags, names", [
+    (["--grid", "0.1:0.5:3", "--t", "0.2"], "not both"),
+    (["--grid", "0.1:0.5:1"], "start = stop"),
+], ids=["grid-and-t", "one-point-grid-two-ends"])
+def test_grid_flags_are_never_dropped(command, flags, names, capsys):
+    # --t beside --grid, and a one-point grid's second end, would be ignored
+    code, out, err = run_cli([command, "--profile", "constant_one", *flags], capsys)
+    assert code == 1
+    assert "configuration error" in err and names in err
+    assert out == ""
+
+
+def test_one_point_grid_is_t(capsys):
+    argv = ["kernel", "--profile", "constant_one", "--c", "4"]
+    code, out, _err = run_cli(argv + ["--grid", "0.5:0.5:1"], capsys)
+    assert code == 0
+    assert (code, out) == run_cli(argv + ["--t", "0.5"], capsys)[:2]
+
+
 def test_corrupted_profile_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -228,6 +248,23 @@ def test_lerch_json(capsys):
     payload = json.loads(out)
     assert payload["direct"] == pytest.approx(2 * np.log(2))
     assert payload["diff"] <= 1e-10
+
+
+@pytest.mark.parametrize("t", ["0.5", "0.001"])
+@pytest.mark.parametrize("s, n", [("2", "11"), ("1e300", "0")], ids=["n-past-table", "s-huge"])
+def test_lerch_boundary_capability_keeps_direct(t, s, n, capsys):
+    # the boundary path has no value (an integer s or n_deriv past the
+    # Gamma-Laurent table, or L >= 2 pi at t = 0.001): the request keeps its
+    # direct value at every t and names the reason on stderr
+    from kepler_balance.asymptotics import lerch_phi
+
+    code, out, err = run_cli(["lerch", "--t", t, "--s", s, "--n-deriv", n], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["boundary"] is None and payload["diff"] is None
+    assert payload["direct"] == lerch_phi(float(t), float(s), int(n), method="direct")
+    reason = "Gamma-Laurent table" if t == "0.5" else "L < 2*pi"
+    assert err.startswith("boundary: ") and reason in err and err.count("\n") == 1
 
 
 def test_profile_eval(capsys):
