@@ -23,16 +23,6 @@ from .special import stieltjes_euler_maclaurin
 # published reference (standard convention)
 GAMMA1_REFERENCE = -0.0728158454836767248605863758749
 
-_cache: dict = {}
-
-
-def _solution(c, t_min=1e-3):
-    key = ("sol", c, t_min)
-    if key not in _cache:
-        _cache[key] = poin.solve_poincare(c, t_min=t_min)
-    return _cache[key]
-
-
 @dataclass
 class CriterionResult:
     name: str
@@ -162,17 +152,17 @@ def crit_boundary_F_phi1():
 
 def crit_poincare_ode():
     """c=0 matches 2-2sqrt(t); conservation residuals; boundary bootstrap."""
-    sol0 = _solution(0.0, t_min=1e-3)
+    sol0 = poin.solve_poincare(0.0, t_min=1e-3)
     ts = np.exp(np.linspace(math.log(1e-3), math.log(1 - 1e-6), 4000))
     sup = float(np.max(np.abs(sol0.eval(ts)[0] - (2.0 - 2.0 * np.sqrt(ts)))))
     worst_psi = 0.0
     for c in (0.0, 0.5, 1.0, -0.1):
-        s = _solution(c, t_min=1e-3 if c >= 0 else 1e-4)
+        s = poin.solve_poincare(c, t_min=1e-3 if c >= 0 else 1e-4)
         worst_psi = max(worst_psi, s.psi_residual_max)
     taylor_ok = all(
         poin.taylor_at_one(c)[4] == Fraction(15 + 16 * c, 8) for c in (0, 1, -2)
     )
-    boot = _solution(0.7, t_min=0.5)
+    boot = poin.solve_poincare(0.7, t_min=0.5)
     boot_ok = True
     boots = []
     for h in (1e-2, 1e-3):
@@ -188,7 +178,7 @@ def crit_poincare_ode():
 
 def crit_cusp():
     """c = -0.1 cusp: event residual and the Q'''(0) closed form within 1%."""
-    sol = _solution(-0.1, t_min=1e-4)
+    sol = poin.solve_poincare(-0.1, t_min=1e-4)
     if sol.t0 is None:
         return False, "no termination detected"
     cd = poin.cusp_data(sol)
@@ -204,8 +194,8 @@ def crit_cusp():
 
 def crit_origin_exponents():
     """Fitted origin exponents match rho(c); rho residuals on a log grid."""
-    e1 = poin.origin_exponent(_solution(1.0, t_min=1e-4))
-    e15 = poin.origin_exponent(_solution(1.5, t_min=1e-4))
+    e1 = poin.origin_exponent(poin.solve_poincare(1.0, t_min=1e-4))
+    e15 = poin.origin_exponent(poin.solve_poincare(1.5, t_min=1e-4))
     d1 = abs(e1 - poin.rho(1.0))
     d15 = abs(e15 - 1.0)
     rres = float(np.max(poin.rho_residual(np.logspace(-8, 1, 50))))
@@ -216,7 +206,7 @@ def crit_origin_exponents():
 def crit_completeness():
     """Radial length finite; integrand exponents -1/2 (c=0), 3 rho(1) (c=1)."""
     rl0 = poin.radial_length(RadialProfile.sqrt_poincare(), 0.9, 0.01)
-    sol1 = _solution(1.0, t_min=1e-4)
+    sol1 = poin.solve_poincare(1.0, t_min=1e-4)
     prof1 = RadialProfile.poincare_numeric(sol1)
     rl1 = poin.radial_length(prof1, 0.9, 0.05)
     ok = (

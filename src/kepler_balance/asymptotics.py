@@ -46,17 +46,11 @@ from .errors import (
     TruncationError,
 )
 from .series import PowerLogSeries
-from .special import STIELTJES, gamma_derivs, zeta_deriv_over_factorial
+from .special import MAX_DERIV, STIELTJES, gamma_derivs, zeta_deriv_over_factorial
 
 TWO_PI = 2.0 * math.pi
 DIRECT_SUM_CAP = 10 ** 6
 BOUNDARY_SUM_CAP = 10_000
-# method="auto" takes the boundary expansion below this L.  The kernel's
-# Kummer split switches at the same L, where the terms of its folded
-# L-series fall like (L/2 pi)^k <= 0.016^k.  A wider cut would put the
-# split's per-density set-up (the exact A_m chain, 1-6 ms) on single points
-# of fresh densities at t = 0.9 (L = 0.105)
-AUTO_BOUNDARY_L = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +142,9 @@ def moment_expansion(phi_L: PowerLogSeries, order: int) -> PowerLogSeries:
     for (a, j), b in phi_L.terms.items():
         if a + 1 > out_order:
             continue
-        if j == 0:
-            if isinstance(a, int) and isinstance(b, Rational):
-                coef = b * math.factorial(a)
-            else:
-                coef = b * float(gamma_derivs(float(a) + 1.0, 0)[0])
+        if j == 0 and isinstance(a, int) and isinstance(b, Rational):
             key = (a + 1, 0)
-            out[key] = out.get(key, 0) + coef
+            out[key] = out.get(key, 0) + b * math.factorial(a)
             continue
         gd = gamma_derivs(float(a) + 1.0, j)
         for l in range(j + 1):
@@ -225,35 +215,30 @@ def a_m_from_l_series(phi_L: PowerLogSeries, m_max: int):
 # Lerch transcendent
 # ---------------------------------------------------------------------------
 
-def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> float:
+def lerch_phi(t: float, s: float, n_deriv: int = 0, *, method: str) -> float:
     """(d/ds)^n Phi(t, s, 1) = sum_{k>=0} t^k (log 1/(k+1))^n / (k+1)^s.
 
     method: "direct" term-wise summation, "boundary" the |L| < 2 pi
-    singular expansion, "auto" boundary for L < AUTO_BOUNDARY_L = 0.1
-    (where the direct sum converges slowly) and direct otherwise.
+    singular expansion in L = log 1/t.
 
-    Accuracy: "auto" stays within a few ulp at integer s from -2 to 9 for
-    L up to 0.1 and just past it.  The kernel's Kummer split, whose
-    weights sit at those s, does not call it: it folds them once, from
-    ``t_phi_boundary_series``, into closed forms in 1/(1-t), L and log L
-    (``kernel._KummerSplit``).  The boundary
-    path loses digits to
-    cancellation at positive integer s and mid-range L: the singular part
-    and the zeta sum nearly cancel, and the result is then scaled by e^L
-    (about 7.5e-9 relative at s = 2, n = 2, L = 4.82).  The CLI's
-    ``lerch`` subcommand reports that path's value as ``boundary`` at every
-    L < 2 pi.
+    Accuracy: the boundary path stays within a few ulp at integer s from -2
+    to 9 for L below 0.1.  It loses digits to cancellation at positive
+    integer s and mid-range L: the singular part and the zeta sum nearly
+    cancel, and the result is then scaled by e^L (about 7.5e-9 relative at
+    s = 2, n = 2, L = 4.82).  The CLI's ``lerch`` subcommand reports that
+    path's value as ``boundary`` at every L < 2 pi.
 
     Raises DomainError where the path's value is not finite: a term or the
     sum overflowed float64 (large negative s, say).  Where (k+1)^-s alone
     would overflow, the direct sum forms the term as
     exp(k log t - s log(k+1)), so it fails only where a term or Phi itself
-    passes the float range.  Raises DomainError for a non-finite s, and
-    ConvergenceBudgetError where the direct sum has not met its stopping
-    rule within DIRECT_SUM_CAP terms (t very close to 1) or the boundary sum
-    within BOUNDARY_SUM_CAP (L very close to 2 pi).  The boundary path
-    raises CapabilityError at L >= 2 pi, and at integer s >= 1 where s or
-    n_deriv passes the Gamma-Laurent table (MAX_M, MAX_J).
+    passes the float range.  Raises DomainError for a non-finite s or an
+    unknown method, and ConvergenceBudgetError where the direct sum has not
+    met its stopping rule within DIRECT_SUM_CAP terms (t very close to 1) or
+    the boundary sum within BOUNDARY_SUM_CAP (L very close to 2 pi).  The
+    boundary path raises CapabilityError at L >= 2 pi, at integer s >= 1
+    where s or n_deriv passes the Gamma-Laurent table (MAX_M, MAX_J), and
+    where n_deriv! passes float range (n_deriv > MAX_DERIV = 170).
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -261,19 +246,13 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, method: str = "auto") -> flo
         raise DomainError("s must be finite")
     if n_deriv < 0:
         raise DomainError("n_deriv must be >= 0")
-    L = -math.log(t)
-    if method == "auto":
-        method = "boundary" if L < AUTO_BOUNDARY_L else "direct"
     if method == "direct":
         # an overflowing term makes the sum non-finite, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             value = _lerch_direct(t, s, n_deriv)
     elif method == "boundary":
-        if L >= TWO_PI:
-            raise CapabilityError(
-                f"boundary expansion valid for L < 2*pi; got L={L:.3f} (use direct)"
-            )
         # Phi normalization: e^L times the k >= 1 series value
+        L = -math.log(t)
         value = math.exp(L) * t_phi_boundary_value(s, n_deriv, L)
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -325,7 +304,9 @@ def _boundary_singular_part(s: float, n: int):
     limit (the primed-sum convention at n = 0) and skip = m-1.  Elsewhere
     coeffs[j] = C(n,j) (-1)^(n-j) Gamma^(n-j)(1-s) and skip is None.
     Integer powers stay exact, and so does Gamma(1-s) at integer s <= 0
-    with n = 0 (a Fraction).
+    with n = 0 (a Fraction).  CapabilityError past the table at integer
+    s >= 1, and elsewhere for n > MAX_DERIV, where the n! of the Gamma and
+    zeta derivatives passes float range.
     """
     s_int = int(round(s))
     if abs(s - s_int) < 1e-12 and s_int >= 1:
@@ -338,6 +319,10 @@ def _boundary_singular_part(s: float, n: int):
         coeffs[0] += sigma * (-1.0) ** n * STIELTJES[n]
         coeffs.append(-sigma / (n + 1))
         return m - 1, coeffs, m - 1
+    if n > MAX_DERIV:
+        raise CapabilityError(
+            f"n_deriv={n}: the boundary expansion needs n! in float range (n_deriv <= {MAX_DERIV})"
+        )
     one_minus_s = 1.0 - s
     if n == 0 and abs(one_minus_s - round(one_minus_s)) < 1e-12 and round(one_minus_s) >= 1:
         gd = [Fraction(math.factorial(int(round(one_minus_s)) - 1))]
@@ -371,7 +356,9 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     if not math.isfinite(s):
         raise DomainError("s must be finite")
     if not (0.0 < L < TWO_PI):
-        raise CapabilityError("boundary formula needs 0 < L < 2*pi")
+        raise CapabilityError(
+            f"boundary expansion valid for 0 < L < 2*pi; got L={L:.3f} (use direct)"
+        )
     logL = math.log(L)
     power, coeffs, skip = _boundary_singular_part(s, n)
     try:

@@ -210,9 +210,14 @@ def cmd_profile_eval(args) -> int:
 
     for t in ts:
         t = float(t)
-        f, fp, fpp = prof.eval(t)
-        w = monge_ampere_density(prof, args.n, t)
-        lines.append(f"{fmt(t)},{fmt(f)},{fmt(fp)},{fmt(fpp)},{fmt(w)}")
+        # a value past float range is reported below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f, fp, fpp = prof.eval(t)
+            w = monge_ampere_density(prof, args.n, t)
+        row = ",".join(fmt(x) for x in (t, f, fp, fpp, w))
+        if not all(math.isfinite(x) for x in (f, fp, fpp, w)):
+            raise DomainError(f"profile {prof.kind!r} at t = {fmt(t)}: row {row} is not finite")
+        lines.append(row)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -55,7 +55,7 @@ argument reaches the moments, so their bits never depend on evaluation order.
   term as two exact ints.
 * Kummer split (``_kernel_kummer``), taken when n = 2, the density carries
   its L-expansion at t = 1 (``Density.l_series``) and L = -log t <
-  ``AUTO_BOUNDARY_L`` = 0.1.  Below that cut the terms of the folded
+  ``KUMMER_L`` = 0.1.  Below that cut the terms of the folded
   L-series fall like (L/2 pi)^k <= 0.016^k; a wider one would put the
   split's set-up on single points of fresh densities at t = 0.9
   (L = 0.105), where the direct sum is cheaper.  The
@@ -104,12 +104,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import (
-    AUTO_BOUNDARY_L,
-    TWO_PI,
-    a_m_from_l_series,
-    t_phi_boundary_series,
-)
+from .asymptotics import TWO_PI, a_m_from_l_series, t_phi_boundary_series
 from .errors import (
     CapabilityError,
     ConvergenceBudgetError,
@@ -142,12 +137,13 @@ _COLUMNS = 8192
 _MIN_LEVEL = 6
 _CALIBRATION_RTOL = 1e-14
 _PROBES = (0, 7, 63)
-# Kummer split near t = 1 (module docstring)
+# Kummer split near t = 1, taken for -log t < KUMMER_L (module docstring)
+KUMMER_L = 0.1
 KUMMER_M = 10
 _KUMMER_MIN_TERMS = 16
 _KUMMER_SAFETY = 10.0
 # the singular part's power series in L runs through this power; its terms
-# fall like (L/2 pi)^k, below 0.016^k for L < AUTO_BOUNDARY_L
+# fall like (L/2 pi)^k, below 0.016^k for L < KUMMER_L
 _KUMMER_L_ORDER = 16
 _EPS = np.finfo(float).eps
 
@@ -434,7 +430,7 @@ def kernel_series(dens: Density, n: int, t: float) -> KernelEval:
     """F(t) = sum_k N(k)/c_{k+n-2} t^k with a truncation bound.
 
     Takes the Kummer split when n = 2, the density has an L-series and
-    -log t < AUTO_BOUNDARY_L; the direct sum otherwise (module docstring).
+    -log t < KUMMER_L; the direct sum otherwise (module docstring).
     Either path truncates at ``_CALIBRATION_RTOL`` times the sum of its
     terms' magnitudes, the relative accuracy the moments carry.
     """
@@ -442,7 +438,7 @@ def kernel_series(dens: Density, n: int, t: float) -> KernelEval:
     if not (0.0 <= t < 1.0):
         raise DomainError("t must lie in [0, 1)")
     _require_density(dens)
-    if n == 2 and t > 0.0 and -math.log(t) < AUTO_BOUNDARY_L and _kummer_split(dens) is not None:
+    if n == 2 and t > 0.0 and -math.log(t) < KUMMER_L and _kummer_split(dens) is not None:
         return _kernel_kummer(dens, t)
     return _kernel_direct(dens, n, t)
 
@@ -458,13 +454,16 @@ def _kernel_direct(dens: Density, n: int, t: float) -> KernelEval:
     fill adds one aligned block of moments, so fewer than 64 are filled past
     the last one read.  ConvergenceBudgetError, naming n, where an integer
     of a term, N(k), (k+1)^n or n! C(k+1+n, n), passes float range (from
-    n = 102 at t = 0.5).
+    n = 102 at t = 0.5).  DomainError, naming the density, where a moment
+    it reads is 0 (its values underflow float64).
     ``kernel_series`` has checked n >= 2.
     """
     k_start = max(0, dens.k_min - (n - 2))
     if t == 0.0:
         if k_start == 0:
             c0, _e = dens.moment(n - 2)
+            if c0 == 0.0:
+                raise _zero_moment(dens, n - 2)
             return KernelEval(t=0.0, value=dimension_count(0, n) / c0, terms_used=1, tail_bound=0.0)
         return KernelEval(t=0.0, value=0.0, terms_used=0, tail_bound=0.0)
 
@@ -518,6 +517,12 @@ def _kernel_direct(dens: Density, n: int, t: float) -> KernelEval:
         raise ConvergenceBudgetError(
             f"kernel series at n={n}, t={t}: the integers of term k={k} pass float range"
         ) from None
+    except ZeroDivisionError:
+        raise _zero_moment(dens, k + n - 2) from None
+
+
+def _zero_moment(dens: Density, k: int) -> DomainError:
+    return DomainError(f"{dens.label}: moment c_{k} is 0 (its values underflow float64)")
 
 
 class _KummerSplit:
@@ -546,7 +551,11 @@ class _KummerSplit:
                 f"{dens.label}: the L-series must be log-free in integer powers "
                 "with a nonzero constant term"
             )
-        A = [float(a) for a in a_m_from_l_series(phi_L, M + 2)]
+        try:
+            A = [float(a) for a in a_m_from_l_series(phi_L, M + 2)]
+        except OverflowError:
+            raise DomainError(f"{dens.label}: an A_m passes float range (its values "
+                              "are too small for float64)") from None
         self.A = A[: M + 1]
         # N(k)(k+1) sum_m A_m (k+1)^-m = sum_m A_m [2 (k+1)^(2-m) - (k+1)^(1-m)]
         w = [0.0] * (M + 2)  # w[s + 2]
@@ -620,6 +629,8 @@ class _KummerSplit:
             ratio, err = 0.0, 0.0  # a divergent moment's reciprocal vanishes
             if k >= dens.k_min:
                 ck, ek = dens.moment(k)
+                if ck == 0.0:
+                    raise _zero_moment(dens, k)
                 ratio = (2 * k + 1) / ck
                 err = abs(ratio) * ek / abs(ck)
             self.rem.append(ratio - poly)

@@ -321,14 +321,6 @@ class RadialProfile:
         fpp = (fL + fLL) / (t * t)
         return np.asarray(f), np.asarray(fp), np.asarray(fpp)
 
-    def taylor_truncation_bound(self, t):
-        """Last-term magnitude of the stored L-series at t (taylor_at_one only)."""
-        if self.kind != "taylor_at_one":
-            raise CapabilityError("only taylor_at_one carries a truncation bound")
-        coeffs = self.params["coeffs"]
-        L = -math.log(float(t))
-        return abs(float(coeffs[-1])) * L ** len(coeffs)
-
     # -- boundary series ----------------------------------------------------
 
     def l_series(self, order):

@@ -373,10 +373,3 @@ class PowerLogSeries:
                 power = cf * x ** float(a)
             total += power * log_inv_x ** j
         return total
-
-    def evaluate_exact(self, x):
-        """Exact evaluation at rational x; requires a log-free rational series."""
-        if not self.is_log_free() or not self.is_rational():
-            raise NormalizationError("exact evaluation needs a log-free rational series")
-        x = Fraction(x)
-        return sum(c * x ** a for (a, _j), c in self.terms.items())

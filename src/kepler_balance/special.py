@@ -222,6 +222,7 @@ def _polygamma(n: int, x):
 # ---------------------------------------------------------------------------
 
 _GAMMA_MAX_X = 171.62  # Gamma(x) > the largest float64 beyond this
+MAX_DERIV = 170  # n! passes float range beyond: the highest order taken here
 
 
 def gamma_derivs(x: float, jmax: int):
@@ -229,8 +230,11 @@ def gamma_derivs(x: float, jmax: int):
 
     x > 0: h_{j+1} = sum_i C(j,i) h_{j-i} psi_i(x) with psi_i = polygamma.
     x < 0 non-integer: Gamma(x) = Gamma(x+1)/x differentiated downward.
-    Raises DomainError at the poles and where Gamma(x) overflows float64.
+    Raises DomainError at the poles, where Gamma(x) overflows float64 and
+    for jmax > MAX_DERIV.
     """
+    if jmax > MAX_DERIV:
+        raise DomainError(f"Gamma derivatives of order {jmax}: {jmax}! passes float range")
     x = float(x)
     if x <= 0 and x == int(x):
         raise DomainError("Gamma derivatives at a nonpositive integer pole")
@@ -470,10 +474,13 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     The log of 2^z pi^(z-1) Gamma(1-z) L^k / k! at z = s - k is
     s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)];
     its exponential's jet times the tabled sin-zeta jet gives the term.
+    DomainError for n > MAX_DERIV.
     """
     s = float(s)
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")
+    if n > MAX_DERIV:
+        raise DomainError(f"zeta derivative of order {n}: {n}! passes float range")
     ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
     if ks.size and ks.min() < 0:
         raise DomainError("k must be >= 0")

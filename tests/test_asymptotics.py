@@ -229,14 +229,6 @@ def test_lerch_two_path_subset():
                 assert d == pytest.approx(b, abs=1e-8)
 
 
-def test_lerch_auto_method():
-    # auto picks the boundary path for small L and direct otherwise
-    for L in (0.05, 2.0):
-        t = math.exp(-L)
-        assert A.lerch_phi(t, 2, 1, method="auto") == pytest.approx(
-            A.lerch_phi(t, 2, 1, method="direct"), abs=1e-9)
-
-
 def test_lerch_two_path_full_invariant_grid():
     # module invariant: s in {-2,-1,0,0.5,1,2,3} x n in {0,1,2} x L in
     # {0.1, 1, 3, 6}, absolute agreement <= 1e-8
@@ -281,15 +273,16 @@ def test_lerch_boundary_near_two_pi_vs_oracle(L):
 
 
 @pytest.mark.parametrize("L", [1e-8, 1e-4, 0.05, 0.0999, 0.1001])
-def test_lerch_auto_integer_s_near_boundary_vs_mpmath(L):
-    # the kernel's Kummer split reads method="auto" at integer s below
-    # L = 0.1; 0.1001 checks the direct side of the cut
+def test_lerch_integer_s_near_boundary_vs_mpmath(L):
+    # the boundary path below L = 0.1, the direct sum just past it
     mpmath = pytest.importorskip("mpmath")
     t = math.exp(-L)
+    method = "boundary" if L < 0.1 else "direct"
     for s in range(-2, 9):
         with mpmath.workdps(30):
             ref = float(mpmath.lerchphi(mpmath.mpf(t), s, 1))
-        assert A.lerch_phi(t, float(s)) == pytest.approx(ref, rel=1e-12, abs=0), (s, L)
+        assert A.lerch_phi(t, float(s), method=method) == pytest.approx(
+            ref, rel=1e-12, abs=0), (s, L)
 
 
 def test_lerch_boundary_budget():
@@ -303,9 +296,11 @@ def test_lerch_domain_and_capability():
     from kepler_balance.errors import DomainError
 
     with pytest.raises(DomainError):
-        A.lerch_phi(1.0, 2, 0)
+        A.lerch_phi(1.0, 2, 0, method="direct")
     with pytest.raises(CapabilityError):
         A.lerch_phi(math.exp(-7.0), 2, 0, method="boundary")  # L > 2 pi
+    with pytest.raises(DomainError, match="unknown method 'auto'"):
+        A.lerch_phi(0.5, 2, 0, method="auto")
 
 
 def test_lerch_nonfinite_value_is_domain_error():
@@ -314,7 +309,7 @@ def test_lerch_nonfinite_value_is_domain_error():
     # both paths overflow float64 at s = -170, t = 0.5; at t = 0.99 the
     # boundary path's exact Gamma(1-s) = 175! does not fit a float either
     for t, s, method in [(0.5, -170.0, "direct"), (0.5, -170.0, "boundary"),
-                         (0.99, -175.0, "boundary"), (0.99, -175.0, "auto")]:
+                         (0.99, -175.0, "boundary")]:
         with pytest.raises(DomainError, match="overflow"):
             A.lerch_phi(t, s, 0, method=method)
     with pytest.raises(DomainError, match="overflows"):

@@ -267,6 +267,23 @@ def test_lerch_boundary_capability_keeps_direct(t, s, n, capsys):
     assert err.startswith("boundary: ") and reason in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t, s, n, value", [("0.5", "0.5", "171", -2.26e87),
+                                            ("0.9", "-1.5", "200", 3.35e143)])
+def test_lerch_derivative_order_past_float_factorial_keeps_direct(t, s, n, value, capsys):
+    # n_deriv! passes float range: the boundary path has no value, and the
+    # direct one stands (this ended in a bare OverflowError, exit 1)
+    from kepler_balance.asymptotics import lerch_phi
+
+    code, out, err = run_cli(["lerch", "--t", t, "--s", s, "--n-deriv", n], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["boundary"] is None and payload["diff"] is None
+    assert payload["direct"] == lerch_phi(float(t), float(s), int(n), method="direct")
+    assert payload["direct"] == pytest.approx(value, rel=1e-2)
+    assert err == f"boundary: n_deriv={n}: the boundary expansion needs n! in float range " \
+                  "(n_deriv <= 170)\n"
+
+
 def test_profile_eval(capsys):
     code, out, _ = run_cli(
         ["profile-eval", "--profile", "sqrt_poincare", "--t", "0.25"], capsys
@@ -274,6 +291,26 @@ def test_profile_eval(capsys):
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     assert [float(x) for x in row] == [0.25, 1.0, -2.0, 4.0, 1.0]
+
+
+def test_profile_eval_non_finite_row_is_config_error(capsys):
+    # f overflows at v = 1e300: the row printed inf and NaN with exit 0
+    code, out, err = run_cli(
+        ["profile-eval", "--profile", "phi_v_candidate:v=1e300", "--t", "0.5"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("configuration error: profile 'phi_v_candidate' at t = 0.5: ")
+    assert "not finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t", ["0.5", "0.95"], ids=["direct", "kummer"])
+def test_kernel_density_underflow_is_config_error(t, capsys):
+    # the moments (direct path) or the A_m (Kummer split) of a density at
+    # 1e-320 leave float range: this ended in ZeroDivisionError or
+    # OverflowError tracebacks
+    code, out, err = run_cli(["kernel", "--profile", "constant_one:scale=1e-320",
+                              "--t", t, "--c", "4"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("configuration error: f[constant_one]: ") and err.count("\n") == 1
 
 
 def test_verify_only_filter(capsys):

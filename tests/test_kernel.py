@@ -199,6 +199,16 @@ def test_kernel_series_vanishes_at_zero_when_moments_diverge():
     assert K.closed_form_F_phi_v(9, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.95], ids=["t-zero", "direct", "kummer"])
+def test_zero_moment_is_domain_error_naming_the_density(t):
+    # the density's values underflow in every moment while its L-series (and
+    # so the Kummer split's A_m) is fine: each path names the density
+    dens = K.Density(lambda t: np.full(np.shape(t), 1e-320), 0.0, label="tiny",
+                     l_series=lambda order: PowerLogSeries.const(F(1), order))
+    with pytest.raises(DomainError, match="tiny: moment c_0 is 0"):
+        K.kernel_series(dens, 2, t)
+
+
 def test_closed_form_values():
     assert K.closed_form_F_phi_v(1, 0.5) == pytest.approx(20.0)
     assert K.closed_form_F_phi_v(1, 0.0) == pytest.approx(1.0)

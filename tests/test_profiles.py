@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kepler_balance.errors import CapabilityError, DomainError, NormalizationError, TruncationError
+from kepler_balance.errors import DomainError, NormalizationError, TruncationError
 from kepler_balance.poincare import solve_poincare
 from kepler_balance.profiles import (
     RadialProfile,
@@ -233,15 +233,6 @@ def test_taylor_profile_validity_window():
     p.eval(0.75)  # L ~ 0.29 ok
     with pytest.raises(DomainError):
         p.eval(0.3)  # L ~ 1.2 beyond the trusted window
-
-
-def test_taylor_truncation_bound():
-    p = RadialProfile.taylor_at_one([1.0, -0.25])
-    t = 0.8
-    L = -np.log(t)
-    assert p.taylor_truncation_bound(t) == pytest.approx(0.25 * L ** 2)
-    with pytest.raises(CapabilityError):
-        RadialProfile.sqrt_poincare().taylor_truncation_bound(0.8)
 
 
 def test_taylor_profile_normalization():

@@ -89,11 +89,6 @@ def test_evaluate_log_space_path():
     assert val == pytest.approx(expected, rel=1e-12)
 
 
-def test_evaluate_exact():
-    ser = S.from_power_coeffs([F(1), F(1, 2), F(1, 3)])
-    assert ser.evaluate_exact(F(1, 2)) == F(1) + F(1, 4) + F(1, 12)
-
-
 def test_nth_root_fraction():
     assert nth_root_fraction(F(4, 9), 2) == F(2, 3)
     assert nth_root_fraction(F(8, 27), 3) == F(2, 3)
