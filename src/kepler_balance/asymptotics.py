@@ -238,7 +238,8 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, *, method: str) -> float:
     the boundary sum within BOUNDARY_SUM_CAP (L very close to 2 pi).  The
     boundary path raises CapabilityError at L >= 2 pi, at integer s >= 1
     where s or n_deriv passes the Gamma-Laurent table (MAX_M, MAX_J), and
-    where n_deriv! passes float range (n_deriv > MAX_DERIV = 170).
+    where n_deriv! passes float range (n_deriv > MAX_DERIV = 170) or a
+    coefficient or term of the expansion does (s = 0.5 from n_deriv = 155).
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -306,7 +307,8 @@ def _boundary_singular_part(s: float, n: int):
     Integer powers stay exact, and so does Gamma(1-s) at integer s <= 0
     with n = 0 (a Fraction).  CapabilityError past the table at integer
     s >= 1, and elsewhere for n > MAX_DERIV, where the n! of the Gamma and
-    zeta derivatives passes float range.
+    zeta derivatives passes float range, or where a coefficient does (at
+    s = 0.5 from n = 155 on).
     """
     s_int = int(round(s))
     if abs(s - s_int) < 1e-12 and s_int >= 1:
@@ -330,6 +332,11 @@ def _boundary_singular_part(s: float, n: int):
         gd = gamma_derivs(one_minus_s, n)
     power = Fraction(s - 1) if abs(s - round(s)) < 1e-12 else s - 1.0
     coeffs = [math.comb(n, j) * (-1) ** (n - j) * gd[n - j] for j in range(n + 1)]
+    # an exact Fraction coefficient is checked where it meets a float
+    if not all(isinstance(c, Fraction) or math.isfinite(c) for c in coeffs):
+        raise CapabilityError(
+            f"n_deriv={n}: the Gamma derivatives at 1-s={one_minus_s:g} pass float range"
+        )
     return power, coeffs, None
 
 
@@ -351,7 +358,8 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     L^k/k! folded in, so the sum stays accurate out to L near 2 pi where the
     bare coefficients underflow float64.  The terms decay like (L/2pi)^k;
     raises ConvergenceBudgetError if they have not met the stopping rule by
-    k = BOUNDARY_SUM_CAP.
+    k = BOUNDARY_SUM_CAP, and CapabilityError where a coefficient of the
+    singular part or a zeta term passes float range.
     """
     if not math.isfinite(s):
         raise DomainError("s must be finite")

@@ -39,7 +39,10 @@ exp(k0 l) is below 1e-300 are a leading slice of the sorted table and are
 left out.  Every fill computes whole blocks of that shape (the last is cut
 at ``HARD_TERM_CAP``): BLAS can round a row differently in a product of
 another shape, and whole aligned blocks keep each c_k's bits a function of
-k and the level only.
+k and the level only.  They depend neither on the block shape a caller's
+k_max would give nor on the core count: a product split across OpenBLAS
+threads gives the bits of one thread (the package pins one thread unless
+the caller chose; tier-1 compares 1 and 2 threads at levels 6 and 12).
 
 The node level is chosen once per density, as the coarsest from
 ``_MIN_LEVEL`` = 6 whose probes c_k, k = k_min + ``_PROBES``, differ from

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 
 # gamma_0 .. gamma_12, standard sign convention:
 # zeta(1+z) = 1/z + sum_j (-1)^j gamma_j z^j / j!
@@ -474,7 +474,9 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     The log of 2^z pi^(z-1) Gamma(1-z) L^k / k! at z = s - k is
     s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)];
     its exponential's jet times the tabled sin-zeta jet gives the term.
-    DomainError for n > MAX_DERIV.
+    DomainError for n > MAX_DERIV; CapabilityError naming s, n and the
+    first such k where a term passes float range (at s = 0.5, L = log 2
+    from n = 155 on), with no numpy warning.
     """
     s = float(s)
     if not math.isfinite(s):
@@ -489,23 +491,31 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     rows = _zeta_rows(s, n, int(ks.max()) + 1 if ks.size else 0)
     out = np.empty(len(ks))
     direct = ks < rows.k_r
-    if direct.any():
-        kd = ks[direct]
-        out[direct] = rows.zeta[kd] * np.exp(kd * log_L - rows.log_fact[kd])
-    if not direct.all():
-        kr = ks[~direct]
-        i = kr - rows.k_r
-        log_ratio = (log_L - _LOG_2PI) - _LOG_2PI_LO  # log(L / 2pi)
-        expo = _jet_zeros(len(kr), n)
-        expo[:, 0] = (s * _LOG_2PI - _LOG_PI) + kr * log_ratio + rows.bracket[i]
-        expo[:, 1:] = rows.expo[i]
-        e = _jet_exp(expo)
-        prod = rows.prod[i]
-        term = np.zeros(len(kr))
-        for j in range(n + 1):  # column n of the jet product e * prod
-            term += e[:, j] * prod[:, n - j]
-        out[~direct] = term
-    out *= math.factorial(n)
+    # a term past float range is raised below, not returned as inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if direct.any():
+            kd = ks[direct]
+            out[direct] = rows.zeta[kd] * np.exp(kd * log_L - rows.log_fact[kd])
+        if not direct.all():
+            kr = ks[~direct]
+            i = kr - rows.k_r
+            log_ratio = (log_L - _LOG_2PI) - _LOG_2PI_LO  # log(L / 2pi)
+            expo = _jet_zeros(len(kr), n)
+            expo[:, 0] = (s * _LOG_2PI - _LOG_PI) + kr * log_ratio + rows.bracket[i]
+            expo[:, 1:] = rows.expo[i]
+            e = _jet_exp(expo)
+            prod = rows.prod[i]
+            term = np.zeros(len(kr))
+            for j in range(n + 1):  # column n of the jet product e * prod
+                term += e[:, j] * prod[:, n - j]
+            out[~direct] = term
+        out *= math.factorial(n)
+    finite = np.isfinite(out)
+    if not finite.all():
+        k_bad = int(ks[np.argmin(finite)])
+        raise CapabilityError(
+            f"zeta^({n})(s - k) L^k / k! at s={s:g}, n={n}, k={k_bad} passes float range"
+        )
     return float(out[0]) if np.ndim(k) == 0 else out
 
 

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -282,6 +283,28 @@ def test_lerch_derivative_order_past_float_factorial_keeps_direct(t, s, n, value
     assert payload["direct"] == pytest.approx(value, rel=1e-2)
     assert err == f"boundary: n_deriv={n}: the boundary expansion needs n! in float range " \
                   "(n_deriv <= 170)\n"
+
+
+@pytest.mark.parametrize("s, n, reason", [
+    ("0.5", "155", "n_deriv=155: the Gamma derivatives at 1-s=0.5 pass float range"),
+    ("0.5", "170", "n_deriv=170: the Gamma derivatives at 1-s=0.5 pass float range"),
+    ("-0.7", "170", "zeta^(170)(s - k) L^k / k! at s=-0.7, n=170, k=0 passes float range"),
+], ids=["s0.5-n155", "s0.5-n170", "s-0.7-n170"])
+def test_lerch_boundary_past_float_range_keeps_direct(s, n, reason, capsys):
+    # a coefficient or zeta term of the boundary expansion passes float range
+    # below n_deriv = 171: the path stops there with one reason line, where
+    # it wrote a numpy overflow warning and summed non-finite terms to its
+    # 10,000-term cap for ~2 s (pytest fails on a RuntimeWarning)
+    from kepler_balance.asymptotics import lerch_phi
+
+    start = time.perf_counter()
+    code, out, err = run_cli(["lerch", "--t", "0.5", "--s", s, "--n-deriv", n], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["boundary"] is None and payload["diff"] is None
+    assert payload["direct"] == lerch_phi(0.5, float(s), int(n), method="direct")
+    assert err == f"boundary: {reason}\n"
 
 
 def test_profile_eval(capsys):

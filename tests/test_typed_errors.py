@@ -117,3 +117,20 @@ def test_derivative_order_past_float_factorial(call, error):
 def test_derivative_order_170_still_runs():
     gd = sp.gamma_derivs(2.5, sp.MAX_DERIV)
     assert len(gd) == sp.MAX_DERIV + 1 and math.isfinite(gd[0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: sp.zeta_deriv_over_factorial(-0.7, np.arange(64), 170, math.log(math.log(2))),
+     r"s=-0\.7, n=170, k=0 passes float range"),
+    (lambda: sp.zeta_deriv_over_factorial(-0.7, 0, 170), r"s=-0\.7, n=170, k=0 passes"),
+    (lambda: A.t_phi_boundary_value(-0.7, 170, math.log(2)), r"s=-0\.7, n=170, k=0"),
+    (lambda: A.t_phi_boundary_value(0.5, 155, math.log(2)), r"n_deriv=155: the Gamma"),
+    (lambda: A.t_phi_boundary_series(0.5, 160, 4), r"n_deriv=160: the Gamma"),
+], ids=["zeta-derivs-array", "zeta-derivs-scalar", "boundary-value-zeta",
+        "boundary-value-gamma", "boundary-series-gamma"])
+def test_boundary_terms_past_float_range(call, match):
+    # below the n! cap a term can still pass float range; it returned inf
+    # (and a numpy overflow warning, an error under pytest) and the boundary
+    # sum ran to its cap on non-finite terms
+    with pytest.raises(CapabilityError, match=match):
+        call()
