@@ -225,8 +225,11 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, *, method: str) -> float:
     to 9 for L below 0.1.  It loses digits to cancellation at positive
     integer s and mid-range L: the singular part and the zeta sum nearly
     cancel, and the result is then scaled by e^L (about 7.5e-9 relative at
-    s = 2, n = 2, L = 4.82).  The CLI's ``lerch`` subcommand reports that
-    path's value as ``boundary`` at every L < 2 pi.
+    s = 2, n = 2, L = 4.82).  The same cancellation makes it wrong at large
+    negative non-integer s and large L (1.3e-6 relative at s = -20.5 and
+    1.9e2 at s = -40.5, L = 4.61), with no error raised.  The CLI's
+    ``lerch`` subcommand reports that path's value as ``boundary`` at every
+    L < 2 pi.
 
     Raises DomainError where the path's value is not finite: a term or the
     sum overflowed float64 (large negative s, say).  Where (k+1)^-s alone
@@ -239,7 +242,8 @@ def lerch_phi(t: float, s: float, n_deriv: int = 0, *, method: str) -> float:
     boundary path raises CapabilityError at L >= 2 pi, at integer s >= 1
     where s or n_deriv passes the Gamma-Laurent table (MAX_M, MAX_J), and
     where n_deriv! passes float range (n_deriv > MAX_DERIV = 170) or a
-    coefficient or term of the expansion does (s = 0.5 from n_deriv = 155).
+    coefficient or term of the expansion does (s = 0.5 from n_deriv = 155;
+    Gamma(1-s) itself below s = -170.6).
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -308,7 +312,7 @@ def _boundary_singular_part(s: float, n: int):
     with n = 0 (a Fraction).  CapabilityError past the table at integer
     s >= 1, and elsewhere for n > MAX_DERIV, where the n! of the Gamma and
     zeta derivatives passes float range, or where a coefficient does (at
-    s = 0.5 from n = 155 on).
+    s = 0.5 from n = 155 on, and Gamma(1-s) itself below s = -170.6).
     """
     s_int = int(round(s))
     if abs(s - s_int) < 1e-12 and s_int >= 1:
@@ -326,17 +330,19 @@ def _boundary_singular_part(s: float, n: int):
             f"n_deriv={n}: the boundary expansion needs n! in float range (n_deriv <= {MAX_DERIV})"
         )
     one_minus_s = 1.0 - s
+    past_range = f"n_deriv={n}: the Gamma derivatives at 1-s={one_minus_s:g} pass float range"
     if n == 0 and abs(one_minus_s - round(one_minus_s)) < 1e-12 and round(one_minus_s) >= 1:
         gd = [Fraction(math.factorial(int(round(one_minus_s)) - 1))]
     else:
-        gd = gamma_derivs(one_minus_s, n)
+        try:
+            gd = gamma_derivs(one_minus_s, n)
+        except DomainError:  # Gamma(1-s) itself overflows float64
+            raise CapabilityError(past_range) from None
     power = Fraction(s - 1) if abs(s - round(s)) < 1e-12 else s - 1.0
     coeffs = [math.comb(n, j) * (-1) ** (n - j) * gd[n - j] for j in range(n + 1)]
     # an exact Fraction coefficient is checked where it meets a float
     if not all(isinstance(c, Fraction) or math.isfinite(c) for c in coeffs):
-        raise CapabilityError(
-            f"n_deriv={n}: the Gamma derivatives at 1-s={one_minus_s:g} pass float range"
-        )
+        raise CapabilityError(past_range)
     return power, coeffs, None
 
 
@@ -358,8 +364,8 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     L^k/k! folded in, so the sum stays accurate out to L near 2 pi where the
     bare coefficients underflow float64.  The terms decay like (L/2pi)^k;
     raises ConvergenceBudgetError if they have not met the stopping rule by
-    k = BOUNDARY_SUM_CAP, and CapabilityError where a coefficient of the
-    singular part or a zeta term passes float range.
+    k = BOUNDARY_SUM_CAP, and CapabilityError where the singular part, one
+    of its coefficients or a zeta term passes float range.
     """
     if not math.isfinite(s):
         raise DomainError("s must be finite")
@@ -373,7 +379,7 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
         total = sum(c * logL ** j for j, c in enumerate(coeffs)) * L ** float(power)
     except OverflowError:
         # an exact Gamma(1-s) coefficient or L^(s-1) beyond float64
-        raise DomainError(
+        raise CapabilityError(
             f"singular part at s={s:g}, n_deriv={n}, L={L:.6g} overflows float64"
         ) from None
     # regular terms in blocks of k, added in order until five consecutive

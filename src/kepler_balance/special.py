@@ -17,15 +17,15 @@ k, so a value does not depend on the batch it came in.
   k quarter turns, exact zeros included.
 
 Only L^k depends on L.  Everything else in a term is kept in one table per
-(s, n) (``_zeta_rows``): zeta^(n)(s - k) and lgamma(k + 1) for the direct
-rows; the bracket, the exponent's jet columns 1..n and the sin-zeta jet for
-the reflected ones.  A table covers k = 0..K-1 and grows by whole blocks of
-64 rows, all new rows in one Euler-Maclaurin pass; the pole row s - k = 1
-is never computed.  A call then forms exp(k log L - lgamma(k + 1)) for its
-direct rows, and the exponential's jet and one column of the jet product
-for its reflected rows, with the operations the rows would take alone, so a
-value depends neither on its batch nor on the calls made before.  Tables
-are kept least-recently-used: the ones not in use hold at most 8 MB.
+(s, n) (``_zeta_rows``), two floats per row: a term is
+coef[k] exp(k lambda + offset[k]) n!, with lambda = log L on the direct
+rows and log(L / 2pi) on the reflected ones (see ``_ZetaRows``).  A table
+covers k = 0..K-1 and grows by whole blocks of 64 rows, all new rows in
+one Euler-Maclaurin pass; the pole row s - k = 1 is never computed.  A
+call then takes one exponential per row, with the operations the row
+would take alone, so a value depends neither on its batch nor on the
+calls made before.  Tables are kept least-recently-used: the ones not in
+use hold at most 8 MB.
 
 zeta at the integers has no routine of its own: the kernel's Kummer split
 reads zeta(s - k), s = 1..9, from the (s, 0) tables through the Lerch
@@ -340,28 +340,26 @@ def _sin_cos_half_pi(s: float):
 
 
 class _ZetaRows(NamedTuple):
-    """The L-free parts of zeta^(n)(s - k) L^k / k! for k = 0..size-1, for
-    one (s, n); every array read-only.
+    """The L-free factor of zeta^(n)(s - k) L^k / k! for k = 0..size-1, for
+    one (s, n); both arrays read-only.  A term is
+    coef[k] exp(k lambda + offset[k]) n! (see ``zeta_deriv_over_factorial``).
 
-    Direct rows k < k_r (s - k >= -1/2) keep zeta^(n)(s - k) in ``zeta``
-    (NaN at the pole row s - k = 1, which is never computed) and
-    lgamma(k + 1) in ``log_fact``.  Reflected rows k >= k_r keep, at index
-    k - k_r, the bracket lgamma(k+1-s) - lgamma(k+1), the exponent's jet
-    columns 1..n in ``expo`` and the jet of sin(pi z / 2) zeta(1 - z) at
-    z = s - k in ``prod`` (see ``zeta_deriv_over_factorial``).
+    Direct rows k < k_r (s - k >= -1/2) keep zeta^(n)(s - k) / n! in
+    ``coef`` (NaN at the pole row s - k = 1, which is never computed) and
+    -lgamma(k + 1) in ``offset``.  Reflected rows k >= k_r keep the bracket
+    lgamma(k+1-s) - lgamma(k+1) in ``offset`` and, in ``coef``, column n of
+    the exponent's jet exponential, its constant term left out, times the
+    jet of sin(pi z / 2) zeta(1 - z) at z = s - k.
     """
 
     size: int
     k_r: int
-    zeta: np.ndarray
-    log_fact: np.ndarray
-    bracket: np.ndarray
-    expo: np.ndarray
-    prod: np.ndarray
+    coef: np.ndarray
+    offset: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.zeta, self.log_fact, self.bracket, self.expo, self.prod))
+        return self.coef.nbytes + self.offset.nbytes
 
 
 _ROW_BLOCK = 64  # a table grows by whole blocks of this many rows
@@ -377,8 +375,7 @@ def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
     last row kept."""
     if rows is None:
         k_r = max(0, math.floor(s + 0.5) + 1)  # the first k with s - k < -1/2
-        empty = np.empty(0)
-        rows = _ZetaRows(0, k_r, empty, empty, empty, np.empty((0, n)), np.empty((0, n + 1)))
+        rows = _ZetaRows(0, k_r, np.empty(0), np.empty(0))
     k_r = rows.k_r
     ks = np.arange(rows.size, size)
     kd, kr = ks[ks < k_r], ks[ks >= k_r]
@@ -388,13 +385,14 @@ def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
     jets = _zeta_em(np.concatenate((z[live], x)), n)
     zeta = np.full(len(kd), np.nan)
     zeta[live] = jets[:np.count_nonzero(live), n]
-    log_fact = np.array([math.lgamma(k + 1.0) for k in kd.tolist()])
+    # negated here, once: x + (-y) is x - y exactly
+    neg_log_fact = -np.array([math.lgamma(k + 1.0) for k in kd.tolist()])
 
     # the bracket, summed upward from k_r in log1p(-s/j) steps: its parts
     # never exceed O(|s| log k), where the plain sum of logs cancels from
     # ~k log k.  A grown table carries the running sum on from its last row
-    if len(rows.bracket):
-        first, tail = rows.bracket[-1], kr
+    if rows.size > k_r:
+        first, tail = rows.offset[-1], kr
     else:
         first, tail = math.lgamma(k_r + 1.0 - s) - math.lgamma(k_r + 1.0), kr[1:]
     steps = np.empty(len(tail) + 1)
@@ -402,12 +400,15 @@ def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
     steps[1:] = np.log1p(-s / tail.astype(float))
     bracket = np.cumsum(steps)[len(steps) - len(kr):]
 
-    expo = np.empty((len(kr), n))
+    # the exponent's jet without its constant term a_0, the only part of it
+    # that depends on L: exp(a_0 + a(eps)) = e^(a_0) exp(a(eps)), and a call
+    # takes e^(a_0)
+    expo = _jet_zeros(len(kr), n)
     for j in range(1, n + 1):
         # (d/deps)^j logGamma(x - eps) = (-1)^j psi_{j-1}(x)
-        expo[:, j - 1] = (-1.0) ** j * _polygamma(j - 1, x) / math.factorial(j)
+        expo[:, j] = (-1.0) ** j * _polygamma(j - 1, x) / math.factorial(j)
     if n >= 1:
-        expo[:, 0] += _LOG_2PI
+        expo[:, 1] += _LOG_2PI
 
     # sin(pi (s - k + eps) / 2): pi s / 2 turned back by k quarter turns,
     # then the Taylor coefficients (pi/2)^m sin(theta + m pi/2) / m!
@@ -421,11 +422,11 @@ def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
         sin_jet[:, m] = (0.5 * math.pi) ** m / math.factorial(m) * cycle[m % 4]
     zr = jets[np.count_nonzero(live):]
     zr[:, 1::2] *= -1.0  # zeta(x - eps)
-    prod = _jet_mul(sin_jet, zr)
+    coef = _jet_mul(_jet_exp(expo), _jet_mul(sin_jet, zr))[:, n]
 
     arrays = []
-    for kept, new in zip(rows[2:], (zeta, log_fact, bracket, expo, prod)):
-        grown = np.concatenate((kept, new))
+    for kept, direct, reflected in zip(rows[2:], (zeta, neg_log_fact), (coef, bracket)):
+        grown = np.concatenate((kept, direct, reflected))
         grown.setflags(write=False)
         arrays.append(grown)
     return _ZetaRows(size, k_r, *arrays)
@@ -437,10 +438,9 @@ def _zeta_rows(s: float, n: int, size: int) -> _ZetaRows:
     Tables are kept least-recently-used: once a table is stored, the
     oldest others go until they hold at most _TABLE_BUDGET bytes.  So all
     tables together never hold more than 8 MB plus the table in use, which
-    keeps 2n + 2 floats per reflected row and 2 per direct row, for every k
-    below the largest asked rounded up to a whole block: at worst 0.64 MB
-    at n = 3 for the 10,048 rows a boundary sum reaching its 10,000-term
-    cap asks for.
+    keeps 2 floats per row, for every k below the largest asked rounded up
+    to a whole block: 0.16 MB at any n for the 10,048 rows a boundary sum
+    reaching its 10,000-term cap asks for.
     """
     key = (s, n)
     with _tables_lock:
@@ -466,14 +466,16 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     ``k`` is an int >= 0 (returns a float) or an int array (returns an array
     of the same length); each entry does not depend on the others, nor on
     the calls made before.  Only L^k is computed per call; the rest of each
-    term comes from the (s, n) table (``_zeta_rows``).
+    term comes from the (s, n) table (``_zeta_rows``), and a term is
+    coef[k] exp(k lambda + offset[k]) n!.
 
-    s - k >= -0.5 uses Euler-Maclaurin directly.  Below that the reflection
-    formula zeta(z) = 2^z pi^(z-1) sin(pi z / 2) Gamma(1-z) zeta(1-z) maps to
+    s - k >= -0.5 uses Euler-Maclaurin directly, with lambda = log L.  Below
+    that the reflection formula
+    zeta(z) = 2^z pi^(z-1) sin(pi z / 2) Gamma(1-z) zeta(1-z) maps to
     1 - s + k, away from the pole that the sin factor cancels at s - k = 0.
     The log of 2^z pi^(z-1) Gamma(1-z) L^k / k! at z = s - k is
-    s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)];
-    its exponential's jet times the tabled sin-zeta jet gives the term.
+    s log 2pi - log pi + k (log L - log 2pi) + [lgamma(k+1-s) - lgamma(k+1)]:
+    lambda = log(L / 2pi), and the exponent also carries s log 2pi - log pi.
     DomainError for n > MAX_DERIV; CapabilityError naming s, n and the
     first such k where a term passes float range (at s = 0.5, L = log 2
     from n = 155 on), with no numpy warning.
@@ -489,27 +491,12 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     if np.any(s - ks == 1.0):
         raise DomainError("zeta has a pole at s = 1")
     rows = _zeta_rows(s, n, int(ks.max()) + 1 if ks.size else 0)
-    out = np.empty(len(ks))
-    direct = ks < rows.k_r
+    log_ratio = (log_L - _LOG_2PI) - _LOG_2PI_LO  # log(L / 2pi)
+    expo = np.where(ks < rows.k_r, ks * log_L, (s * _LOG_2PI - _LOG_PI) + ks * log_ratio)
     # a term past float range is raised below, not returned as inf
     with np.errstate(over="ignore", invalid="ignore"):
-        if direct.any():
-            kd = ks[direct]
-            out[direct] = rows.zeta[kd] * np.exp(kd * log_L - rows.log_fact[kd])
-        if not direct.all():
-            kr = ks[~direct]
-            i = kr - rows.k_r
-            log_ratio = (log_L - _LOG_2PI) - _LOG_2PI_LO  # log(L / 2pi)
-            expo = _jet_zeros(len(kr), n)
-            expo[:, 0] = (s * _LOG_2PI - _LOG_PI) + kr * log_ratio + rows.bracket[i]
-            expo[:, 1:] = rows.expo[i]
-            e = _jet_exp(expo)
-            prod = rows.prod[i]
-            term = np.zeros(len(kr))
-            for j in range(n + 1):  # column n of the jet product e * prod
-                term += e[:, j] * prod[:, n - j]
-            out[~direct] = term
-        out *= math.factorial(n)
+        out = rows.coef[ks] * np.exp(expo + rows.offset[ks])
+        out *= math.factorial(n)  # n! folded into coef would move direct rows' bits
     finite = np.isfinite(out)
     if not finite.all():
         k_bad = int(ks[np.argmin(finite)])

@@ -306,13 +306,15 @@ def test_lerch_domain_and_capability():
 def test_lerch_nonfinite_value_is_domain_error():
     from kepler_balance.errors import DomainError
 
-    # both paths overflow float64 at s = -170, t = 0.5; at t = 0.99 the
-    # boundary path's exact Gamma(1-s) = 175! does not fit a float either
-    for t, s, method in [(0.5, -170.0, "direct"), (0.5, -170.0, "boundary"),
-                         (0.99, -175.0, "boundary")]:
+    # both paths overflow float64 at s = -170, t = 0.5
+    for method in ("direct", "boundary"):
         with pytest.raises(DomainError, match="overflow"):
-            A.lerch_phi(t, s, 0, method=method)
-    with pytest.raises(DomainError, match="overflows"):
+            A.lerch_phi(0.5, -170.0, 0, method=method)
+    # at t = 0.99 the boundary path's exact Gamma(1-s) = 175! does not fit a
+    # float: that path cannot serve the point, so the error is a capability
+    with pytest.raises(CapabilityError, match="overflows"):
+        A.lerch_phi(0.99, -175.0, 0, method="boundary")
+    with pytest.raises(CapabilityError, match="overflows"):
         A.t_phi_boundary_value(-175.0, 0, -math.log(0.99))
     # a large finite value keeps its direct-sum bits
     assert A.lerch_phi(0.5, -40.0, 0, method="direct") == A._lerch_direct(0.5, -40.0, 0)
@@ -329,6 +331,14 @@ def test_lerch_direct_large_negative_s_matches_mpmath(s, n):
     value = A.lerch_phi(0.5, s, n, method="direct")
     assert math.isfinite(value)
     assert value == pytest.approx(float(ref), rel=1e-13)
+
+
+@pytest.mark.parametrize("s, oracle", [(-171.0, 1.0363832724175046242e197),
+                                       (-171.5, 6.3291611766144723825e197)])
+def test_lerch_direct_past_float_gamma_matches_mpmath(s, oracle):
+    # Gamma(1-s) leaves float range here, so only the direct path serves
+    # the point; oracle: sum_k 0.01^k (k+1)^-s at 40 digits (mpmath.nsum)
+    assert A.lerch_phi(0.01, s, 0, method="direct") == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("t, s", [(0.9999999, 2.0), (0.999999, -30.0)])

@@ -285,25 +285,29 @@ def test_lerch_derivative_order_past_float_factorial_keeps_direct(t, s, n, value
                   "(n_deriv <= 170)\n"
 
 
-@pytest.mark.parametrize("s, n, reason", [
-    ("0.5", "155", "n_deriv=155: the Gamma derivatives at 1-s=0.5 pass float range"),
-    ("0.5", "170", "n_deriv=170: the Gamma derivatives at 1-s=0.5 pass float range"),
-    ("-0.7", "170", "zeta^(170)(s - k) L^k / k! at s=-0.7, n=170, k=0 passes float range"),
-], ids=["s0.5-n155", "s0.5-n170", "s-0.7-n170"])
-def test_lerch_boundary_past_float_range_keeps_direct(s, n, reason, capsys):
+@pytest.mark.parametrize("t, s, n, reason", [
+    ("0.5", "0.5", "155", "n_deriv=155: the Gamma derivatives at 1-s=0.5 pass float range"),
+    ("0.5", "0.5", "170", "n_deriv=170: the Gamma derivatives at 1-s=0.5 pass float range"),
+    ("0.5", "-0.7", "170", "zeta^(170)(s - k) L^k / k! at s=-0.7, n=170, k=0 passes float range"),
+    ("0.01", "-171", "0", "singular part at s=-171, n_deriv=0, L=4.60517 overflows float64"),
+    ("0.01", "-171.5", "0", "n_deriv=0: the Gamma derivatives at 1-s=172.5 pass float range"),
+], ids=["s0.5-n155", "s0.5-n170", "s-0.7-n170", "t0.01-s-171", "t0.01-s-171.5"])
+def test_lerch_boundary_past_float_range_keeps_direct(t, s, n, reason, capsys):
     # a coefficient or zeta term of the boundary expansion passes float range
     # below n_deriv = 171: the path stops there with one reason line, where
     # it wrote a numpy overflow warning and summed non-finite terms to its
-    # 10,000-term cap for ~2 s (pytest fails on a RuntimeWarning)
+    # 10,000-term cap for ~2 s (pytest fails on a RuntimeWarning).  At
+    # s = -171 and -171.5, Gamma(1-s) itself passes float range; that exited
+    # 1 and dropped the finite direct value
     from kepler_balance.asymptotics import lerch_phi
 
     start = time.perf_counter()
-    code, out, err = run_cli(["lerch", "--t", "0.5", "--s", s, "--n-deriv", n], capsys)
+    code, out, err = run_cli(["lerch", "--t", t, "--s", s, "--n-deriv", n], capsys)
     assert time.perf_counter() - start < 0.5
     assert code == 0
     payload = json.loads(out)
     assert payload["boundary"] is None and payload["diff"] is None
-    assert payload["direct"] == lerch_phi(0.5, float(s), int(n), method="direct")
+    assert payload["direct"] == lerch_phi(float(t), float(s), int(n), method="direct")
     assert err == f"boundary: {reason}\n"
 
 

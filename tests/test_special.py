@@ -104,10 +104,19 @@ def _reflected_reference(s, k, n, log_L):
         return mpmath.diff(reflected, mpmath.mpf(s) - k, n) * L ** k / mpmath.factorial(k)
 
 
-@pytest.mark.parametrize("k", [1000, 2000])
-@pytest.mark.parametrize("s, n", [(0.5, 2), (-2.0, 1), (3.0, 2), (-1.5, 0), (1.0, 1)])
-def test_large_k_terms_vs_reflection_reference(s, n, k):
-    log_L = math.log(6.2)
+# (s, n, k, L): far out at L = 6.2, and reflected rows in the low hundreds
+# at L = 0.5 and 3 up to n = 5, where the stored jet factor carries more
+# columns
+_LARGE_K_CASES = [(s, n, k, 6.2) for k in (1000, 2000)
+                  for s, n in ((0.5, 2), (-2.0, 1), (3.0, 2), (-1.5, 0), (1.0, 1))]
+_LARGE_K_CASES += [(s, n, k, L) for k in (100, 200) for L in (0.5, 3.0)
+                   for s, n in ((0.5, 5), (-2.0, 3), (3.0, 4), (-1.5, 2), (1.0, 5), (7.3, 1))]
+
+
+@pytest.mark.parametrize("s, n, k, L", _LARGE_K_CASES, ids=[
+    f"{s}-{n}-{k}" + ("" if L == 6.2 else f"-L{L}") for s, n, k, L in _LARGE_K_CASES])
+def test_large_k_terms_vs_reflection_reference(s, n, k, L):
+    log_L = math.log(L)
     ref = float(_reflected_reference(s, k, n, log_L))
     assert zeta_deriv_over_factorial(s, k, n, log_L=log_L) == pytest.approx(ref, rel=1e-13)
 
@@ -153,12 +162,15 @@ def test_zeta_tables_grow_by_whole_blocks_and_stay_read_only(monkeypatch):
     rows = special._zeta_rows(0.5, 2, 100)
     # s - k >= -1/2 for k = 0, 1: two direct rows, then reflected ones
     assert rows.size == 128 and rows.k_r == 2
-    assert len(rows.zeta) == 2 and len(rows.bracket) == 126
-    for a in (rows.zeta, rows.log_fact, rows.bracket, rows.expo, rows.prod):
-        assert not a.flags.writeable
+    for a in (rows.coef, rows.offset):
+        assert len(a) == rows.size and not a.flags.writeable
     assert special._zeta_rows(0.5, 2, 50) is rows
     # the pole row s - k = 1 is kept as NaN, never computed
-    assert math.isnan(special._zeta_rows(3.0, 0, 64).zeta[2])
+    assert math.isnan(special._zeta_rows(3.0, 0, 64).coef[2])
+    # two floats per row, direct or reflected, whatever n
+    for n in (0, 1, 3, 7):
+        grown = special._zeta_rows(3.5, n, 200)
+        assert grown.nbytes == 16 * grown.size
 
 
 @pytest.mark.parametrize("s, k", [(math.inf, 0), (-math.inf, 3), (math.nan, 0), (2.0, -1)])

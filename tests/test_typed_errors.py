@@ -126,11 +126,19 @@ def test_derivative_order_170_still_runs():
     (lambda: A.t_phi_boundary_value(-0.7, 170, math.log(2)), r"s=-0\.7, n=170, k=0"),
     (lambda: A.t_phi_boundary_value(0.5, 155, math.log(2)), r"n_deriv=155: the Gamma"),
     (lambda: A.t_phi_boundary_series(0.5, 160, 4), r"n_deriv=160: the Gamma"),
+    (lambda: A.t_phi_boundary_value(-171.0, 0, math.log(100.0)),
+     r"singular part at s=-171, n_deriv=0, L=4\.60517 overflows float64"),
+    (lambda: A.t_phi_boundary_value(-171.5, 0, math.log(100.0)),
+     r"n_deriv=0: the Gamma derivatives at 1-s=172\.5 pass float range"),
+    (lambda: A.t_phi_boundary_series(-171.5, 0, 4), r"1-s=172\.5 pass float range"),
 ], ids=["zeta-derivs-array", "zeta-derivs-scalar", "boundary-value-zeta",
-        "boundary-value-gamma", "boundary-series-gamma"])
+        "boundary-value-gamma", "boundary-series-gamma", "boundary-value-exact-gamma-s-171",
+        "boundary-value-gamma-s-171.5", "boundary-series-gamma-s-171.5"])
 def test_boundary_terms_past_float_range(call, match):
     # below the n! cap a term can still pass float range; it returned inf
     # (and a numpy overflow warning, an error under pytest) and the boundary
-    # sum ran to its cap on non-finite terms
+    # sum ran to its cap on non-finite terms.  Gamma(1-s) itself leaves float
+    # range below s = -170.6 (exactly 171! at s = -171); that was a
+    # DomainError, so the CLI dropped a finite direct value with exit 1
     with pytest.raises(CapabilityError, match=match):
         call()
