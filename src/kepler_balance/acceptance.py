@@ -176,31 +176,57 @@ def crit_poincare_ode():
     )
 
 
+# eval's rounding, which a series' truncation bound does not cover
+_SERIES_ROUNDING = 1e-14
+
+
+def _series_check(sol, ts):
+    """Largest |f_eval - f_series|/f_eval over ts and the largest truncation
+    bound there; the check passes when every residual is within its bound
+    plus _SERIES_ROUNDING, and every bound is at most 1e-10."""
+    res, bounds, ok = [], [], True
+    for t in ts:
+        f = sol.eval(t)[0]
+        f_series, bound = sol.local_series(t)
+        res.append(abs(f - f_series) / f)
+        bounds.append(bound)
+        ok = ok and res[-1] <= bound + _SERIES_ROUNDING and bound <= 1e-10
+    return ok, max(res), max(bounds)
+
+
 def crit_cusp():
-    """c = -0.1 cusp: event residual and the Q'''(0) closed form within 1%."""
+    """c = -0.1 cusp: event residual, the jet's Q'''(0) against the published
+    expression within 1e-10, and eval against the jet at sigma^2/t0 = 1e-5, 1e-4."""
     sol = poin.solve_poincare(-0.1, t_min=1e-4)
     if sol.t0 is None:
         return False, "no termination detected"
     cd = poin.cusp_data(sol)
     ev_res = abs(-0.1 + cd.t0 / cd.f_t0 ** 3)
-    ratio = cd.qppp_numeric / cd.qppp_formula
-    sane = abs(cd.qp_numeric) <= 1e-4 and abs(cd.qpp_numeric) <= 1e-4
-    ok = ev_res <= 1e-10 and abs(ratio - 1.0) <= 1e-2 and sane
+    ratio_err = abs(cd.qppp_series / cd.qppp_formula - 1.0)
+    jet_ok, res, bound = _series_check(sol, [cd.t0 * (1.0 + s) for s in (1e-5, 1e-4)])
+    ok = ev_res <= 1e-10 and ratio_err <= 1e-10 and jet_ok
     return ok, (
         f"t0 = {cd.t0:.6f}; |c + t0/f^3| = {ev_res:.1e}; "
-        f"Q''' ratio = {ratio:.5f}; Q'(0), Q''(0) ~ {cd.qp_numeric:.1e}, {cd.qpp_numeric:.1e}"
+        f"|Q''' ratio - 1| = {ratio_err:.1e}; |f - jet|/f = {res:.1e} (bound {bound:.1e})"
     )
 
 
 def crit_origin_exponents():
-    """Fitted origin exponents match rho(c); rho residuals on a log grid."""
-    e1 = poin.origin_exponent(poin.solve_poincare(1.0, t_min=1e-4))
-    e15 = poin.origin_exponent(poin.solve_poincare(1.5, t_min=1e-4))
-    d1 = abs(e1 - poin.rho(1.0))
-    d15 = abs(e15 - 1.0)
+    """Origin exponents are rho(c), within 1 ulp of 1 at c = 3/2; eval against
+    the origin series at t = 1e-4, 1e-2 (c = 1, 3/2); rho residuals on a log grid."""
+    ok, res, bound = True, 0.0, 0.0
+    for c in (1.0, 1.5):
+        sol = poin.solve_poincare(c, t_min=1e-4)
+        ok_c, res_c, bound_c = _series_check(sol, (1e-4, 1e-2))
+        ok = ok and ok_c and poin.origin_exponent(sol) == poin.rho(c)
+        res, bound = max(res, res_c), max(bound, bound_c)
+    d15 = abs(poin.rho(1.5) - 1.0)
     rres = float(np.max(poin.rho_residual(np.logspace(-8, 1, 50))))
-    ok = d1 <= 1e-3 and d15 <= 1e-3 and rres <= 1e-14
-    return ok, f"|exp - rho|: {d1:.1e} (c=1), {d15:.1e} (c=3/2); rho resid {rres:.1e}"
+    ok = ok and d15 <= 2.0 ** -52 and rres <= 1e-14
+    return ok, (
+        f"|exp - 1| (c=3/2) = {d15:.1e}; |f - series|/f = {res:.1e} "
+        f"(bound {bound:.1e}, c=1, 3/2); rho resid {rres:.1e}"
+    )
 
 
 def crit_completeness():

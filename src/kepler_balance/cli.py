@@ -146,7 +146,7 @@ def cmd_poincare(args) -> int:
         "psi_residual_max": sol.psi_residual_max,
         "exponent": None,
     }
-    if sol.c >= 0 and sol.t_min_reached <= 1e-3:
+    if sol.c >= 0:
         summary["exponent"] = poin.origin_exponent(sol)
     if sol.c == 0.0:
         ts = np.exp(np.linspace(math.log(sol.t_min_reached), math.log(1 - 1e-6), 2000))

@@ -100,6 +100,7 @@ Neither path's bound counts the rounding of the final sum (~1e-16 of S).
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -182,6 +183,8 @@ class KernelEval:
 
 # Q per level, held weakly: it lives while some density at that level does
 _BLOCK_POWERS = weakref.WeakValueDictionary()
+# builds the entries of the module's caches, _BLOCK_POWERS and _PHI_V_DENSITIES
+_caches_lock = threading.Lock()
 
 
 def _block_powers(level: int):
@@ -191,12 +194,13 @@ def _block_powers(level: int):
     holds it: Q takes 25 MB at level 12, and the levels that calibration
     tries and moves past free theirs.
     """
-    q = _BLOCK_POWERS.get(level)
-    if q is None:
-        q = np.multiply.outer(np.arange(_BLOCK, dtype=float), nodes_up_to(level, 0.0)[2])
-        np.exp(q, out=q)
-        q.flags.writeable = False
-        _BLOCK_POWERS[level] = q
+    with _caches_lock:
+        q = _BLOCK_POWERS.get(level)
+        if q is None:
+            q = np.multiply.outer(np.arange(_BLOCK, dtype=float), nodes_up_to(level, 0.0)[2])
+            np.exp(q, out=q)
+            q.flags.writeable = False
+            _BLOCK_POWERS[level] = q
     return q
 
 
@@ -217,6 +221,12 @@ class Density:
     (a log-free PowerLogSeries in integer powers of L with a nonzero constant
     term); it is called only on the first near-boundary kernel value, which
     then takes the Kummer split.
+
+    A density may be shared between threads.  One re-entrant lock is held
+    wherever the level changes or a cache grows: ``calibrate``, the fill of
+    ``moments_block``, and the build and growth of the Kummer split.
+    A reader calls ``moments_block`` first, which calibrates; the lists only
+    grow after that, so a read of an entry already filled takes no lock.
     """
 
     def __init__(self, fn, origin_exponent, label="density", l_series=None):
@@ -225,6 +235,7 @@ class Density:
         self.label = label
         self.l_series = l_series
         self._kummer = None  # _KummerSplit, built on first use
+        self._lock = threading.RLock()
         self.k_min = _k_min_from_exponent(origin_exponent)
         # keep only nodes whose truncated mass ~ t_floor^(k_min+p0+1) is
         # below roundoff
@@ -264,13 +275,14 @@ class Density:
         """Pick the node level: the coarsest from ``_MIN_LEVEL`` whose probe
         moments settle within ``_CALIBRATION_RTOL`` of |c_k|.  The probes come
         from the cache's own first block, which stays filled through k_min + 63."""
-        if self._level is not None:
-            return
-        for level in range(_MIN_LEVEL, MAX_LEVEL + 1):
-            self._setup(level)
-            self.moments_block(self.k_min + _PROBES[-1])
-            if all(self._err[i] <= _CALIBRATION_RTOL * abs(self._c[i]) for i in _PROBES):
+        with self._lock:
+            if self._level is not None:
                 return
+            for level in range(_MIN_LEVEL, MAX_LEVEL + 1):
+                self._setup(level)
+                self.moments_block(self.k_min + _PROBES[-1])
+                if all(self._err[i] <= _CALIBRATION_RTOL * abs(self._c[i]) for i in _PROBES):
+                    return
 
     @property
     def sign_changing(self) -> bool:
@@ -281,17 +293,17 @@ class Density:
     def moment(self, k):
         """c_k with an observed error bound; DivergenceError below k_min.
 
-        A missing entry is filled through ``moments_block``, so the bits of
-        c_k never depend on which call computed it first.
+        The entry is read through ``moments_block``, which calibrates first
+        and fills it if missing, so the bits of c_k never depend on which
+        call computed it first, nor does a reader see a calibration probe.
         """
         if k < self.k_min:
             raise DivergenceError(
                 f"moment c_{k} of {self.label} diverges (k_min={self.k_min})",
                 k_min=self.k_min,
             )
+        self.moments_block(k)
         i = k - self.k_min
-        if i >= len(self._c):
-            self.moments_block(k)
         return self._c[i], self._err[i]
 
     def moments_block(self, k_max):
@@ -306,21 +318,22 @@ class Density:
             raise ConvergenceBudgetError(
                 f"moment c_{k_max} of {self.label} is past the cap k <= {HARD_TERM_CAP}"
             )
-        if self._level is None:
+        with self._lock:
             self.calibrate()
-        ell, q, weights = self._nodes
-        while (k0 := self.k_min + len(self._c)) <= k_max:
-            # exp(k0 l) < 1e-300 on a leading slice: l is sorted and k0 >= 0
-            lo = int(np.searchsorted(ell, _LOG_DEAD / k0)) if k0 > 0 else 0
-            block = np.zeros((_BLOCK, 2))
-            for c0 in range(lo, len(ell), _COLUMNS):
-                cols = slice(c0, c0 + _COLUMNS)
-                # exp(0 l) is exactly 1: block 0 is Q @ W (module docstring)
-                scaled = q[:, cols] * np.exp(k0 * ell[cols]) if k0 else q[:, cols]
-                block += scaled @ weights[cols]
-            block = block[: HARD_TERM_CAP - k0 + 1]
-            self._c.extend(block[:, 0].tolist())
-            self._err.extend(np.abs(block[:, 0] - block[:, 1]).tolist())
+            ell, q, weights = self._nodes
+            while (k0 := self.k_min + len(self._c)) <= k_max:
+                # exp(k0 l) < 1e-300 on a leading slice: l is sorted and k0 >= 0
+                lo = int(np.searchsorted(ell, _LOG_DEAD / k0)) if k0 > 0 else 0
+                block = np.zeros((_BLOCK, 2))
+                for c0 in range(lo, len(ell), _COLUMNS):
+                    cols = slice(c0, c0 + _COLUMNS)
+                    # exp(0 l) is exactly 1: block 0 is Q @ W (module docstring)
+                    scaled = q[:, cols] * np.exp(k0 * ell[cols]) if k0 else q[:, cols]
+                    block += scaled @ weights[cols]
+                block = block[: HARD_TERM_CAP - k0 + 1]
+                # the bounds first: a reader that finds c_k unlocked finds its bound
+                self._err.extend(np.abs(block[:, 0] - block[:, 1]).tolist())
+                self._c.extend(block[:, 0].tolist())
 
 
 _PHI_V_DENSITIES = {}
@@ -334,14 +347,15 @@ def phi_v_density(v) -> Density:
     integrable, and its node values flag it ``sign_changing``.
     """
     key = float(v)
-    if key in _PHI_V_DENSITIES:
-        return _PHI_V_DENSITIES[key]
-    p0, l_series = -0.25, None
-    if v >= 0:
-        p0 = (-1.0 - math.sqrt(float(v))) / 4.0
-        l_series = lambda order, v=v: phi_v_l_series(Fraction(v), order)
-    dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}", l_series=l_series)
-    _PHI_V_DENSITIES[key] = dens
+    with _caches_lock:
+        dens = _PHI_V_DENSITIES.get(key)
+        if dens is None:
+            p0, l_series = -0.25, None
+            if v >= 0:
+                p0 = (-1.0 - math.sqrt(float(v))) / 4.0
+                l_series = lambda order, v=v: phi_v_l_series(Fraction(v), order)
+            dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}", l_series=l_series)
+            _PHI_V_DENSITIES[key] = dens
     return dens
 
 
@@ -619,32 +633,34 @@ class _KummerSplit:
         )
 
     def extend(self, dens: Density, K: int):
-        """Remainder coefficients for k = 0..K."""
-        if len(self.rem) > K:
-            return
-        dens.moments_block(K)
-        for k in range(len(self.rem), K + 1):
-            x = 1.0 / (k + 1)
-            p = 0.0
-            for a in reversed(self.A):
-                p = p * x + a
-            poly = (2 * k + 1) * (k + 1) * p
-            ratio, err = 0.0, 0.0  # a divergent moment's reciprocal vanishes
-            if k >= dens.k_min:
-                ck, ek = dens.moment(k)
-                if ck == 0.0:
-                    raise _zero_moment(dens, k)
-                ratio = (2 * k + 1) / ck
-                err = abs(ratio) * ek / abs(ck)
-            self.rem.append(ratio - poly)
-            self.rem_err.append(err + 4.0 * _EPS * (abs(ratio) + abs(poly)))
+        """Remainder coefficients for k = 0..K, under the density's lock."""
+        with dens._lock:
+            if len(self.rem) > K:
+                return
+            dens.moments_block(K)
+            for k in range(len(self.rem), K + 1):
+                x = 1.0 / (k + 1)
+                p = 0.0
+                for a in reversed(self.A):
+                    p = p * x + a
+                poly = (2 * k + 1) * (k + 1) * p
+                ratio, err = 0.0, 0.0  # a divergent moment's reciprocal vanishes
+                if k >= dens.k_min:
+                    ck, ek = dens.moment(k)
+                    if ck == 0.0:
+                        raise _zero_moment(dens, k)
+                    ratio = (2 * k + 1) / ck
+                    err = abs(ratio) * ek / abs(ck)
+                self.rem.append(ratio - poly)
+                self.rem_err.append(err + 4.0 * _EPS * (abs(ratio) + abs(poly)))
 
 
 def _kummer_split(dens: Density):
     """The density's cached _KummerSplit, or None without an L-series."""
-    if dens._kummer is None and dens.l_series is not None:
-        dens._kummer = _KummerSplit(dens)
-    return dens._kummer
+    with dens._lock:
+        if dens._kummer is None and dens.l_series is not None:
+            dens._kummer = _KummerSplit(dens)
+        return dens._kummer
 
 
 def _kernel_kummer(dens: Density, t: float) -> KernelEval:

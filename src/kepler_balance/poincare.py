@@ -1,6 +1,6 @@
 """Radial Poincare (Kahler-Einstein) metrics: the conserved quantity Psi,
-the cubic root rho, the flow in closed form with its cusp, origin
-asymptotics, and completeness diagnostics.
+the cubic root rho, the flow in closed form with its local expansions at
+the origin and at the cusp, and completeness diagnostics.
 
 The profile f solves W[f] = 1 with f(1) = 0, f'(1) = -1.  Conservation of
 
@@ -11,8 +11,8 @@ d(log t) = x dx / P(x), with x = infinity at t = 1.  So log t is an
 elementary function of x (``_Flow``), and f, f', f'' follow algebraically.
 For c >= 0, x falls to rho(c), the nonnegative root of P, as t -> 0, and
 f ~ A t^(-rho(c)); for c < 0 the flow ends at an interior cusp t0, where
-x = 0 and c + t/f^3 = 0.  The largest root of P, for either sign of c,
-comes from one monotone Newton loop (``_monotone_newton``).
+x = 0 and c + t/f^3 = 0; both ends have local series (``local_series``).
+The largest root of P comes from one Newton loop (``_monotone_newton``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import CapabilityError, DomainError, EstimationError
 from .quadrature import integrate_01
 
-SQRT2 = math.sqrt(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
 
@@ -200,24 +199,22 @@ class PoincareSolution:
         """Normalized conservation residuals on the stored grid, per row."""
         return self._psi_rows
 
-
-def _psi_residuals(t, f, fp, c):
-    """|Psi - c| / psi_scale at the points (t, f, f')."""
-    return np.abs(psi(t, f, fp) - c) / psi_scale(t, f, c)
+    def local_series(self, t: float):
+        """(f, bound on |f_exact - f|/f_exact) at t from the origin series
+        (c > 0), the cusp jet (c < 0, t >= t0) or f = 2 - 2 sqrt(t) (c = 0).
+        They read the flow's constants, never ``eval``, which they check."""
+        if self.c == 0.0:
+            return 2.0 - 2.0 * math.sqrt(t), 0.0
+        return (self._flow.origin_series if self.c > 0.0 else self._flow.cusp_series)(t)
 
 
 def reconstruct_fpp(t, f, fp):
     """f'' from W[f] = 1:  f'' = (1/(t f)) (1/(t f') - f f' + t f'^2).
 
-    Diverges (to -inf) where f' = 0, i.e. at a cusp point.
+    Diverges (to -inf) where f' = 0, i.e. at a cusp point.  Takes arrays.
     """
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    fp = np.asarray(fp, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / (t * fp) - f * fp + t * fp * fp
-        out = inner / (t * f)
-    return out
+        return (1.0 / (t * fp) - f * fp + t * fp * fp) / (t * f)
 
 
 _T_END = 1.0 - 1e-3  # the last grid row
@@ -361,6 +358,39 @@ class _Flow:
         fp = -x * f / t
         return f, fp, reconstruct_fpp(t, f, fp)
 
+    def origin_series(self, t: float):
+        """(f, bound) at t from the expansion at t = 0, for c > 0.  At w = 0,
+        Q = r k, and k log t = log(w/W) + w/(2 r k) + O(w^2) with
+        W = sqrt(r k) e^(3 e J0/2), J0 = J(w = 0); d log f/d log t = -r - w, so
+            log f = log A - r log t + a1 t^k + a1^2 t^(2k)/(4r) + O(t^(3k)),
+        A = (r k)^(-1/2) e^(-e J0/2), a1 = -W/k.  f is the two-term series;
+        the bound a1^2 t^(2k)/(2r), twice the first omitted term, holds while
+        |a1| t^k <= r/4."""
+        r, e, k = self.r, self.e, self.k
+        j0 = float(self._j(self.z0, r * k))
+        lt = math.log(t)
+        g = -math.sqrt(r / k) * math.exp(1.5 * e * j0 + k * lt)  # a1 t^k
+        log_f = -0.5 * math.log(r * k) - 0.5 * e * j0 - r * lt + g
+        return math.exp(log_f), g * g / (2.0 * r)
+
+    def cusp_series(self, t: float):
+        """(f, bound) at t >= t0 from the jet at the cusp, for c < 0.  With
+        a = -c = P(0), log(t/t0) = int_0^x xi dxi/P(xi) and f^3 = t/P(x) give
+            y = log(t/t0) = x^2/(2a) - x^4/(8a^2) - x^5/(5a^2) + ...,
+            f = f0 (1 - x^3/(3a) + x^5/(10a^2) + 2x^6/(9a^2) + ...),
+        f0 = (t0/a)^(1/3); x^2 = 2a y (1 + y/2) makes the x^6 term x^6/(45a^2).
+        As x = sigma sqrt(2a/t0) (1 + O(sigma^3)), Q(sigma) = f(t0 + sigma^2)
+        has Q' = Q'' = Q'''' = 0 and Q''' = -2 f0 (2a/t0)^(3/2)/a at 0.  f is
+        the series to x^3; the bound x^5 (1 + x)/(5a^2), at least twice the
+        omitted terms, holds while x^3/a <= 0.1."""
+        a, t0 = -self.c, math.exp(self.log_t0)
+        if t < t0:
+            raise DomainError(f"the cusp jet needs t >= t0 = {t0!r}, got {t!r}")
+        y = math.log1p((t - t0) / t0)
+        x = math.sqrt(2.0 * a * y * (1.0 + 0.5 * y))
+        f0 = (t0 / a) ** _THIRD
+        return f0 * (1.0 - x ** 3 / (3.0 * a)), x ** 5 * (1.0 + x) / (5.0 * a * a)
+
 
 def _overflow_error(c: float, t_min: float) -> DomainError:
     return DomainError(
@@ -417,7 +447,7 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
     # an overflow here leaves a residual that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         fs, fps, fpps = flow.profile(ts, us)
-        psi_res = _psi_residuals(ts, fs, fps, c)
+        psi_res = np.abs(psi(ts, fs, fps) - c) / psi_scale(ts, fs, c)
     if not np.all(np.isfinite(psi_res)):
         raise _overflow_error(c, t_min)
 
@@ -436,62 +466,31 @@ def solve_poincare(c, t_min: float = 1e-3) -> PoincareSolution:
 
 
 def origin_exponent(sol: PoincareSolution) -> float:
-    """Least-squares slope of log f against log(1/t) over the last decade.
-
-    For c >= 0 this estimates rho(c) (zero for the bounded c = 0 solution).
-    """
+    """rho(c) to the bit, the exponent of f ~ A t^(-rho(c)) as t -> 0 for
+    c >= 0 (``_Flow.origin_series``); 0 for c = 0, f = 2 - 2 sqrt(t)."""
     if sol.c < 0:
         raise DomainError("origin exponent applies to c >= 0 solutions")
-    if sol.t_min_reached > 1e-3:
-        raise EstimationError("solution does not reach t <= 1e-3")
-    lo = sol.t_min_reached
-    ts = np.exp(np.linspace(math.log(lo), math.log(10.0 * lo), 25))
-    f, _fp, _fpp = sol.eval(ts)
-    slope = np.polyfit(np.log(1.0 / ts), np.log(f), 1)[0]
-    return float(slope)
+    return sol._flow.r
 
 
 class CuspData(NamedTuple):
     t0: float
     f_t0: float
-    qppp_numeric: float
+    qppp_series: float
     qppp_formula: float
-    qp_numeric: float
-    qpp_numeric: float
 
 
 def cusp_data(sol: PoincareSolution) -> CuspData:
-    """Cusp structure at t0 for a terminated (c < 0) solution.
-
-    Q(sigma) := f(t0 + sigma^2) is smooth with Q'(0) = Q''(0) = 0; the
-    third derivative is estimated by a one-sided 4-point stencil and
-    compared with the closed form -4 sqrt(2)/(t0 sqrt(f(t0))).  (The flow
-    has f' <= 0, so Q''' at the cusp is negative; the magnitude matches
-    the published expression.)
-    """
+    """Cusp data of a terminated (c < 0) solution: Q(sigma) = f(t0 + sigma^2)
+    has Q'(0) = Q''(0) = 0, and the jet's Q'''(0) = -2 f(t0) (2|c|/t0)^(3/2)/|c|
+    is the published -4 sqrt(2)/(t0 sqrt(f(t0))) as |c| = t0/f(t0)^3."""
     if sol.t0 is None:
         raise DomainError("solution did not terminate: cusp data undefined")
-    t0 = sol.t0
+    t0, a = sol.t0, -sol.c
     f_t0 = sol.eval(t0)[0]
-    sigma = 2e-3 * math.sqrt(1.0 - t0)
-
-    def q(sig):
-        return sol.eval(t0 + sig * sig)[0]
-
-    q0 = f_t0
-    q1, q2, q3 = q(sigma), q(2 * sigma), q(3 * sigma)
-    qppp_num = (-q0 + 3.0 * q1 - 3.0 * q2 + q3) / sigma ** 3
-    # sanity estimators for Q'(0), Q''(0) use a smaller step and stencils
-    # whose sigma^3 bias cancels (the plain second difference would just
-    # measure Q'''(0) sigma)
-    sg = sigma
-    p0, p1, p2, p3, p4 = q0, q1, q2, q3, q(4 * sg)
-    qp_num = (p1 - p0) / sg
-    qpp_num = (35.0 * p0 - 104.0 * p1 + 114.0 * p2 - 56.0 * p3 + 11.0 * p4) / (
-        12.0 * sg ** 2
-    )
-    qppp_formula = -4.0 * SQRT2 / (t0 * math.sqrt(f_t0))
-    return CuspData(t0, f_t0, qppp_num, qppp_formula, qp_num, qpp_num)
+    qppp_series = -2.0 * f_t0 * (2.0 * a / t0) ** 1.5 / a
+    qppp_formula = -4.0 * math.sqrt(2.0) / (t0 * math.sqrt(f_t0))
+    return CuspData(t0, f_t0, qppp_series, qppp_formula)
 
 
 class RadialLength(NamedTuple):

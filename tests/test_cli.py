@@ -214,7 +214,22 @@ def test_poincare_c1_exponent(capsys, tmp_path):
     summary = json.loads(err.strip().splitlines()[-1])
     from kepler_balance.poincare import rho
 
-    assert summary["exponent"] == pytest.approx(rho(1.0), abs=1e-3)
+    assert summary["exponent"] == rho(1.0)
+
+
+@pytest.mark.parametrize("c, want", [("0", 0.0), ("1.5", 1.0), ("1e-6", "rho"), ("-0.1", None)])
+def test_poincare_exponent_read_from_the_flow(capsys, tmp_path, c, want):
+    # the stderr exponent is rho(c) to the bit for every c >= 0, null for
+    # c < 0: 0 for the bounded f = 2 - 2 sqrt(t), 1 at c = 3/2, and
+    # rho(1e-6) = 0.00141, where a fit over t in [1e-3, 1e-2] read 0.0311
+    from kepler_balance.poincare import rho
+
+    code, _o, err = run_cli(
+        ["poincare", "--c", c, "--tmin", "1e-3", "--out", str(tmp_path / "sol.csv")], capsys
+    )
+    assert code in (0, 3)
+    got = json.loads(err.strip().splitlines()[-1])["exponent"]
+    assert got == (rho(float(c)) if want == "rho" else want)
 
 
 def test_asymptotics_json(capsys):

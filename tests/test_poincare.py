@@ -214,14 +214,20 @@ def test_cusp_termination(solm):
 
 def test_cusp_data(solm):
     cd = P.cusp_data(solm)
-    assert cd.qppp_numeric / cd.qppp_formula == pytest.approx(1.0, abs=1e-2)
-    assert abs(cd.qp_numeric) <= 1e-4
-    assert abs(cd.qpp_numeric) <= 1e-4
+    # the jet's Q'''(0) is the published one up to the event residual
+    assert cd.qppp_series / cd.qppp_formula == pytest.approx(1.0, abs=1e-10)
     # f'(t) ~ -sqrt(2(t-t0))/(t0 sqrt(f(t0))) just above t0
     dt = 1e-5
     fp = solm.eval(cd.t0 + dt)[1]
     ref = -math.sqrt(2 * dt) / (cd.t0 * math.sqrt(cd.f_t0))
     assert fp == pytest.approx(ref, rel=2e-2)
+
+
+def test_cusp_data_near_zero_c():
+    # t0 = 7.9e-6: a stencil with sigma = 2e-3 sqrt(1 - t0) read a Q''' ratio
+    # of -0.157 here, Q'(0) = -0.26 and Q''(0) = -580
+    cd = P.cusp_data(P.solve_poincare(-1e-6, t_min=1e-6))
+    assert cd.qppp_series / cd.qppp_formula == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cusp_requires_termination(sol0):
@@ -230,20 +236,90 @@ def test_cusp_requires_termination(sol0):
 
 
 def test_origin_exponent(sol1):
-    assert P.origin_exponent(sol1) == pytest.approx(P.rho(1.0), abs=1e-3)
-    s15 = P.solve_poincare(1.5, t_min=1e-4)
-    assert P.origin_exponent(s15) == pytest.approx(1.0, abs=1e-3)
-    s0 = P.solve_poincare(0.0, t_min=1e-4)
-    assert abs(P.origin_exponent(s0)) <= 0.02
+    assert P.origin_exponent(sol1) == P.rho(1.0)
+    assert P.origin_exponent(P.solve_poincare(1.5, t_min=1e-4)) == 1.0
+    assert P.origin_exponent(P.solve_poincare(0.0, t_min=1e-4)) == 0.0
+    # read from the flow, so a run that stops short of t = 0 has it too
+    assert P.origin_exponent(P.solve_poincare(1e-6, t_min=0.5)) == P.rho(1e-6)
+
+
+def _origin_constants(c):
+    """(r, k, A, a1) of log f = log A - r log t + a1 t^k + ..., with
+    J0 = int_{z0}^inf dz/(z^2 + D) taken here as an arctan or an artanh."""
+    r = P.rho(c)
+    e, k = r + 0.5, 3 * r + 1
+    z0, d = (6 * r + 1) / 4, e * (3 * r - 0.5) / 4
+    if d > 0:
+        j0 = math.atan2(math.sqrt(d), z0) / math.sqrt(d)
+    else:
+        s = math.sqrt(-d)
+        j0 = math.atanh(s / z0) / s
+    A = math.exp(-e * j0 / 2) / math.sqrt(r * k)
+    return r, k, A, -math.sqrt(r / k) * math.exp(1.5 * e * j0)
 
 
 def test_origin_prefactor_finite(sol1):
-    # f(t) t^rho(c) tends to a finite positive limit
-    r = P.rho(1.0)
+    # f(t) t^rho(c) tends to A: it is A e^(a1 t^k) to O((a1 t^k)^2) ~ 1e-21 on
+    # [1e-4, 1e-3], where a1 t^k reaches -3e-11
+    r, k, A, a1 = _origin_constants(1.0)
     ts = np.exp(np.linspace(math.log(1e-4), math.log(1e-3), 10))
-    vals = sol1.eval(ts)[0] * ts ** r
-    assert np.all(vals > 0)
-    assert np.max(vals) / np.min(vals) < 1.02
+    np.testing.assert_allclose(sol1.eval(ts)[0] * ts ** r, A * np.exp(a1 * ts ** k), rtol=1e-13)
+
+
+def _order(x1, x2, res1, res2):
+    """q of res ~ x^q from two points: the Richardson estimate of the order."""
+    return math.log(res2 / res1) / math.log(x2 / x1)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.05, 0.5, 1.0, 1.5, 2.0])
+def test_origin_series_against_eval(c):
+    # eval (Newton on the global closed form) against the two-term origin
+    # series where |a1| t^k = 1e-2 and 1e-3: the residual stays within the
+    # stated bound, falls like (a1 t^k)^2, and its Richardson coefficient is
+    # the first omitted term's 1/(4r)
+    r, k, A, a1 = _origin_constants(c)
+    gs = (1e-2, 1e-3)
+    ts = [(g / abs(a1)) ** (1 / k) for g in gs]
+    sol = P.solve_poincare(c, t_min=min(ts))
+    res = []
+    for g, t in zip(gs, ts):
+        f_series, bound = sol.local_series(t)
+        assert f_series == pytest.approx(A * t ** -r * math.exp(-g), rel=1e-13)
+        f = sol.eval(t)[0]
+        res.append((f - f_series) / f)
+        assert 0 < res[-1] <= bound + 1e-14
+    assert 1.8 <= _order(gs[1], gs[0], res[1], res[0]) <= 2.2
+    # res = C g^2 + D g^3: Richardson's C from both points
+    r1, r2 = res[0] / gs[0] ** 2, res[1] / gs[1] ** 2
+    coeff = (r2 * gs[0] - r1 * gs[1]) / (gs[0] - gs[1])
+    assert 4 * r * coeff == pytest.approx(1.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("c", [-1e-6, -1e-3, -0.1, -10.0, -1e6])
+def test_cusp_jet_against_eval(c):
+    # eval against the jet f0 (1 - x^3/(3a)) at sigma^2/t0 = 1e-4 and 1e-3:
+    # within the stated bound, of Richardson order 5 in x (6 once x > 4.5,
+    # at c = -1e6), and within 5% of the omitted x^5/(10a^2) + x^6/(45a^2)
+    a = -c
+    sol = P.solve_poincare(c, t_min=1e-7)
+    t0 = sol.t0
+    xs, res = [], []
+    for s in (1e-4, 1e-3):
+        t = t0 * (1 + s)
+        f_series, bound = sol.local_series(t)
+        y = math.log1p((t - t0) / t0)
+        xs.append(math.sqrt(2 * a * y * (1 + y / 2)))
+        f = sol.eval(t)[0]
+        res.append((f - f_series) / f)
+        assert 0 < res[-1] <= bound + 1e-14
+        x = xs[-1]
+        assert res[-1] / (x ** 5 / 10 + x ** 6 / 45) * a * a == pytest.approx(1.0, rel=5e-2)
+    assert 4.8 <= _order(*xs, *res) <= 6.2
+
+
+def test_local_series_at_c0(sol0):
+    for t in (1e-3, 0.5):
+        assert sol0.local_series(t) == (2 - 2 * math.sqrt(t), 0.0)
 
 
 def test_eval_outside_range(sol0):

@@ -16,7 +16,6 @@ from kepler_balance.errors import (
     CapabilityError,
     ConvergenceBudgetError,
     DomainError,
-    EstimationError,
     NormalizationError,
     TruncationError,
 )
@@ -47,9 +46,8 @@ GUARDS = {
     "origin-exponent-negative-c": (
         DomainError, r"c >= 0",
         lambda: P.origin_exponent(P.solve_poincare(-0.1, t_min=1e-4))),
-    "origin-exponent-short-run": (
-        EstimationError, r"t <= 1e-3",
-        lambda: P.origin_exponent(P.solve_poincare(1.0, t_min=0.5))),
+    "cusp-jet-below-t0": (
+        DomainError, r"t >= t0", lambda: P.solve_poincare(-0.1).local_series(0.1)),
     "radial-length-r": (
         DomainError, r"r must lie", lambda: P.radial_length(RadialProfile.sqrt_poincare(), 0.0)),
     "radial-length-x-min": (
