@@ -36,7 +36,7 @@ from .errors import (
     EstimationError,
     SignedDensityWarning,
 )
-from .profiles import SPEC_KEYS, RadialProfile, phi_v_l_series
+from .profiles import SPEC_KEYS, RadialProfile, monge_ampere, phi_v_l_series
 
 NUMERICAL_ERRORS = (
     AccuracyError,
@@ -206,14 +206,12 @@ def cmd_profile_eval(args) -> int:
     prof = parse_profile(args.profile)
     ts = _t_values(args)
     lines = ["t,f,fp,fpp,W"]
-    from .profiles import monge_ampere_density
-
     for t in ts:
         t = float(t)
         # a value past float range is reported below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f, fp, fpp = prof.eval(t)
-            w = monge_ampere_density(prof, args.n, t)
+            w = monge_ampere(args.n, t, f, fp, fpp)
         row = ",".join(fmt(x) for x in (t, f, fp, fpp, w))
         if not all(math.isfinite(x) for x in (f, fp, fpp, w)):
             raise DomainError(f"profile {prof.kind!r} at t = {fmt(t)}: row {row} is not finite")

@@ -106,19 +106,21 @@ def phi_v(v, t):
 def phi_v_l_coefficients(v, J):
     """Taylor coefficients a_0..a_J of phi_v in L at L = 0.
 
-    With w = sqrt(v), a_j = [(1+w)(1-w)^j - (1-w)(1+w)^j] / (4^j j! 2w) is
-    even in w, so it is a polynomial in v with integer coefficients:
-        a_j = sum_p v^p [C(j, 2p) - C(j, 2p+1)] / (4^j j!),
-    valid for every real v (v = 0 and v < 0 included).  An int or Fraction v
-    gives exact Fractions, a float v gives floats.
+    In L, phi_v solves phi'' - phi'/2 + q phi = 0 with q = (1 - v)/16 = A_2
+    (its exponents (1 +- sqrt v)/4 are the roots of r^2 - r/2 + q), and
+    phi = 1, phi' = 0 at L = 0.  So a_0 = 1, a_1 = 0 and
+        a_(j+2) = (a_(j+1)/2 - q a_j/(j+1)) / (j+2),
+    run in exact Fractions of Fraction(v), for every real v (v = 0 and
+    v < 0 included).  An int or Fraction v gives those Fractions, a float v
+    the correctly rounded float of each.
     """
     if J < 0:
         raise DomainError("J must be >= 0")
-    return [
-        sum(v ** p * (math.comb(j, 2 * p) - math.comb(j, 2 * p + 1)) for p in range(j // 2 + 1))
-        / Fraction(4 ** j * math.factorial(j))
-        for j in range(J + 1)
-    ]
+    q = (1 - Fraction(v)) / 16
+    a = [Fraction(1), Fraction(0)][:J + 1]
+    for j in range(J - 1):
+        a.append((a[j + 1] / 2 - q * a[j] / (j + 1)) / (j + 2))
+    return a if isinstance(v, Rational) else [float(c) for c in a]
 
 
 def phi_v_l_series(v, order):

@@ -38,19 +38,39 @@ def _phi_v_l_closed_form(w, J):
             for j in range(J + 1)]
 
 
-@pytest.mark.parametrize("w", [0, 1, 2, 3, F(1, 2)])
-def test_phi_v_L_coeffs_match_closed_form(w):
-    coeffs = phi_v_l_coefficients(w * w, 20)
-    assert coeffs == _phi_v_l_closed_form(F(w), 20)
+def _phi_v_l_binomial(v, J):
+    """a_j = sum_p v^p [C(j, 2p) - C(j, 2p+1)] / (4^j j!): the closed form
+    expanded in powers of v, exact for a rational v."""
+    return [sum(F(v) ** p * (math.comb(j, 2 * p) - math.comb(j, 2 * p + 1))
+                for p in range(j // 2 + 1)) / (4 ** j * math.factorial(j))
+            for j in range(J + 1)]
+
+
+@pytest.mark.parametrize("v, w", [(0, 0), (1, 1), (4, 2), (9, 3), (F(1, 4), F(1, 2)),
+                                  (-4, None), (-1, None), (F(173, 10), None),
+                                  (F(2.5), None), (60, None)],
+                         ids=["0", "1", "2", "3", "w4", "v=-4", "v=-1", "v=173/10", "v=5/2", "v=60"])
+def test_phi_v_L_coeffs_match_closed_form(v, w):
+    # v = w^2 for a rational w, or no rational square root (w = None); the
+    # ids of the squares name w
+    coeffs = phi_v_l_coefficients(v, 40)
+    assert coeffs == _phi_v_l_binomial(v, 40)
+    if w is not None:
+        assert coeffs == _phi_v_l_closed_form(F(w), 40)
     assert all(type(c) is F for c in coeffs)
 
 
 def test_phi_v_L_coeffs_types():
-    # exact for int and Fraction v (square or not), floats for a float v
-    for v in (2, -1, F(173, 10), F(2.5)):
-        assert all(type(c) is F for c in phi_v_l_coefficients(v, 8)), v
-    assert all(type(c) is float for c in phi_v_l_coefficients(2.5, 8))
-    assert phi_v_l_coefficients(2.5, 8) == [float(c) for c in phi_v_l_coefficients(F(5, 2), 8)]
+    # exact for int and Fraction v (square or not), and for a float v the
+    # correctly rounded float of each exact coefficient of Fraction(v)
+    for v in (2, -4, -1, F(173, 10), F(2.5), 60):
+        coeffs = phi_v_l_coefficients(v, 40)
+        assert all(type(c) is F for c in coeffs), v
+        assert coeffs == _phi_v_l_binomial(v, 40), v
+    for x in (2.5, -4.0, -1.0, 17.3, 60.0):
+        coeffs = phi_v_l_coefficients(x, 40)
+        assert all(type(c) is float for c in coeffs), x
+        assert coeffs == [float(c) for c in _phi_v_l_binomial(F(x), 40)], x
 
 
 @pytest.mark.parametrize("v", [-4, -1, 0.5, 2.5, 17.3, 60])
@@ -241,6 +261,18 @@ def test_lerch_two_path_full_invariant_grid():
                 b = A.lerch_phi(t, s, n, method="boundary")
                 worst = max(worst, abs(d - b))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("s, n, L", [(27.000001, 2, 0.5), (30.000001, 2, 0.5),
+                                     (18.000001, 2, 0.05), (21.000001, 2, 0.1),
+                                     (27.000001, 1, 0.5)])
+def test_lerch_boundary_sums_past_small_terms_near_integer_s(s, n, L):
+    # beside zeta's pole the k = round(s) - 1 term is large, and smaller
+    # terms come before it: the sum must reach it (a stop on a run of five
+    # small terms returned 5.6e-8 to 1.8e-14 relative error here)
+    t = math.exp(-L)
+    direct = t * A.lerch_phi(t, s, n, method="direct")
+    assert A.t_phi_boundary_value(s, n, L) == pytest.approx(direct, rel=1e-14, abs=0)
 
 
 def _lerch_defining_sum(t, s, n):

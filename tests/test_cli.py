@@ -266,6 +266,17 @@ def test_lerch_json(capsys):
     assert payload["diff"] <= 1e-10
 
 
+def test_lerch_near_integer_s_paths_agree(capsys):
+    # at s = 27 + 1e-6 the boundary sum's large k = 26 term lies past a run
+    # of small terms; a sum that stopped on that run printed diff 5.6e-8
+    # of direct
+    code, out, _ = run_cli(["lerch", "--t", "0.6065306597126334", "--s", "27.000001",
+                            "--n-deriv", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["diff"] <= 1e-12 * abs(payload["direct"])
+
+
 @pytest.mark.parametrize("t", ["0.5", "0.001"])
 @pytest.mark.parametrize("s, n", [("2", "11"), ("1e300", "0")], ids=["n-past-table", "s-huge"])
 def test_lerch_boundary_capability_keeps_direct(t, s, n, capsys):
