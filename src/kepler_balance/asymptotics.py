@@ -163,12 +163,13 @@ def reciprocal_moments(c_exp: PowerLogSeries, order: int) -> PowerLogSeries:
     """1/c_k as (k+1) sum_m A_m /(k+1)^m with A_0 = 1, from the c_k expansion.
 
     Requires the input to lead with exactly 1/(k+1) (unit coefficient).
-    The product c_exp * result is checked to be 1 through the common order,
-    to 1e-12 absolute (AccuracyError otherwise).  That bounds the
-    reciprocal's own error, the rounding of its recurrence on float input,
-    and says nothing of the input's: a float c_exp that is off gives a
-    reciprocal of the wrong series that still passes.  On exact input the
-    residual is 0.
+    The product c_exp * result is checked to be 1 through the common order
+    (AccuracyError otherwise).  On exact input (``is_rational``) the product
+    is exact, so any residual at all fails.  On float input the residual
+    may be at most 1e-12 absolute: that bounds the reciprocal's own error,
+    the rounding of its recurrence, and says nothing of the input's: a
+    float c_exp that is off gives a reciprocal of the wrong series that
+    still passes.
     """
     if not c_exp.terms or c_exp.min_power() != 1:
         raise NormalizationError("expansion must lead with 1/(k+1)")
@@ -180,9 +181,9 @@ def reciprocal_moments(c_exp: PowerLogSeries, order: int) -> PowerLogSeries:
         raise NormalizationError("leading 1/(k+1) coefficient must be 1")
     inv = c_exp.reciprocal().truncate(order)
     prod = (c_exp * inv) - 1
-    bad = [abs(float(c)) for c in prod.terms.values()]
-    if bad and max(bad) > 1e-12:
-        raise AccuracyError(f"reciprocal product check failed: residual {max(bad):g}")
+    residual = max((abs(float(c)) for c in prod.terms.values()), default=0.0)
+    if (prod.terms and c_exp.is_rational()) or residual > 1e-12:
+        raise AccuracyError(f"reciprocal product check failed: residual {residual:g}")
     return inv
 
 
@@ -205,10 +206,13 @@ def a_m_from_l_series(phi_L: PowerLogSeries, m_max: int):
     lead = Fraction(phi_L.coeff(0))
     if lead == 0:
         raise NormalizationError("the L-series needs a nonzero constant term")
-    unit = PowerLogSeries({k: Fraction(c) / lead for k, c in phi_L.terms.items()}, phi_L.order)
-    c_exp = moment_expansion(unit, m_max + 1)
+    unit = {k: Fraction(c) for k, c in phi_L.terms.items()}
+    if lead != 1:
+        unit = {k: c / lead for k, c in unit.items()}
+    c_exp = moment_expansion(PowerLogSeries(unit, phi_L.order), m_max + 1)
     inv = reciprocal_moments(c_exp, m_max - 1)
-    return [a / lead for a in a_m_coefficients(inv, m_max)]
+    A = a_m_coefficients(inv, m_max)
+    return A if lead == 1 else [a / lead for a in A]
 
 
 # ---------------------------------------------------------------------------

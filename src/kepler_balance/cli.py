@@ -52,6 +52,15 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _csv(header: str, columns) -> str:
+    """CSV text: ``header``, then one line per row of the columns (arrays
+    or lists), each value printed as ``fmt`` prints it (%-formatting takes
+    float(x)), in one formatting pass."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return header + "\n" + (line * len(rows)) % tuple(x for row in rows for x in row)
+
+
 def parse_profile(spec: str) -> RadialProfile:
     """Inline ``kind:key=value,...``, JSON text, or a JSON file path.
 
@@ -117,28 +126,21 @@ def cmd_kernel(args) -> int:
     ts = _t_values(args)
     c = "auto" if args.c == "auto" else float(args.c)
     c, Fs, defects = kern.defect_table(prof, args.n, c, ts)
-    rows = list(zip(ts, Fs, defects))
     if args.format == "json":
         payload = {
             "c": c,
-            "rows": [{"t": float(t), "F": F, "defect": d} for t, F, d in rows],
+            "rows": [{"t": float(t), "F": F, "defect": d} for t, F, d in zip(ts, Fs, defects)],
         }
         _emit(json.dumps(payload, indent=2, default=float) + "\n", args.out)
     else:
-        lines = ["t,F,defect"]
-        for t, F, d in rows:
-            lines.append(f"{fmt(t)},{fmt(F)},{fmt(d)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv("t,F,defect", (ts, Fs, defects)), args.out)
     return 0
 
 
 def cmd_poincare(args) -> int:
     sol = poin.solve_poincare(args.c, t_min=args.tmin)
-    lines = ["t,f,fp,fpp,psi_residual"]
-    res = sol.psi_residuals()
-    for (t, f, fp, fpp), r in zip(sol.grid, res):
-        lines.append(f"{fmt(t)},{fmt(f)},{fmt(fp)},{fmt(fpp)},{fmt(r)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    columns = (sol.t_grid, sol.f_grid, sol.fp_grid, sol.fpp_grid, sol.psi_residuals())
+    _emit(_csv("t,f,fp,fpp,psi_residual", columns), args.out)
     summary = {
         "c": sol.c,
         "t0": sol.t0,

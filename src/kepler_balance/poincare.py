@@ -170,10 +170,6 @@ class PoincareSolution:
     _psi_rows: np.ndarray = field(repr=False)
     _flow: _Flow = field(repr=False)
 
-    @property
-    def grid(self):
-        return list(zip(self.t_grid, self.f_grid, self.fp_grid, self.fpp_grid))
-
     def eval(self, t):
         """(f, f', f'') at t in [t_min_reached, 1): log t inverted for u,
         f'' from the unit-density relation."""

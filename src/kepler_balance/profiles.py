@@ -110,16 +110,26 @@ def phi_v_l_coefficients(v, J):
     (its exponents (1 +- sqrt v)/4 are the roots of r^2 - r/2 + q), and
     phi = 1, phi' = 0 at L = 0.  So a_0 = 1, a_1 = 0 and
         a_(j+2) = (a_(j+1)/2 - q a_j/(j+1)) / (j+2),
-    run in exact Fractions of Fraction(v), for every real v (v = 0 and
-    v < 0 included).  An int or Fraction v gives those Fractions, a float v
-    the correctly rounded float of each.
+    for every real v (v = 0 and v < 0 included), exact in the rationals of
+    Fraction(v).  The recurrence runs in integers: with q = p/r in lowest
+    terms, B_j = a_j j! 2^j r^floor(j/2) solves B_0 = 1, B_1 = 0,
+        B_(j+2) = r^[j even] B_(j+1) - 4 p B_j,
+    and each a_j is the Fraction B_j / (j! 2^j r^floor(j/2)), one gcd each.
+    An int or Fraction v gives those Fractions, a float v the correctly
+    rounded float of each.
     """
     if J < 0:
         raise DomainError("J must be >= 0")
     q = (1 - Fraction(v)) / 16
-    a = [Fraction(1), Fraction(0)][:J + 1]
+    p, r = q.numerator, q.denominator
+    B = [1, 0][:J + 1]
     for j in range(J - 1):
-        a.append((a[j + 1] / 2 - q * a[j] / (j + 1)) / (j + 2))
+        B.append((r if j % 2 == 0 else 1) * B[j + 1] - 4 * p * B[j])
+    a, den = [], 1
+    for j, b in enumerate(B):
+        if j:
+            den *= 2 * j * (r if j % 2 == 0 else 1)
+        a.append(Fraction(b, den))
     return a if isinstance(v, Rational) else [float(c) for c in a]
 
 

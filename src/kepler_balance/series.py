@@ -21,6 +21,16 @@ exponent: exp(A) solves D B = (D A) B, log(1 + u) is D^-1 of
 by the exponent, so a row with log powers is never solved by back
 substitution.
 
+Exact coefficients are multiplied and summed in integers, and become
+Fractions once per coefficient.  The push-forward keeps each finished row
+as reduced numerator/denominator ints, the step series over one common
+denominator, and finishes a coefficient with one lcm over its terms' row
+denominators and one gcd; a product of two rational series takes each
+factor over one common denominator and one gcd per coefficient.  The
+results are the Fractions that Fraction arithmetic gives.  Float (or mixed
+float and rational) coefficients keep their arithmetic and summation order,
+so every float result keeps its bits.
+
 The same type serves two variables elsewhere:
 
 * X = L = log(1/t), boundary expansions at t = 1;
@@ -81,6 +91,20 @@ def nth_root_fraction(x: Fraction, q: int):
     return None
 
 
+def _exact_one(c):
+    """c is the rational 1: dividing or multiplying a coefficient by it
+    changes no value and no float's bits, so the step can be skipped (not so
+    for a float 1.0, which turns a Fraction into a float)."""
+    return isinstance(c, Fraction) and c == 1
+
+
+def _over_one_denominator(coeffs):
+    """Rationals as ints over their least common denominator q: (nums, q)."""
+    coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    q = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (q // c.denominator) for c in coeffs], q
+
+
 def _push_forward(step, order, integrate=False):
     """Terms {(e, j): c} through X^order of B = 1 + S B, or with
     ``integrate`` of D B = S B and B = 1 at X^0, for the series S with the
@@ -90,27 +114,63 @@ def _push_forward(step, order, integrate=False):
     terms only from rows at lower exponents.  The rows are finished in
     increasing e (divided by e to undo D if asked), and each is pushed
     forward onto e + a for every term of S: O(n^2) coefficient operations
-    for n terms (Brent and Kung, J. ACM 25, 1978).  Rows hold Fraction or
-    float coefficients from the seed on, so dividing by an int e is exact.
+    for n terms (Brent and Kung, J. ACM 25, 1978).
+
+    A pushed term is a (num, den) pair, listed under its target coefficient
+    in the order pushed.  When every coefficient of S is rational (and,
+    with ``integrate``, no exponent is a float), the pairs are ints: S is
+    taken once over its least common denominator q, a finished row keeps
+    each coefficient as its reduced numerator n and denominator d, and the
+    push of S's term N/q onto it is (N n, d), read as N n / (q d).
+    Finishing a coefficient takes one lcm over its terms' row denominators
+    and one gcd: the Fraction of the summed numerator over that lcm times q
+    (and e).  The Fractions are those of Fraction arithmetic, without a gcd
+    per product and per sum.  Otherwise a term is (c_S c, 1), multiplied
+    as Fraction or float, and a coefficient adds its terms one by one from
+    0 in the order pushed: float rows keep their arithmetic and its bits.
     """
     steps = sorted(step, key=lambda kv: kv[0][0])
-    pending = {0: {0: Fraction(1)}}  # exponent -> {log power: coefficient}
+    coeffs = [c for _k, c in steps]
+    exact = all(isinstance(c, Rational) for c in coeffs) and not (
+        integrate and any(isinstance(a, float) for (a, _j), _c in steps)
+    )
+    if exact:
+        coeffs, q = _over_one_denominator(coeffs)
+        seed = q  # 1 = q / q
+    else:
+        seed = Fraction(1)
+    steps = [(a, js, c) for ((a, js), _c), c in zip(steps, coeffs)]
+    pending = {0: {0: [(seed, 1)]}}  # exponent -> {log power: [(num, den), ...]}
     out = {}
     while pending:
         e = min(pending)
-        row = pending.pop(e)
-        row = {j: c / e if integrate and e != 0 else c for j, c in row.items() if c != 0}
+        div = e if integrate and e != 0 else None
+        if exact:
+            over = q if div is None else q * div
+        row = {}
+        for j, parts in pending.pop(e).items():
+            if exact:
+                den = math.lcm(*[d for _n, d in parts])
+                num = sum([n * (den // d) for n, d in parts])
+                c = Fraction(num * over.denominator, den * over.numerator)
+            else:
+                c = 0
+                for n, _d in parts:
+                    c = c + n
+                if div is not None:
+                    c = c / div
+            if c != 0:
+                out[(e, j)] = c
+                row[j] = (c.numerator, c.denominator) if exact else (c, 1)
         if not row:
             continue
-        for j, c in row.items():
-            out[(e, j)] = c
-        for (a, js), cs in steps:
+        for a, js, cs in steps:
             e2 = e + a
             if e2 > order:
                 break
             target = pending.setdefault(e2, {})
-            for j, c in row.items():
-                target[j + js] = target.get(j + js, 0) + cs * c
+            for j, (n, d) in row.items():
+                target.setdefault(j + js, []).append((cs * n, d))
     return out
 
 
@@ -124,14 +184,13 @@ class PowerLogSeries:
             order = int(order)
         self.order = order
         self.terms = {}
-        if terms:
-            for (a, j), c in terms.items():
-                a = _as_power(a)
-                if j < 0 or int(j) != j:
-                    raise ValueError("log powers must be nonnegative integers")
-                if c != 0 and a <= order:
-                    self.terms[(a, int(j))] = self.terms.get((a, int(j)), 0) + c
-            self.terms = {k: v for k, v in self.terms.items() if v != 0}
+        # normalizing keeps each exponent's value, so distinct keys stay distinct
+        for (a, j), c in (terms or {}).items():
+            a = _as_power(a)
+            if j < 0 or int(j) != j:
+                raise ValueError("log powers must be nonnegative integers")
+            if c != 0 and a <= order:
+                self.terms[(a, int(j))] = c
 
     # -- constructors -------------------------------------------------
 
@@ -167,8 +226,11 @@ class PowerLogSeries:
     def is_log_free(self):
         return all(j == 0 for (_a, j) in self.terms)
 
+    def _rational_coeffs(self):
+        return all(isinstance(c, Rational) for c in self.terms.values())
+
     def is_rational(self):
-        return all(isinstance(c, Rational) for c in self.terms.values()) and all(
+        return self._rational_coeffs() and all(
             not isinstance(a, float) for (a, _j) in self.terms
         )
 
@@ -242,14 +304,25 @@ class PowerLogSeries:
             return PowerLogSeries.zero(min(self.order, other.order))
         # the first unknown power of the product, less one
         order = min(self.order + 1 + b0, other.order + 1 + a0) - 1
+        # exact coefficients multiply as ints over one denominator per
+        # factor: one gcd per coefficient of the product
+        exact = self._rational_coeffs() and other._rational_coeffs()
+        left, right = self.terms.values(), other.terms.values()
+        if exact:
+            left, q1 = _over_one_denominator(left)
+            right, q2 = _over_one_denominator(right)
+        right = list(zip(other.terms, right))
         out = {}
-        for (a1, j1), c1 in self.terms.items():
-            for (a2, j2), c2 in other.terms.items():
+        for (a1, j1), c1 in zip(self.terms, left):
+            for (a2, j2), c2 in right:
                 a = a1 + a2
                 if a > order:
                     continue
                 k = (a, j1 + j2)
                 out[k] = out.get(k, 0) + c1 * c2
+        if exact:
+            q = q1 * q2
+            out = {k: Fraction(c, q) for k, c in out.items()}
         return PowerLogSeries(out, order)
 
     __rmul__ = __mul__
@@ -277,10 +350,10 @@ class PowerLogSeries:
         if len(lead) != 1 or lead[0][0] != 0:
             raise NormalizationError("leading slice must be a single log-free monomial")
         c0 = Fraction(lead[0][1]) if isinstance(lead[0][1], Rational) else lead[0][1]
-        u = PowerLogSeries(
-            {(a - a0, j): c / c0 for (a, j), c in self.terms.items() if a != a0}, self.order - a0
-        )
-        return a0, c0, u
+        u = {(a - a0, j): c for (a, j), c in self.terms.items() if a != a0}
+        if not _exact_one(c0):
+            u = {k: c / c0 for k, c in u.items()}
+        return a0, c0, PowerLogSeries(u, self.order - a0)
 
     def _shift(self, da):
         return PowerLogSeries(
@@ -291,11 +364,11 @@ class PowerLogSeries:
         """1/A for a monomial-led series A = c0 X^a0 (1 + u), through the
         order to which A determines it: B = 1/(1 + u) solves B = 1 - u B."""
         a0, c0, u = self._one_plus_u()
-        inv_c0 = Fraction(1) / c0 if isinstance(c0, Rational) else 1.0 / c0
         rows = _push_forward(((k, -c) for k, c in u.terms.items()), u.order)
-        return PowerLogSeries(
-            {(e - a0, j): c * inv_c0 for (e, j), c in rows.items()}, u.order - a0
-        )
+        if not _exact_one(c0):
+            inv_c0 = Fraction(1) / c0 if isinstance(c0, Rational) else 1.0 / c0
+            rows = {k: c * inv_c0 for k, c in rows.items()}
+        return PowerLogSeries({(e - a0, j): c for (e, j), c in rows.items()}, u.order - a0)
 
     def _times_power(self):
         """D A: each term c X^a log(1/X)^j times its exponent a."""

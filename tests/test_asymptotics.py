@@ -178,6 +178,15 @@ def test_chain_exactness_and_identities():
             assert Am[m] * F(2) ** (m - 2) == A2
 
 
+@pytest.mark.parametrize("K", range(10, 21))
+def test_a_m_chain_closed_form(K):
+    # phi_v's germ forces A_0 = 1, A_1 = 0 and A_m = (1 - v)/2^(m+2) for m >= 2
+    for v in range(-9, 61):
+        Am = A.a_m_from_l_series(phi_v_l_series(v, K), K)
+        assert Am == [1, 0] + [F(1 - v, 2 ** (m + 2)) for m in range(2, K + 1)], v
+        assert all(type(a) is F for a in Am)
+
+
 def test_reciprocal_moments_accuracy_error():
     # a float expansion whose coefficients grow like 32^a: the rounding of
     # its reciprocal leaves a product residual of ~1e3 at order 14
@@ -188,6 +197,24 @@ def test_reciprocal_moments_accuracy_error():
         terms[(a, 0)] = 0.1 * (-1) ** a * 32 ** (a - 1) + 32 ** (a - 2) / 3
     with pytest.raises(AccuracyError, match="reciprocal product check failed"):
         A.reciprocal_moments(S(terms, 15), 14)
+
+
+def test_reciprocal_moments_exact_input_allows_no_residual(monkeypatch):
+    # on rational input the product is exact: a reciprocal off by 1e-30,
+    # far inside the float tolerance, must still fail the check
+    from kepler_balance.errors import AccuracyError
+
+    cexp = A.moment_expansion(phi_v_l_series(4, 12), 13)
+    exact = S.reciprocal
+
+    def perturbed(self):
+        inv = exact(self)
+        return inv + S({(3, 0): F(1, 10 ** 30)}, inv.order)
+
+    A.reciprocal_moments(cexp, 11)
+    monkeypatch.setattr(S, "reciprocal", perturbed)
+    with pytest.raises(AccuracyError, match="reciprocal product check failed"):
+        A.reciprocal_moments(cexp, 11)
 
 
 def test_reciprocal_moments_claims_only_known_orders():
