@@ -278,17 +278,34 @@ def _lerch_direct(t: float, s: float, n: int) -> float:
     k0 = 0
     block = 2048
     logt = math.log(t)
+    # the rows past the first k with k log t < -750 are exact zeros: there
+    # t^k is 0.0 (e^-750 is 1e-326, far below half the least subnormal), and
+    # 0.0 times a finite (k+1)^-s and (-log(k+1))^n is the zero of sign
+    # (-1)^n.  The block keeps them, so np.sum adds the very array it would
+    # add with every term computed, and the sum keeps its bits.  (k+1)^-s
+    # is at most 1 for s >= 0 and grows with k for s < 0, and log(k+1)^n
+    # grows with k, so the block's last row tells whether both stay
+    # finite; where they do not, every row is computed, the huge ones too
+    zero = -0.0 if n % 2 else 0.0
     while k0 < DIRECT_SUM_CAP:
         ks = np.arange(k0, k0 + block, dtype=float)
+        last = ks[-1:] + 1.0
+        if np.isfinite(last ** (-s) * np.log(last) ** n)[0]:
+            live = np.count_nonzero(ks * logt >= -750.0)
+        else:
+            live = block
+        terms = np.full(block, zero)
+        ks = ks[:live]
         tk = np.exp(ks * logt)
         kp1 = ks + 1.0
         power = kp1 ** (-s)
-        terms = tk * power
+        head = tk * power
         huge = np.isinf(power)  # s < 0: (k+1)^-s overflows before t^k damps it
         if huge.any():
-            terms[huge] = np.exp(ks[huge] * logt - s * np.log(kp1[huge]))
+            head[huge] = np.exp(ks[huge] * logt - s * np.log(kp1[huge]))
         if n:
-            terms = terms * (-np.log(kp1)) ** n
+            head = head * (-np.log(kp1)) ** n
+        terms[:live] = head
         total += float(terms.sum())
         if not math.isfinite(total):
             return total  # lerch_phi reports the overflow
@@ -400,8 +417,8 @@ def t_phi_boundary_value(s: float, n: int, L: float) -> float:
     while k0 <= BOUNDARY_SUM_CAP:
         _, terms = _zeta_terms(s, np.arange(k0, min(k0 + block, BOUNDARY_SUM_CAP + 1)),
                                n, skip, logL)
-        for term in terms.tolist():
-            total += term
+        # strictly in order of k, as a loop of += would add them
+        total = float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
         if np.all(np.abs(terms[-5:]) < 1e-18 * max(abs(total), 1e-30)):
             return total
         k0 += block

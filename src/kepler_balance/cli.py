@@ -230,6 +230,65 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
+def _profile_args(p):
+    p.add_argument("--profile", required=True, help="kind:key=value,... or JSON")
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--out", default=None)
+    p.add_argument("--grid", default=None, help="start:stop:count")
+    p.add_argument("--t", type=float, default=None)
+
+
+def _kernel_args(p):
+    _profile_args(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--c", default="auto",
+                   help="c of the defect F - c/f^(n+1), or auto: 2n (-f'(1))^(n+1) / phi(1)")
+    p.set_defaults(fn=cmd_kernel)
+
+
+def _poincare_args(p):
+    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--tmin", type=float, default=1e-3)
+    p.add_argument("--out", default=None)
+    p.set_defaults(fn=cmd_poincare)
+
+
+def _asymptotics_args(p):
+    p.add_argument("--v", type=float, required=True)
+    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--out", default=None)
+    p.set_defaults(fn=cmd_asymptotics)
+
+
+def _lerch_args(p):
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--n-deriv", type=int, default=0)
+    p.add_argument("--out", default=None)
+    p.set_defaults(fn=cmd_lerch)
+
+
+def _profile_eval_args(p):
+    _profile_args(p)
+    p.set_defaults(fn=cmd_profile_eval)
+
+
+def _verify_args(p):
+    p.add_argument("--only", default=None, help="substring filter")
+    p.set_defaults(fn=cmd_verify)
+
+
+# subcommand -> (its help line in the top-level parser, what defines its arguments)
+_COMMANDS = {
+    "kernel": ("kernel diagonal F, balanced defect", _kernel_args),
+    "poincare": ("solve the radial Poincare flow", _poincare_args),
+    "asymptotics": ("A_m reciprocal-moment coefficients", _asymptotics_args),
+    "lerch": ("Lerch transcendent, two evaluation paths", _lerch_args),
+    "profile-eval": ("evaluate f, f', f'', W on a grid", _profile_eval_args),
+    "verify": ("run the acceptance criteria", _verify_args),
+}
+
+
 @functools.cache
 def build_parser():
     """The top-level parser and each subcommand's own parser by name, built
@@ -239,49 +298,20 @@ def build_parser():
         description="Balanced-metric diagnostics on the Kepler-manifold ball",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (help_text, define) in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=help_text)
+        define(commands[name])
+    return ap, commands
 
-    def common(p):
-        p.add_argument("--profile", required=True, help="kind:key=value,... or JSON")
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--out", default=None)
-        p.add_argument("--grid", default=None, help="start:stop:count")
-        p.add_argument("--t", type=float, default=None)
 
-    pk = sub.add_parser("kernel", help="kernel diagonal F, balanced defect")
-    common(pk)
-    pk.add_argument("--format", choices=("csv", "json"), default="csv")
-    pk.add_argument("--c", default="auto",
-                    help="c of the defect F - c/f^(n+1), or auto: 2n (-f'(1))^(n+1) / phi(1)")
-    pk.set_defaults(fn=cmd_kernel)
-
-    pp = sub.add_parser("poincare", help="solve the radial Poincare flow")
-    pp.add_argument("--c", type=float, required=True)
-    pp.add_argument("--tmin", type=float, default=1e-3)
-    pp.add_argument("--out", default=None)
-    pp.set_defaults(fn=cmd_poincare)
-
-    pa = sub.add_parser("asymptotics", help="A_m reciprocal-moment coefficients")
-    pa.add_argument("--v", type=float, required=True)
-    pa.add_argument("--order", type=int, default=10)
-    pa.add_argument("--out", default=None)
-    pa.set_defaults(fn=cmd_asymptotics)
-
-    pl = sub.add_parser("lerch", help="Lerch transcendent, two evaluation paths")
-    pl.add_argument("--t", type=float, required=True)
-    pl.add_argument("--s", type=float, required=True)
-    pl.add_argument("--n-deriv", type=int, default=0)
-    pl.add_argument("--out", default=None)
-    pl.set_defaults(fn=cmd_lerch)
-
-    pe = sub.add_parser("profile-eval", help="evaluate f, f', f'', W on a grid")
-    common(pe)
-    pe.set_defaults(fn=cmd_profile_eval)
-
-    pv = sub.add_parser("verify", help="run the acceptance criteria")
-    pv.add_argument("--only", default=None, help="substring filter")
-    pv.set_defaults(fn=cmd_verify)
-    return ap, {"kernel": pk, "poincare": pp, "asymptotics": pa, "lerch": pl,
-                "profile-eval": pe, "verify": pv}
+@functools.cache
+def _command_parser(name: str):
+    """The parser of one subcommand alone, as ``build_parser`` builds it
+    under the top-level parser, built once per process."""
+    parser = argparse.ArgumentParser(prog=f"kepler-balance {name}")
+    _COMMANDS[name][1](parser)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -290,19 +320,18 @@ def main(argv=None) -> int:
     requests before it in this process; other warnings are shown as usual.
 
     argv (default ``sys.argv[1:]``) that starts with a subcommand is parsed
-    by that subcommand's parser alone, which is what the top-level parser
-    would hand it; the top-level parser reports what it leaves over, and
-    parses any other argv itself."""
-    parser, commands = build_parser()
+    by that subcommand's parser alone, built without the others, which is
+    what the top-level parser would hand it; the top-level parser, built
+    only then, reports what it leaves over, and parses any other argv
+    itself."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        args = parser.parse_args(argv)
-    else:
-        args, extra = command.parse_known_args(argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
         if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            build_parser()[0].error(f"unrecognized arguments: {' '.join(extra)}")
         args.command = argv[0]
+    else:
+        args = build_parser()[0].parse_args(argv)
     failure = ""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SignedDensityWarning)

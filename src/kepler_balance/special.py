@@ -17,19 +17,24 @@ k, so a value does not depend on the batch it came in.
   k quarter turns, exact zeros included.
 
 Only L^k depends on L.  Everything else in a term is kept in one table per
-(s, n) (``_zeta_rows``), two floats per row: a term is
-coef[k] exp(k lambda + offset[k]) n!, with lambda = log L on the direct
+s (``_zeta_rows``): a term of order n is
+coef[k, n] exp(k lambda + offset[k]) n!, with lambda = log L on the direct
 rows and log(L / 2pi) on the reflected ones (see ``_ZetaRows``).  A table
-covers k = 0..K-1 and grows by whole blocks of 64 rows, all new rows in
-one Euler-Maclaurin pass; the pole row s - k = 1 is never computed.  A
-call then takes one exponential per row, with the operations the row
-would take alone, so a value depends neither on its batch nor on the
-calls made before.  Tables are kept least-recently-used: the ones not in
-use hold at most 8 MB.
+keeps the whole jet, columns 0..N for N the highest order asked of it so
+far, since truncated-Taylor arithmetic is prefix-closed: every jet
+operation here computes column m of an order-N jet with the operations,
+in the order, of an order-m jet.  A table covers k = 0..K-1, K a whole
+number of 64-row blocks; all new rows come in one Euler-Maclaurin pass,
+and a table that must grow at least doubles its rows.  A call of an order
+n > N rebuilds the table at order n over all its rows, in one pass.  The
+pole row s - k = 1 is never computed.  A call then takes one exponential
+per row, with the operations the row would take alone, so a value depends
+neither on its batch nor on the calls made before.  Tables are kept
+least-recently-used: the ones not in use hold at most 8 MB.
 
 zeta at the integers has no routine of its own: the kernel's Kummer split
-reads zeta(s - k), s = 1..9, from the (s, 0) tables through the Lerch
-layer's boundary series.
+reads zeta(s - k), s = 1..9, from column 0 of the tables of s through the
+Lerch layer's boundary series.
 
 Gamma derivatives come from the Leibniz/polygamma recursion on
 Gamma' = Gamma psi_0.  The polygamma functions psi_n are computed
@@ -340,16 +345,18 @@ def _sin_cos_half_pi(s: float):
 
 
 class _ZetaRows(NamedTuple):
-    """The L-free factor of zeta^(n)(s - k) L^k / k! for k = 0..size-1, for
-    one (s, n); both arrays read-only.  A term is
-    coef[k] exp(k lambda + offset[k]) n! (see ``zeta_deriv_over_factorial``).
+    """The L-free factors of zeta^(m)(s - k) L^k / k! for k = 0..size-1 and
+    m = 0..order, for one s; both arrays read-only.  A term of order m is
+    coef[k, m] exp(k lambda + offset[k]) m! (see
+    ``zeta_deriv_over_factorial``).
 
-    Direct rows k < k_r (s - k >= -1/2) keep zeta^(n)(s - k) / n! in
-    ``coef`` (NaN at the pole row s - k = 1, which is never computed) and
-    -lgamma(k + 1) in ``offset``.  Reflected rows k >= k_r keep the bracket
-    lgamma(k+1-s) - lgamma(k+1) in ``offset`` and, in ``coef``, column n of
-    the exponent's jet exponential, its constant term left out, times the
-    jet of sin(pi z / 2) zeta(1 - z) at z = s - k.
+    Direct rows k < k_r (s - k >= -1/2) keep zeta^(m)(s - k) / m! in
+    ``coef[k, m]`` (NaN at the pole row s - k = 1, which is never computed)
+    and -lgamma(k + 1) in ``offset``.  Reflected rows k >= k_r keep the
+    bracket lgamma(k+1-s) - lgamma(k+1) in ``offset`` and, in ``coef[k, m]``,
+    column m of the exponent's jet exponential, its constant term left out,
+    times the jet of sin(pi z / 2) zeta(1 - z) at z = s - k.  ``coef`` is
+    column-major, so the column of one order is one contiguous array.
     """
 
     size: int
@@ -358,24 +365,28 @@ class _ZetaRows(NamedTuple):
     offset: np.ndarray
 
     @property
+    def order(self) -> int:
+        return self.coef.shape[1] - 1
+
+    @property
     def nbytes(self) -> int:
         return self.coef.nbytes + self.offset.nbytes
 
 
-_ROW_BLOCK = 64  # a table grows by whole blocks of this many rows
+_ROW_BLOCK = 64  # a table's rows are a whole number of blocks of this many
 _TABLE_BUDGET = 8 * 2 ** 20  # bytes the tables not in use may hold
-_tables: collections.OrderedDict = collections.OrderedDict()  # (s, n) -> _ZetaRows, LRU order
+_tables: collections.OrderedDict = collections.OrderedDict()  # s -> _ZetaRows, LRU order
 _tables_lock = threading.Lock()
 
 
 def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
-    """``rows`` grown to ``size`` rows (a fresh table for None).  Each row is
-    computed as it would be alone: one ``_zeta_em`` pass over the new direct
-    and reflected rows, and the bracket's running sum carried on from the
-    last row kept."""
+    """``rows`` grown to ``size`` rows at its order n (a fresh table of
+    order n for None).  Each row is computed as it would be alone: one
+    ``_zeta_em`` pass over the new direct and reflected rows, and the
+    bracket's running sum carried on from the last row kept."""
     if rows is None:
         k_r = max(0, math.floor(s + 0.5) + 1)  # the first k with s - k < -1/2
-        rows = _ZetaRows(0, k_r, np.empty(0), np.empty(0))
+        rows = _ZetaRows(0, k_r, _jet_zeros(0, n), np.empty(0))
     k_r = rows.k_r
     ks = np.arange(rows.size, size)
     kd, kr = ks[ks < k_r], ks[ks >= k_r]
@@ -383,8 +394,11 @@ def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
     live = z != 1.0  # the pole row is never computed
     x = 1.0 - s + kr  # the argument of zeta(1 - z)
     jets = _zeta_em(np.concatenate((z[live], x)), n)
-    zeta = np.full(len(kd), np.nan)
-    zeta[live] = jets[:np.count_nonzero(live), n]
+    coef = np.empty((size, n + 1), order="F")
+    coef[:rows.size] = rows.coef
+    direct = coef[rows.size:rows.size + len(kd)]
+    direct[live] = jets[:np.count_nonzero(live)]
+    direct[~live] = np.nan
     # negated here, once: x + (-y) is x - y exactly
     neg_log_fact = -np.array([math.lgamma(k + 1.0) for k in kd.tolist()])
 
@@ -422,37 +436,47 @@ def _new_rows(s: float, n: int, rows: _ZetaRows | None, size: int) -> _ZetaRows:
         sin_jet[:, m] = (0.5 * math.pi) ** m / math.factorial(m) * cycle[m % 4]
     zr = jets[np.count_nonzero(live):]
     zr[:, 1::2] *= -1.0  # zeta(x - eps)
-    coef = _jet_mul(_jet_exp(expo), _jet_mul(sin_jet, zr))[:, n]
+    coef[rows.size + len(kd):] = _jet_mul(_jet_exp(expo), _jet_mul(sin_jet, zr))
 
-    arrays = []
-    for kept, direct, reflected in zip(rows[2:], (zeta, neg_log_fact), (coef, bracket)):
-        grown = np.concatenate((kept, direct, reflected))
-        grown.setflags(write=False)
-        arrays.append(grown)
-    return _ZetaRows(size, k_r, *arrays)
+    offset = np.concatenate((rows.offset, neg_log_fact, bracket))
+    for a in (coef, offset):
+        a.setflags(write=False)
+    return _ZetaRows(size, k_r, coef, offset)
 
 
 def _zeta_rows(s: float, n: int, size: int) -> _ZetaRows:
-    """The table of (s, n), grown to at least ``size`` rows.
+    """The table of s, of order n at least, with at least ``size`` rows.
 
-    Tables are kept least-recently-used: once a table is stored, the
-    oldest others go until they hold at most _TABLE_BUDGET bytes.  So all
-    tables together never hold more than 8 MB plus the table in use, which
-    keeps 2 floats per row, for every k below the largest asked rounded up
-    to a whole block: 0.16 MB at any n for the 10,048 rows a boundary sum
-    reaching its 10,000-term cap asks for.
+    A table of a lower order is rebuilt at order n over all its rows, in
+    one pass; a table of too few rows grows to ``size`` rounded up to a
+    whole block, and to at least twice its rows.  Tables are kept
+    least-recently-used: once a table is stored, the oldest others go
+    until they hold at most _TABLE_BUDGET bytes.  So all tables together
+    never hold more than 8 MB plus the table in use.
+
+    A table of order N keeps 8 (N + 2) bytes per row.  That is never more
+    than one table per order 0..N of two floats per row, but a lone
+    request of a high order now pays for the whole jet: the 10,001 rows a
+    boundary sum at its 10,000-term cap asks for are 10,048 rows, or up
+    to 19,968 where the doubling overshoots (twice 9,984), and take
+    0.24-0.48 MB at N = 1 but 13.8-27.5 MB at N = 170, where one
+    (s, 170) table of two floats per row took 0.16 MB.
     """
-    key = (s, n)
     with _tables_lock:
-        rows = _tables.get(key)
+        rows = _tables.get(s)
         if rows is not None:
-            _tables.move_to_end(key)
-    if rows is not None and rows.size >= size:
+            _tables.move_to_end(s)
+    if rows is not None and rows.order >= n and rows.size >= size:
         return rows
-    rows = _new_rows(s, n, rows, -(-size // _ROW_BLOCK) * _ROW_BLOCK)
+    size = -(-size // _ROW_BLOCK) * _ROW_BLOCK
+    if rows is not None:
+        size = max(size, 2 * rows.size) if size > rows.size else rows.size
+        if rows.order < n:
+            rows = None  # rebuilt at order n over all its rows
+    rows = _new_rows(s, n if rows is None else rows.order, rows, size)
     with _tables_lock:
-        _tables[key] = rows
-        _tables.move_to_end(key)
+        _tables[s] = rows
+        _tables.move_to_end(s)
         held = sum(r.nbytes for r in _tables.values()) - rows.nbytes
         while held > _TABLE_BUDGET:
             _key, old = _tables.popitem(last=False)
@@ -466,8 +490,8 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     ``k`` is an int >= 0 (returns a float) or an int array (returns an array
     of the same length); each entry does not depend on the others, nor on
     the calls made before.  Only L^k is computed per call; the rest of each
-    term comes from the (s, n) table (``_zeta_rows``), and a term is
-    coef[k] exp(k lambda + offset[k]) n!.
+    term comes from column n of the table of s (``_zeta_rows``), and a term
+    is coef[k, n] exp(k lambda + offset[k]) n!.
 
     s - k >= -0.5 uses Euler-Maclaurin directly, with lambda = log L.  Below
     that the reflection formula
@@ -495,7 +519,7 @@ def zeta_deriv_over_factorial(s: float, k, n: int = 0, log_L: float = 0.0):
     expo = np.where(ks < rows.k_r, ks * log_L, (s * _LOG_2PI - _LOG_PI) + ks * log_ratio)
     # a term past float range is raised below, not returned as inf
     with np.errstate(over="ignore", invalid="ignore"):
-        out = rows.coef[ks] * np.exp(expo + rows.offset[ks])
+        out = rows.coef[ks, n] * np.exp(expo + rows.offset[ks])
         out *= math.factorial(n)  # n! folded into coef would move direct rows' bits
     finite = np.isfinite(out)
     if not finite.all():

@@ -428,15 +428,31 @@ def _boundary_bits(s, n):
 @pytest.mark.parametrize("s", [-2.0, -1.5, 0.0, 0.5, 1.0, 2.0, 3.0, 7.3])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_zeta_tables_never_show_in_boundary_values(s, n, monkeypatch):
-    # the same bits from an emptied (s, n) table, after a larger-L call grew
+    # the same bits from an emptied table of s, after a larger-L call grew
     # it, and after a smaller-L call
     monkeypatch.setattr(special, "_tables", type(special._tables)())
     fresh = _boundary_bits(s, n)
     A.lerch_phi(math.exp(-6.2), s, n, method="boundary")
-    assert special._tables[(s, n)].size > 1000
+    assert special._tables[s].size > 1000
     assert _boundary_bits(s, n) == fresh
     A.lerch_phi(math.exp(-0.05), s, n, method="boundary")
     assert _boundary_bits(s, n) == fresh
+
+
+@pytest.mark.parametrize("s", [-2.0, -1.5, 0.5, 2.0, 7.3])
+def test_zeta_table_upgraded_to_a_higher_order_keeps_the_bits(s, monkeypatch):
+    # a table first built at n = 0 and then asked for n = 3 gives the bits
+    # of a table built fresh at each order
+    fresh = {}
+    for n in (0, 3):
+        monkeypatch.setattr(special, "_tables", type(special._tables)())
+        fresh[n] = _boundary_bits(s, n)
+    monkeypatch.setattr(special, "_tables", type(special._tables)())
+    assert _boundary_bits(s, 0) == fresh[0]
+    assert special._tables[s].order == 0
+    assert _boundary_bits(s, 3) == fresh[3]
+    assert special._tables[s].order == 3
+    assert _boundary_bits(s, 0) == fresh[0]
 
 
 def test_boundary_expansion_s1():

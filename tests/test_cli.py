@@ -508,7 +508,7 @@ def _perfbench_requests(name, seed):
 
 
 def test_lerch_asymptotics_requests_print_the_same_in_any_order(capsys, monkeypatch):
-    # the (s, n) zeta tables one request leaves behind do not change what a
+    # the zeta tables one request leaves behind do not change what a
     # later one prints: the benchmark's requests, forward and then reversed
     # in one process, from emptied tables
     from kepler_balance import special

@@ -135,24 +135,27 @@ def test_stieltjes_vs_mpmath():
 
 
 def test_zeta_tables_respect_their_budget(monkeypatch):
-    # least-recently-used: once a table is stored, the others hold at most
-    # the budget, and an evicted (s, n) comes back with the same bits
+    # least-recently-used, one table per s: once a table is stored, the
+    # others hold at most the budget, and an evicted s comes back with the
+    # same bits at every order
     from kepler_balance import special
 
     monkeypatch.setattr(special, "_TABLE_BUDGET", 200_000)
     monkeypatch.setattr(special, "_tables", type(special._tables)())
     log_L = math.log(6.2)
     ks = np.arange(0, 2000, 13)
-    first = zeta_deriv_over_factorial(-2.5, ks, 0, log_L=log_L)
+    first = [zeta_deriv_over_factorial(-2.5, ks, n, log_L=log_L) for n in range(4)]
     for s in (-2.5, -1.5, 0.5, 2.5, 3.5, 7.3):
         for n in range(4):
             zeta_deriv_over_factorial(s, ks, n, log_L=log_L)
             newest_key, newest = next(reversed(special._tables.items()))
             held = sum(rows.nbytes for rows in special._tables.values()) - newest.nbytes
-            assert newest_key == (s, n) and newest.size >= 2000
+            assert newest_key == s and newest.order >= n and newest.size >= 2000
             assert held <= special._TABLE_BUDGET
-    assert (-2.5, 0) not in special._tables
-    assert np.array_equal(zeta_deriv_over_factorial(-2.5, ks, 0, log_L=log_L), first)
+    assert -2.5 not in special._tables
+    for n in (3, 0, 2, 1):
+        again = zeta_deriv_over_factorial(-2.5, ks, n, log_L=log_L)
+        assert again.tobytes() == first[n].tobytes()
 
 
 def test_zeta_tables_grow_by_whole_blocks_and_stay_read_only(monkeypatch):
@@ -161,16 +164,25 @@ def test_zeta_tables_grow_by_whole_blocks_and_stay_read_only(monkeypatch):
     monkeypatch.setattr(special, "_tables", type(special._tables)())
     rows = special._zeta_rows(0.5, 2, 100)
     # s - k >= -1/2 for k = 0, 1: two direct rows, then reflected ones
-    assert rows.size == 128 and rows.k_r == 2
+    assert rows.size == 128 and rows.k_r == 2 and rows.order == 2
+    assert rows.coef.shape == (rows.size, 3) and len(rows.offset) == rows.size
     for a in (rows.coef, rows.offset):
-        assert len(a) == rows.size and not a.flags.writeable
+        assert not a.flags.writeable
+    # a lower order or fewer rows read the same table
     assert special._zeta_rows(0.5, 2, 50) is rows
-    # the pole row s - k = 1 is kept as NaN, never computed
-    assert math.isnan(special._zeta_rows(3.0, 0, 64).coef[2])
-    # two floats per row, direct or reflected, whatever n
+    assert special._zeta_rows(0.5, 0, 128) is rows
+    # a table that must grow at least doubles its rows
+    assert special._zeta_rows(0.5, 1, 129).size == 256
+    assert special._zeta_rows(0.5, 2, 1000).size == 1024
+    # a higher order rebuilds all rows, growing only where asked
+    assert special._zeta_rows(0.5, 4, 10).size == 1024
+    # the pole row s - k = 1 is kept as NaN at every order, never computed
+    assert np.isnan(special._zeta_rows(3.0, 3, 64).coef[2]).all()
+    # N + 2 floats per row at order N, direct or reflected
     for n in (0, 1, 3, 7):
         grown = special._zeta_rows(3.5, n, 200)
-        assert grown.nbytes == 16 * grown.size
+        assert grown.order == n
+        assert grown.nbytes == 8 * (n + 2) * grown.size
 
 
 @pytest.mark.parametrize("s, k", [(math.inf, 0), (-math.inf, 3), (math.nan, 0), (2.0, -1)])
