@@ -6,6 +6,9 @@ set -euo pipefail
 
 # F of constant_one at t = 0.5 is (1 + 3t)/(1 - t)^3 = 20
 kepler-balance kernel --profile constant_one --t 0.5 --c 4 | python -c "import sys; F = float(sys.stdin.read().splitlines()[1].split(',')[1]); assert abs(F - 20) <= 1e-12, F"
+# phi_v at v = 8.96724 is nearly singular at t = 0; its exact form gives F
+# within 1e-12 of the closed form (quadrature was 1.9e-4 off)
+kepler-balance kernel --profile phi_v_candidate:v=8.96724 --t 0.5 --c 4 | python -c "import sys; from kepler_balance.kernel import closed_form_F_phi_v as cf; F = float(sys.stdin.read().splitlines()[1].split(',')[1]); assert abs(F - cf(8.96724, 0.5)) <= 1e-12 * cf(8.96724, 0.5), F"
 # the poincare exponent on stderr is rho(c) read from the flow: 1 at c = 3/2, 0 at c = 0
 kepler-balance poincare --c 1.5 --tmin 1e-3 2>&1 > /dev/null | python -c "import json, sys; e = json.loads(sys.stdin.read().splitlines()[-1])['exponent']; assert e == 1.0, e"
 kepler-balance poincare --c 0 --tmin 1e-3 2>&1 > /dev/null | python -c "import json, sys; e = json.loads(sys.stdin.read().splitlines()[-1])['exponent']; assert e == 0.0, e"

@@ -14,7 +14,7 @@ with its exponent at t = 0 worked out from W_n[g_m] = t^(1 - n/m)
 (CapabilityError where none is known).
 ``Density.moment(k)`` reads c_k with its error bound, and
 ``Density.sign_changing`` says whether phi is negative at some node, read
-off the node values calibration computes.  ``estimate_c`` gives ``--c
+off the node values ``calibrate`` computes.  ``estimate_c`` gives ``--c
 auto`` its c in closed form from boundary data, 2n (-f'(1))^(n+1) / phi(1)
 with f'(1) read off the profile's L-series.  ``defect_table`` is the one
 loop over t: it gives F and the balanced defect per t to
@@ -22,29 +22,56 @@ loop over t: it gives F and the balanced defect per t to
 one place that warns (SignedDensityWarning, naming the density) when the
 density is sign-changing.
 
-Moments are computed by tanh-sinh quadrature over a fixed node set shared
-across k.  Each entry carries an observed error bound: its difference from
-the level-(L-1) rule, whose nodes are a subset of the level-L set, taken
-through a second weight column.  The nodes carry l = log t with the exact
-1 - t near t = 1 (``quadrature``), and t^k is taken as exp(k l), never as a
-running product of rounded t, so no error builds up with k.  A density
-fills its cache, a contiguous prefix k_min..k_min+len-1 held as two lists
-(values, error bounds), in aligned blocks of ``_BLOCK`` = 64: block j covers
-k0 = k_min + 64 j through k0 + 63 and is the product
+A density takes its moments on one of two paths, and the one switch is
+whether it carries an exact form: terms (a, p, j) of
+phi = sum a t^p log(1/t)^j, a complex p standing for its term plus the
+conjugate term.
+* Forms.  ``phi_v_density`` gives every phi_v its form
+  (``profiles.phi_v_form``): two real powers for v > 1e-6, t^(-1/4) times
+  the log polynomial ``phi_v`` evaluates for |v| <= 1e-6, and a conjugate
+  pair for v < -1e-6.  ``associated_density`` gives constant_one its scale s
+  and W_n of explicit_n s^(n+1) t^(1 - n/m).  That covers every density the
+  CLI builds but the Poincare one, the constant s^3, which keeps
+  quadrature: the direct sum truncates at 1e-14 of F, and at t = 0.7495 (the
+  grid 0.001:0.999:5) exact moments round F one ulp further from
+  (1 + 3t)/(1 - t)^3, past 1e-14.  A form gives
+  c_k = sum a j!/(k+1+p)^(j+1), filled in the aligned blocks below, with
+  the bound (u = eps/2, n terms)
+      u (n + j_max + 4) sum |term| + u sum (j+1) |term| (k+1+|p|)/|k+1+p|.
+  The first part counts the roundings of a j!, of the j + 1 divisions, of
+  the sum over the terms and of a complex division.  The second is one
+  rounding of k+1+p, which also covers half an ulp of error in p itself.
+  A c_k that is 0 or subnormal raises DomainError naming the density.  A
+  form density builds no powers and picks no level: ``calibrate`` only
+  evaluates phi on the level-``_MIN_LEVEL`` nodes, so the non-finite and
+  vanishing checks and the sign flag read the values quadrature reads there.
+* Quadrature, for a density built from its values alone
+  (``Density(fn, p0)``): tanh-sinh quadrature over a fixed node set shared
+  across k.  Each entry carries an observed error bound: its difference from
+  the level-(L-1) rule, whose nodes are a subset of the level-L set, taken
+  through a second weight column.  The nodes carry l = log t with the exact
+  1 - t near t = 1 (``quadrature``), and t^k is taken as exp(k l), never as a
+  running product of rounded t, so no error builds up with k.
+
+Either way a density fills its cache, a contiguous prefix
+k_min..k_min+len-1 held as two lists (values, error bounds), in aligned
+blocks of ``_BLOCK`` = 64: block j covers k0 = k_min + 64 j through k0 + 63
+(the last is cut at ``HARD_TERM_CAP``).  A form computes each c_k on its
+own.  On quadrature a block is the product
 (Q * exp(k0 l)) @ W, with Q = exp(outer(0..63, l)) memoised per level and W
 the two weighted-density columns (one product up to level 9, a sum over
 chunks of ``_COLUMNS`` nodes above).  exp(0 l) is exactly 1, so the block
 at k0 = 0 is Q @ W, with the same bits and no scaling pass.  Nodes whose
 exp(k0 l) is below 1e-300 are a leading slice of the sorted table and are
-left out.  Every fill computes whole blocks of that shape (the last is cut
-at ``HARD_TERM_CAP``): BLAS can round a row differently in a product of
-another shape, and whole aligned blocks keep each c_k's bits a function of
-k and the level only.  They depend neither on the block shape a caller's
-k_max would give nor on the core count: a product split across OpenBLAS
-threads gives the bits of one thread (the package pins one thread unless
-the caller chose; tier-1 compares 1 and 2 threads at levels 6 and 12).
+left out.  Every fill computes whole blocks of that shape: BLAS can round a
+row differently in a product of another shape, and whole aligned blocks
+keep each c_k's bits a function of k and the level only.  They depend
+neither on the block shape a caller's k_max would give nor on the core
+count: a product split across OpenBLAS threads gives the bits of one
+thread (the package pins one thread unless the caller chose; tier-1
+compares 1 and 2 threads at levels 6 and 12).
 
-The node level is chosen once per density, as the coarsest from
+A quadrature density chooses its node level once, as the coarsest from
 ``_MIN_LEVEL`` = 6 whose probes c_k, k = k_min + ``_PROBES``, differ from
 the level-(L-1) rule by at most ``_CALIBRATION_RTOL`` = 1e-14 relative.
 The probes come from the first block, which the cache keeps.  No caller's
@@ -122,6 +149,7 @@ from .profiles import (
     m_delta_from_v,
     monge_ampere_density,
     phi_v,
+    phi_v_form,
     phi_v_l_series,
     require_dimension,
 )
@@ -150,6 +178,7 @@ _KUMMER_SAFETY = 10.0
 # fall like (L/2 pi)^k, below 0.016^k for L < KUMMER_L
 _KUMMER_L_ORDER = 16
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def dimension_count(k: int, n: int) -> int:
@@ -209,13 +238,22 @@ class Density:
 
     ``fn`` is vectorized; ``origin_exponent`` p0 means phi(t) ~ C t^p0
     (possibly times logs) as t -> 0, which fixes which moments exist.
+    ``form``, when given, is phi's exact form, terms (a, p, j) of
+    a t^p log(1/t)^j with Re p >= p0 (a complex p stands for the term plus
+    its conjugate); ``phi_v_density`` and ``associated_density`` attach one
+    to every density they build but the Poincare one.  The moments are
+    then the form's, each with a bound of n + j_max + 4 half-ulps of
+    sum |term| over its n terms plus one rounding of k+1+p (module
+    docstring), and phi is only checked on the level-``_MIN_LEVEL``
+    nodes.  Without a form the moments come from quadrature.
     Moment values are cached as a contiguous prefix from k_min, in two
-    lists indexed by k - k_min (values and observed error bounds), filled
-    in aligned blocks of ``_BLOCK`` at one node level from exact powers
-    exp(k l) (module docstring).  ``calibrate`` picks that level once per
-    density against ``_CALIBRATION_RTOL`` and keeps its probe block.
-    ``sign_changing`` is read off the same node values: phi < 0 at some
-    node, so phi is not a nonnegative volume element.
+    lists indexed by k - k_min (values and error bounds), filled in aligned
+    blocks of ``_BLOCK`` (module docstring).  ``calibrate`` runs once per
+    density: with a form it evaluates phi on the level-``_MIN_LEVEL``
+    nodes; without one it picks the node level of the exact powers
+    exp(k l) against ``_CALIBRATION_RTOL`` and keeps its probe block.
+    ``sign_changing`` is read off those node values: phi < 0 at some node,
+    so phi is not a nonnegative volume element.
 
     ``l_series``, when given, maps an order to phi's L-expansion at t = 1
     (a log-free PowerLogSeries in integer powers of L with a nonzero constant
@@ -229,11 +267,12 @@ class Density:
     grow after that, so a read of an entry already filled takes no lock.
     """
 
-    def __init__(self, fn, origin_exponent, label="density", l_series=None):
+    def __init__(self, fn, origin_exponent, label="density", l_series=None, form=None):
         self.fn = fn
         self.origin_exponent = origin_exponent
         self.label = label
         self.l_series = l_series
+        self.form = None if form is None else tuple(form)
         self._kummer = None  # _KummerSplit, built on first use
         self._lock = threading.RLock()
         self.k_min = _k_min_from_exponent(origin_exponent)
@@ -253,7 +292,9 @@ class Density:
 
     # -- node machinery -------------------------------------------------
 
-    def _setup(self, level):
+    def _node_values(self, level):
+        """The level's nodes above the floor and phi there, which set the
+        sign flag; DomainError where phi is not finite or vanishes there."""
         t, w, ell, w_prev = nodes_up_to(level, t_floor=self.t_floor)
         phi = np.asarray(self.fn(t), dtype=float)
         if not np.isfinite(phi).all():
@@ -262,6 +303,10 @@ class Density:
             # every moment would be 0, and F = sum N(k)/c_k t^k undefined
             raise DomainError(f"{self.label}: the density vanishes on the node set")
         self._negative = bool((phi < 0.0).any())
+        return w, ell, w_prev, phi
+
+    def _setup(self, level):
+        w, ell, w_prev, phi = self._node_values(level)
         weights = np.stack([w * phi, w_prev * phi], axis=1)
         # drop the last level's Q before this level's is built; the floor cut
         # is a leading slice of the table, and so of Q's columns
@@ -274,9 +319,14 @@ class Density:
     def calibrate(self):
         """Pick the node level: the coarsest from ``_MIN_LEVEL`` whose probe
         moments settle within ``_CALIBRATION_RTOL`` of |c_k|.  The probes come
-        from the cache's own first block, which stays filled through k_min + 63."""
+        from the cache's own first block, which stays filled through k_min + 63.
+        A density with a form only checks phi on the ``_MIN_LEVEL`` nodes."""
         with self._lock:
             if self._level is not None:
+                return
+            if self.form is not None:
+                self._node_values(_MIN_LEVEL)
+                self._level = _MIN_LEVEL
                 return
             for level in range(_MIN_LEVEL, MAX_LEVEL + 1):
                 self._setup(level)
@@ -320,27 +370,65 @@ class Density:
             )
         with self._lock:
             self.calibrate()
-            ell, q, weights = self._nodes
+            fill = self._quadrature_block if self.form is None else self._form_block
             while (k0 := self.k_min + len(self._c)) <= k_max:
-                # exp(k0 l) < 1e-300 on a leading slice: l is sorted and k0 >= 0
-                lo = int(np.searchsorted(ell, _LOG_DEAD / k0)) if k0 > 0 else 0
-                block = np.zeros((_BLOCK, 2))
-                for c0 in range(lo, len(ell), _COLUMNS):
-                    cols = slice(c0, c0 + _COLUMNS)
-                    # exp(0 l) is exactly 1: block 0 is Q @ W (module docstring)
-                    scaled = q[:, cols] * np.exp(k0 * ell[cols]) if k0 else q[:, cols]
-                    block += scaled @ weights[cols]
-                block = block[: HARD_TERM_CAP - k0 + 1]
+                values, bounds = fill(k0)
+                last = HARD_TERM_CAP - k0 + 1
                 # the bounds first: a reader that finds c_k unlocked finds its bound
-                self._err.extend(np.abs(block[:, 0] - block[:, 1]).tolist())
-                self._c.extend(block[:, 0].tolist())
+                self._err.extend(bounds[:last].tolist())
+                self._c.extend(values[:last].tolist())
+
+    def _quadrature_block(self, k0):
+        """c_k and the observed bounds, k = k0..k0+63: one product of exact
+        powers (module docstring)."""
+        ell, q, weights = self._nodes
+        # exp(k0 l) < 1e-300 on a leading slice: l is sorted and k0 >= 0
+        lo = int(np.searchsorted(ell, _LOG_DEAD / k0)) if k0 > 0 else 0
+        block = np.zeros((_BLOCK, 2))
+        for c0 in range(lo, len(ell), _COLUMNS):
+            cols = slice(c0, c0 + _COLUMNS)
+            # exp(0 l) is exactly 1: block 0 is Q @ W (module docstring)
+            scaled = q[:, cols] * np.exp(k0 * ell[cols]) if k0 else q[:, cols]
+            block += scaled @ weights[cols]
+        return block[:, 0], np.abs(block[:, 0] - block[:, 1])
+
+    def _form_block(self, k0):
+        """c_k = sum_i a_i j_i!/(k+1+p_i)^(j_i+1), k = k0..k0+63, from the
+        form, with the bound of the module docstring.  DomainError, naming
+        the density, at a c_k that is 0 or subnormal."""
+        k1 = np.arange(k0 + 1, k0 + 1 + _BLOCK, dtype=float)  # k + 1, exact
+        values, size, shift = np.zeros(_BLOCK), np.zeros(_BLOCK), np.zeros(_BLOCK)
+        for a, p, j in self.form:
+            x = k1 + p
+            term = a * math.factorial(j) / x
+            for _ in range(j):
+                term = term / x
+            mag = np.abs(term)
+            if isinstance(p, complex):  # the term plus its conjugate
+                term, mag = 2.0 * term.real, 2.0 * mag
+            values += term
+            size += mag
+            # one rounding of k+1+p, of at most half an ulp of k+1+|p|
+            shift += (j + 1) * mag * (k1 + abs(p)) / np.abs(x)
+        small = np.abs(values) < _TINY
+        if small.any():
+            i = int(np.argmax(small))
+            raise _zero_moment(self, k0 + i, values[i])
+        # half-ulps: a_i j_i!, j_i + 1 divisions, the sum over the terms, and
+        # 2 for a complex division
+        ulps = len(self.form) + max(j for _a, _p, j in self.form) + 4
+        return values, 0.5 * _EPS * (ulps * size + shift)
 
 
+# one density per v: a v asked for again keeps its node check, its moments
+# and its Kummer split, the exact A_m chain and its fold.  kernel-boundary
+# asks for v = 1 five times; without this cache its wall_s went from 0.018
+# to 0.021 s (five alternating runs, 2-core VM)
 _PHI_V_DENSITIES = {}
 
 
 def phi_v_density(v) -> Density:
-    """phi_v as a Density (cached per v).
+    """phi_v as a Density with its exact form (cached per v).
 
     For every v < 1, phi_v is negative near t = 0 (for 0 < v < 1 its leading
     coefficient there is -(1 - sqrt v)/(2 sqrt v)): such a density is
@@ -354,7 +442,8 @@ def phi_v_density(v) -> Density:
             if v >= 0:
                 p0 = (-1.0 - math.sqrt(float(v))) / 4.0
                 l_series = lambda order, v=v: phi_v_l_series(Fraction(v), order)
-            dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}", l_series=l_series)
+            dens = Density(lambda t, v=v: phi_v(v, t), p0, label=f"phi_{v}", l_series=l_series,
+                           form=phi_v_form(v))
             _PHI_V_DENSITIES[key] = dens
     return dens
 
@@ -370,6 +459,16 @@ def _monge_ampere_exponent(p: RadialProfile, n: int):
     )
 
 
+def _scale_power(s: float, e: int) -> float:
+    """s^e correctly rounded, or an infinity past float range: the density's
+    node values are then not finite either, and its check names it."""
+    num, den = s.as_integer_ratio()
+    try:
+        return num ** e / den ** e  # int true division rounds correctly
+    except OverflowError:
+        return math.copysign(math.inf, s) if e % 2 else math.inf
+
+
 def associated_density(p: RadialProfile, n: int = 2) -> Density:
     """The density paired with the profile in the balanced identity.
 
@@ -381,7 +480,8 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
     kinds pair with their Monge-Ampere density W_n[f], whose exponent at
     t = 0 is worked out by ``_monge_ampere_exponent`` (CapabilityError
     where it is not known), and whose L-series at t = 1 is
-    ``density_in_L`` of the profile's.
+    ``density_in_L`` of the profile's.  Every density but the Poincare one
+    carries its exact form (module docstring).
     DomainError unless n is an integer >= 2.
     """
     require_dimension(n)
@@ -389,17 +489,17 @@ def associated_density(p: RadialProfile, n: int = 2) -> Density:
         return phi_v_density(p.params["v"])
     if p.kind == "constant_one":
         return Density(lambda t: p.eval(t)[0], 0.0, label="f[constant_one]",
-                       l_series=p.l_series)
+                       l_series=p.l_series, form=((p.scale, 0.0, 0),))
     if p.kind == "poincare_numeric" and n == 2:
-        s3 = float(Fraction(p.scale) ** 3)
+        s3 = _scale_power(p.scale, 3)
         return Density(lambda t: np.full(np.shape(t), s3), 0.0,
                        label="W_2[poincare_numeric]",
                        l_series=lambda order: PowerLogSeries.const(Fraction(s3), order))
-    l_series = None
-    if p.kind == "explicit_n":
-        l_series = lambda order: density_in_L(p.l_series(order + 1), n)
-    return Density(lambda t: monge_ampere_density(p, n, t), _monge_ampere_exponent(p, n),
-                   label=f"W_{n}[{p.kind}]", l_series=l_series)
+    p0 = _monge_ampere_exponent(p, n)
+    # explicit_n, the one kind with a known exponent: W_n[s g_m] = s^(n+1) t^p0
+    return Density(lambda t: monge_ampere_density(p, n, t), p0, label=f"W_{n}[{p.kind}]",
+                   l_series=lambda order: density_in_L(p.l_series(order + 1), n),
+                   form=((_scale_power(p.scale, n + 1), p0, 0),))
 
 
 def _require_density(obj) -> Density:
@@ -538,8 +638,9 @@ def _kernel_direct(dens: Density, n: int, t: float) -> KernelEval:
         raise _zero_moment(dens, k + n - 2) from None
 
 
-def _zero_moment(dens: Density, k: int) -> DomainError:
-    return DomainError(f"{dens.label}: moment c_{k} is 0 (its values underflow float64)")
+def _zero_moment(dens: Density, k: int, c: float = 0.0) -> DomainError:
+    value = "0" if c == 0.0 else f"subnormal ({c:.3g})"
+    return DomainError(f"{dens.label}: moment c_{k} is {value} (its values underflow float64)")
 
 
 class _KummerSplit:

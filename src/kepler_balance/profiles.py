@@ -103,6 +103,26 @@ def phi_v(v, t):
     return _maybe_scalar(val, scalar)
 
 
+def phi_v_form(v):
+    """The sum ``phi_v`` evaluates, as terms (a, p, j) of a t^p log(1/t)^j.
+
+    |v| <= 1e-6: t^(-1/4) times the polynomial in x = log(1/t)/4,
+    sum_i v^i (x^(2i)/(2i)! - x^(2i+1)/(2i+1)!), i <= 3; v > 1e-6: the two
+    powers t^((-1 +- sqrt v)/4); v < -1e-6: Re[(1 + i/s) t^(-1/4 - i s/4)],
+    s = sqrt(-v), one term of complex a and p standing for itself plus its
+    complex conjugate.
+    """
+    v = float(v)
+    if abs(v) <= 1e-6:
+        terms = ((-1) ** j * v ** (j // 2) / (4.0 ** j * math.factorial(j)) for j in range(8))
+        return tuple((a, -0.25, j) for j, a in enumerate(terms) if a != 0.0)
+    if v > 0:
+        w = math.sqrt(v)
+        return (((1 + w) / (2 * w), (-1 + w) / 4, 0), (-(1 - w) / (2 * w), (-1 - w) / 4, 0))
+    s = math.sqrt(-v)
+    return ((complex(0.5, 0.5 / s), complex(-0.25, -s / 4), 0),)
+
+
 def phi_v_l_coefficients(v, J):
     """Taylor coefficients a_0..a_J of phi_v in L at L = 0.
 

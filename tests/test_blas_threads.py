@@ -68,13 +68,15 @@ def test_numpy_imported_first_is_left_alone():
 
 # hashes of every c_k and bound through k = 3000 of a level-6 density
 # (phi_4, 64 x 772 block products) and a level-12 one (phi_8.5,
-# 64 x 8192, which OpenBLAS does split across threads)
+# 64 x 8192, which OpenBLAS does split across threads), both built from
+# phi_v's values, so that quadrature computes their moments
 MOMENT_HASHES = """
-import hashlib, numpy as np
-from kepler_balance.kernel import phi_v_density
+import hashlib, math, numpy as np
+from kepler_balance.kernel import Density
+from kepler_balance.profiles import phi_v
 moments = {}
 for v in (4, 8.5):
-    dens = phi_v_density(v)
+    dens = Density(lambda t, v=v: phi_v(v, t), (-1.0 - math.sqrt(v)) / 4.0)
     dens.moments_block(3000)
     moments[str(v)] = [dens._level,
                        hashlib.sha256(np.array(dens._c + dens._err).tobytes()).hexdigest()]

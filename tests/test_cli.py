@@ -366,6 +366,18 @@ def test_kernel_density_underflow_is_config_error(t, capsys):
     assert err.startswith("configuration error: f[constant_one]: ") and err.count("\n") == 1
 
 
+def test_kernel_phi_v_near_singular_at_zero(capsys):
+    # phi_v at v = 8.96724 behaves like t^-0.9986 at t = 0: quadrature missed
+    # the closed-form F by 1.9e-4 relative here, the density's exact form
+    # gives it to rounding
+    code, out, _err = run_cli(["kernel", "--profile", "phi_v_candidate:v=8.96724",
+                               "--t", "0.5", "--c", "4"], capsys)
+    assert code == 0
+    F = float(out.splitlines()[1].split(",")[1])
+    cf = kern.closed_form_F_phi_v(8.96724, 0.5)
+    assert abs(F - cf) <= 1e-12 * cf
+
+
 def test_verify_only_filter(capsys):
     code, _o, _e = run_cli(["verify", "--only", "monge"], capsys)
     assert code == 0

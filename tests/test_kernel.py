@@ -374,17 +374,23 @@ def _exact_power_moments(dens, ks):
     return out
 
 
+# densities built from their values alone, with no exact form: quadrature
+# computes their moments
+
 def _fresh_phi_v(v):
     p0 = (-1.0 - math.sqrt(v)) / 4.0 if v >= 0 else -0.25
     return K.Density(lambda t: phi_v(v, t), p0, label=f"phi_{v}")
 
 
+def _fresh_w(p, n):
+    return K.Density(lambda t: monge_ampere_density(p, n, t), K._monge_ampere_exponent(p, n),
+                     label=f"W_{n}[{p.kind}]")
+
+
 @pytest.mark.parametrize("make", [
     *(pytest.param(lambda v=v: _fresh_phi_v(v), id=f"phi_{v}") for v in (0, 1, 4, 9, -0.5)),
-    pytest.param(lambda: K.associated_density(RadialProfile.sqrt_poincare(), 2),
-                 id="W[sqrt_poincare]"),
-    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(6), 6),
-                 id="W[explicit_n:n=6]"),
+    pytest.param(lambda: _fresh_w(RadialProfile.sqrt_poincare(), 2), id="W[sqrt_poincare]"),
+    pytest.param(lambda: _fresh_w(RadialProfile.explicit_n(6), 6), id="W[explicit_n:n=6]"),
 ])
 def test_moments_match_unflushed_reference(make):
     # every (value, err) lies within a few ulp of a per-k math.fsum over the
@@ -502,7 +508,7 @@ def test_moments_to_the_cap_match_closed_form(v):
 def test_level_6_moments_match_level_12(p, n):
     # W[f] settles at the coarsest level and stays within 1e-15 of a
     # level-12 math.fsum over exact powers up to the cap
-    dens = K.associated_density(p, n)
+    dens = _fresh_w(p, n)
     dens.moments_block(K.HARD_TERM_CAP)
     assert dens._level == K._MIN_LEVEL
     t, w, ell, _w_prev = nodes_up_to(12, t_floor=dens.t_floor)
@@ -836,10 +842,8 @@ def test_direct_sum_integers_past_float_range_are_named(n):
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _fresh_phi_v(0.3), id="phi_0.3"),
-    pytest.param(lambda: K.associated_density(RadialProfile.constant_one(scale=1.7)),
-                 id="constant_one"),
-    pytest.param(lambda: K.associated_density(RadialProfile.explicit_n(3), 3),
-                 id="W_3[explicit_n:n=3]"),
+    pytest.param(lambda: K.Density(lambda t: np.full(np.shape(t), 1.7), 0.0), id="constant_one"),
+    pytest.param(lambda: _fresh_w(RadialProfile.explicit_n(3), 3), id="W_3[explicit_n:n=3]"),
 ])
 def test_first_block_is_the_unscaled_product(make):
     # block k0 = 0 is Q @ W: exp(0 l) is exactly 1, so it is the scaled

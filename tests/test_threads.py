@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from kepler_balance import kernel as K
-from kepler_balance.profiles import phi_v, phi_v_l_series
+from kepler_balance.profiles import phi_v, phi_v_form, phi_v_l_series
 
 THREADS = 4
 TIMEOUT_S = 60
@@ -37,10 +37,10 @@ def _constant():
     return K.Density(lambda t: 1.0 + 0.0 * t, 0)
 
 
-def _phi_4():
+def _phi_4(form=None):
     # phi_4 with its L-series: n = 2 near t = 1 takes the Kummer split
     return K.Density(lambda t: phi_v(4, t), -0.75,
-                     l_series=lambda order: phi_v_l_series(Fraction(4), order))
+                     l_series=lambda order: phi_v_l_series(Fraction(4), order), form=form)
 
 
 def _shared_run(make, count, ts):
@@ -68,7 +68,8 @@ def _shared_run(make, count, ts):
 @pytest.mark.parametrize("make, count, ts", [
     (_constant, 200, DIRECT_TS),
     (_phi_4, 100, KUMMER_TS),
-], ids=["direct", "kummer"])
+    (lambda: _phi_4(phi_v_form(4)), 100, KUMMER_TS),
+], ids=["direct", "kummer", "kummer-form"])
 def test_shared_density_matches_serial(make, count, ts):
     mismatches, errors = _shared_run(make, count, ts)
     assert (mismatches, errors) == (0, [])
@@ -78,8 +79,8 @@ def test_phi_v_density_cache_is_shared(monkeypatch):
     # threads asking for the same v get one Density, and its serial bits
     monkeypatch.setattr(K, "_PHI_V_DENSITIES", {})
     vs = [0.25 * j for j in range(1, 41)]
-    want = {v: K.kernel_series(K.Density(lambda t, v=v: phi_v(v, t),
-                                         (-1.0 - math.sqrt(v)) / 4.0), 2, 0.7) for v in vs}
+    want = {v: K.kernel_series(K.Density(lambda t, v=v: phi_v(v, t), (-1.0 - math.sqrt(v)) / 4.0,
+                                         form=phi_v_form(v)), 2, 0.7) for v in vs}
 
     def call(v):
         d = K.phi_v_density(v)
